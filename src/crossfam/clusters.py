@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import isqrt
 from typing import Iterable
 
-from .geom import GeometricGraph, PointSet
+from .geom import GeometricGraph, PointSet, hull_coords
 from .poset import PairPoset, build_pair_poset, iota_sum_capped
 from .zones import AllDetermined, CandidateLines, Sampled, ZoneLineSet, build_zone_lines, net_sample_size
 
@@ -228,6 +228,8 @@ def find_avoiding_dense_pair(
     dense_min = delta.numerator * m * m  # compare against count * delta.den
     best: tuple[int, int, int, int] | None = None  # (count, iota, i, j)
     k = len(D.clusters)
+    coords = V.coords
+    hulls = [hull_coords(coords[v] for v in c) for c in D.clusters]
     done = False
     for i in range(k - 1):
         for j in range(i + 1, k):
@@ -242,7 +244,7 @@ def find_avoiding_dense_pair(
             cap = iota_cap
             if best is not None and cnt == best[0]:
                 cap = min(cap, best[1] - 1)
-            iota = iota_sum_capped(D.clusters[i], D.clusters[j], V, cap)
+            iota = iota_sum_capped(D.clusters[i], D.clusters[j], V, cap, hulls[i], hulls[j])
             if iota is None:
                 continue
             best = (cnt, iota, i, j)

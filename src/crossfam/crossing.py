@@ -30,6 +30,7 @@ from .geom import (
     Segment,
     line_meets_hull,
     convex_hull,
+    hull_coords,
     segments_avoiding,
     segments_cross,
 )
@@ -106,6 +107,15 @@ def match_avoiding_pair(A, B, V: PointSet, *, mode: FamilyMode = FamilyMode.CROS
         raise NotTotalOrderError(
             f"pair has incomparable pairs (iota_a={P.iota_a}, iota_b={P.iota_b})"
         )
+    return _match_ranks(a, b, P, V, mode)
+
+
+def _match_ranks(a, b, P: PairPoset, V: PointSet, mode: FamilyMode) -> SegmentFamily:
+    """Rank matching of equal-size sides that ``P`` orders totally.
+
+    ``P`` may be the poset of any separated supersets of ``a`` and ``b``: a
+    chain relative to a set keeps its order relative to every subset.
+    """
     order_a = _total_order(a, P.less_in_a)
     order_b = _total_order(b, P.less_in_b)
     t = len(a)
@@ -160,7 +170,6 @@ def _verify_split_blocks(parts, G: GeometricGraph, mode: FamilyMode, budget_pair
 def check_incomparability_localized(P: PairPoset, A, d_blocks, V: PointSet) -> None:
     """Assert that a pair incomparable relative to B stays incomparable
     relative to at most one of the ordered B-blocks."""
-    coords = [(V[i].x, V[i].y) for i in range(len(V))]
     hulls = [convex_hull([V[i] for i in blk]) for blk in d_blocks]
     side = list(A)
     for i in range(len(side) - 1):
@@ -218,6 +227,9 @@ def split_pair(
     tk = t * k
     c_blocks = interval_chains(a, P.less_in_a, m, tk).blocks
     d_blocks = interval_chains(b, P.less_in_b, m, tk).blocks
+    coords = V.coords
+    c_hulls = [hull_coords(coords[v] for v in blk) for blk in c_blocks]
+    d_hulls = [hull_coords(coords[v] for v in blk) for blk in d_blocks]
 
     iota_cap = (eps.numerator * m * m) // eps.denominator
     eligible: list[tuple[int, int, PairPoset]] = []
@@ -226,7 +238,7 @@ def split_pair(
             cnt = len(_edges_between_list(G, c_blocks[ai], d_blocks[bi]))
             if cnt * t < m * m:
                 continue
-            iota = iota_sum_capped(c_blocks[ai], d_blocks[bi], V, iota_cap)
+            iota = iota_sum_capped(c_blocks[ai], d_blocks[bi], V, iota_cap, c_hulls[ai], d_hulls[bi])
             if iota is None:
                 continue
             sub = build_pair_poset(c_blocks[ai], d_blocks[bi], V)
@@ -275,7 +287,7 @@ def _base_segments(G: GeometricGraph, A, B, P: PairPoset, mode: FamilyMode, theo
             r = min(len(ca), len(cb))
             a_side, b_side = tuple(ca[:r]), tuple(cb[:r])
         if len(a_side) >= 1:
-            fam = match_avoiding_pair(a_side, b_side, V, mode=mode)
+            fam = _match_ranks(a_side, b_side, P, V, mode)
             segs = [s for s in fam.segments if G.has_edge(*s)]
             if len(segs) >= 2:
                 return segs

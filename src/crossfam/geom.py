@@ -261,19 +261,20 @@ def segments_avoiding(s1: Segment, s2: Segment, V: PointSet) -> bool:
     return o1 == o2 and o3 == o4
 
 
-def convex_hull(points: Iterable[Point]) -> list[Point]:
-    """Vertices of the convex hull in counterclockwise order.
+def hull_coords(coords: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
+    """Convex hull vertices of coordinate pairs in counterclockwise order.
 
-    Interior and collinear points are dropped. Sets of one or two points are
-    returned as-is (sorted), representing a point or a segment.
+    Monotone chain on plain int tuples. Interior and collinear points are
+    dropped. Sets of one or two points are returned as-is (sorted),
+    representing a point or a segment.
     """
-    coords = sorted({(p.x, p.y) for p in (_as_point(p) for p in points)})
-    if len(coords) <= 2:
-        return [Point(x, y) for x, y in coords]
+    pts = sorted(set(coords))
+    if len(pts) <= 2:
+        return pts
 
-    def half(pts):
+    def half(seq):
         out = []
-        for c in pts:
+        for c in seq:
             while len(out) >= 2:
                 (ox, oy), (ax, ay) = out[-2], out[-1]
                 if (ax - ox) * (c[1] - oy) - (ay - oy) * (c[0] - ox) > 0:
@@ -282,10 +283,17 @@ def convex_hull(points: Iterable[Point]) -> list[Point]:
             out.append(c)
         return out
 
-    lower = half(coords)
-    upper = half(list(reversed(coords)))
-    ring = lower[:-1] + upper[:-1]
-    return [Point(x, y) for x, y in ring]
+    lower = half(pts)
+    upper = half(reversed(pts))
+    return lower[:-1] + upper[:-1]
+
+
+def convex_hull(points: Iterable[Point]) -> list[Point]:
+    """Vertices of the convex hull in counterclockwise order, as Points.
+
+    See ``hull_coords``, which this wraps.
+    """
+    return [Point(x, y) for x, y in hull_coords((p.x, p.y) for p in map(_as_point, points))]
 
 
 def _on_segment(p: Point, q: Point, r: Point) -> bool:

@@ -4,6 +4,17 @@ For separated sets A and B, a point x of A precedes y (written here as
 LESS under B) when all of B lies strictly to the left of the directed line
 x -> y. This relation is a strict partial order; two points are incomparable
 exactly when their line meets the convex hull of B.
+
+Comparability is decided by a two-tangent test. Every point x of A lies
+outside conv(B), because the sets are separated, so B is seen from x inside
+a wedge narrower than a half-turn, bounded by two tangent vertices of the
+hull. All of B lies strictly on one side of a line through x exactly when
+both tangent vertices do. One scan of the hull per x finds its tangents;
+each pair (x, y) then costs two orientation signs instead of one per hull
+vertex. The arithmetic is on Python ints, so it is exact over the whole
+coordinate range. A tangent vertex on the line x -> y happens only off
+general position; such a pair is handed to ``_classify_pair``, which scans
+the whole hull and raises.
 """
 
 from __future__ import annotations
@@ -14,7 +25,7 @@ from enum import Enum
 from typing import Callable, Sequence
 
 from .errors import DegenerateInputError, HypothesisViolatedError, NotSeparatedError
-from .geom import Point, PointSet, _orient_coords, convex_hull, hulls_disjoint
+from .geom import Point, PointSet, _orient_coords, convex_hull, hull_coords, hulls_disjoint
 
 # Comparability tables are materialized in O(m^2); keep inputs cluster-sized.
 SIZE_CAP = 4096
@@ -105,31 +116,59 @@ class PairPoset:
         return self.iota_a == 0 and self.iota_b == 0
 
 
-def _build_side(indices, V: PointSet, opposite_hull_coords):
-    less = set()
+# Tangent sign pairs that stand for a verdict of the full hull scan, used
+# when a tangent vertex lies on the line.
+_TANGENT_SIGNS = {Cmp.LESS: (1, 1), Cmp.GREATER: (-1, -1), Cmp.INCOMPARABLE: (1, -1)}
+
+
+def _compare_side(side, coords, hull, cap: int, less: set | None = None) -> int | None:
+    """Compare every pair of ``side`` relative to ``hull`` by the two-tangent test.
+
+    ``side`` holds indices into ``coords``; ``hull`` is the counterclockwise
+    hull of the opposite set, which must not contain any point of ``side``.
+    Pairs (u, v) with u LESS v are added to ``less`` when it is given.
+    Returns the number of incomparable pairs, or None as soon as it exceeds
+    ``cap``.
+    """
     iota = 0
-    coords = V.coords
-    k = len(indices)
+    pts = [coords[v] for v in side]
+    k = len(pts)
     for i in range(k - 1):
-        u = indices[i]
-        cu = coords[u]
+        px, py = pts[i]
+        # Tangent vectors from x: every hull vertex lies clockwise of
+        # (hx, hy) and counterclockwise of (lx, ly), or on their rays.
+        hx, hy = lx, ly = hull[0][0] - px, hull[0][1] - py
+        for rx, ry in hull:
+            rx -= px
+            ry -= py
+            if hx * ry - hy * rx > 0:
+                hx, hy = rx, ry
+            if lx * ry - ly * rx < 0:
+                lx, ly = rx, ry
         for j in range(i + 1, k):
-            v = indices[j]
-            c = _classify_pair(cu, coords[v], opposite_hull_coords)
-            if c is Cmp.LESS:
-                less.add((u, v))
-            elif c is Cmp.GREATER:
-                less.add((v, u))
-            else:
+            qx, qy = pts[j]
+            dx = qx - px
+            dy = qy - py
+            s_hi = dx * hy - dy * hx
+            s_lo = dx * ly - dy * lx
+            if not (s_hi and s_lo):
+                s_hi, s_lo = _TANGENT_SIGNS[_classify_pair(pts[i], pts[j], hull)]
+            if s_hi * s_lo < 0:
                 iota += 1
-    return frozenset(less), iota
+                if iota > cap:
+                    return None
+            elif less is not None:
+                less.add((side[i], side[j]) if s_hi > 0 else (side[j], side[i]))
+    return iota
 
 
 def build_pair_poset(A, B, V: PointSet, *, check_separated: bool = True) -> PairPoset:
     """Construct the full comparability tables for both sides of a pair.
 
-    The opposite set's convex hull is precomputed so each pair test costs
-    O(hull size). Raises NotSeparatedError when the hulls intersect.
+    Each side is compared against the opposite side's convex hull by the
+    two-tangent test. Raises NotSeparatedError when the hulls intersect;
+    ``check_separated=False`` is only for sides already known to be
+    separated, since the test is meaningless otherwise.
     """
     a = tuple(A)
     b = tuple(B)
@@ -139,37 +178,41 @@ def build_pair_poset(A, B, V: PointSet, *, check_separated: bool = True) -> Pair
         raise ValueError("sides must be disjoint index sets")
     if len(a) > SIZE_CAP or len(b) > SIZE_CAP:
         raise ValueError(f"side exceeds the comparability table cap ({SIZE_CAP})")
-    pa = [V[i] for i in a]
-    pb = [V[i] for i in b]
-    if check_separated and not hulls_disjoint(pa, pb):
+    if check_separated and not hulls_disjoint([V[i] for i in a], [V[i] for i in b]):
         raise NotSeparatedError("convex hulls of the two sides intersect")
-    hull_a = [(p.x, p.y) for p in convex_hull(pa)]
-    hull_b = [(p.x, p.y) for p in convex_hull(pb)]
-    less_a, iota_a = _build_side(a, V, hull_b)
-    less_b, iota_b = _build_side(b, V, hull_a)
+    coords = V.coords
+    tables = []
+    for side, other in ((a, b), (b, a)):
+        # Filled as a set: a frozenset copied from a set gets a smaller table
+        # than one built from a list. A side of k points has fewer than k**2
+        # pairs, so this cap never binds.
+        less: set[tuple[int, int]] = set()
+        iota = _compare_side(side, coords, hull_coords(coords[i] for i in other), len(side) ** 2, less)
+        tables.append((frozenset(less), iota))
+    (less_a, iota_a), (less_b, iota_b) = tables
     return PairPoset(a, b, less_a, less_b, iota_a, iota_b)
 
 
-def iota_sum_capped(A, B, V: PointSet, cap: int) -> int | None:
+def iota_sum_capped(A, B, V: PointSet, cap: int, hull_a=None, hull_b=None) -> int | None:
     """Incomparable-pair count over both sides, or None once it exceeds cap.
 
     Used by pair scanners to reject tangled pairs early without building the
-    full tables.
+    full tables. The sides must be separated. Callers that scan many pairs
+    pass each side's ``hull_coords`` as ``hull_a`` and ``hull_b`` so hulls are
+    built once per set rather than once per pair.
     """
     coords = V.coords
-    hull_b = [(p.x, p.y) for p in convex_hull([V[i] for i in B])]
-    hull_a = [(p.x, p.y) for p in convex_hull([V[i] for i in A])]
-    total = 0
-    for side, hull in ((tuple(A), hull_b), (tuple(B), hull_a)):
-        k = len(side)
-        for i in range(k - 1):
-            cu = coords[side[i]]
-            for j in range(i + 1, k):
-                if _classify_pair(cu, coords[side[j]], hull) is Cmp.INCOMPARABLE:
-                    total += 1
-                    if total > cap:
-                        return None
-    return total
+    if hull_a is None:
+        hull_a = hull_coords(coords[i] for i in A)
+    if hull_b is None:
+        hull_b = hull_coords(coords[i] for i in B)
+    iota_a = _compare_side(tuple(A), coords, hull_b, cap)
+    if iota_a is None:
+        return None
+    iota_b = _compare_side(tuple(B), coords, hull_a, cap - iota_a)
+    if iota_b is None:
+        return None
+    return iota_a + iota_b
 
 
 @dataclass(frozen=True)

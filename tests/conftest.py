@@ -14,7 +14,7 @@ def fixup_general_position(coords, redraw, attempts=20_000):
     """Replace offending points (by index-specific redraw) until the set is in
     general position."""
     for _ in range(attempts):
-        witness = general_position_check([Point(x, y) for x, y in coords])
+        witness = general_position_check(coords)
         if witness is None:
             return coords
         idx = witness[-1]
@@ -22,9 +22,10 @@ def fixup_general_position(coords, redraw, attempts=20_000):
     raise RuntimeError("could not reach general position")
 
 
-def separated_pair(rng: random.Random, na: int, nb: int, span: int = 100_000):
+def separated_pair(rng: random.Random, na: int, nb: int, span: int = 100_000, offset: int = 0):
     """Two point clouds in disjoint vertical slabs, jointly in general
-    position; returns (V, A_indices, B_indices)."""
+    position, with ``offset`` subtracted from every coordinate; returns
+    (V, A_indices, B_indices)."""
     gap = 3 * span
 
     def draw(idx: int):
@@ -34,7 +35,7 @@ def separated_pair(rng: random.Random, na: int, nb: int, span: int = 100_000):
 
     coords = [draw(i) for i in range(na + nb)]
     fixup_general_position(coords, draw)
-    V = PointSet([Point(x, y) for x, y in coords])
+    V = PointSet([Point(x - offset, y - offset) for x, y in coords])
     return V, tuple(range(na)), tuple(range(na, na + nb))
 
 

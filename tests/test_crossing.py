@@ -289,3 +289,40 @@ def test_family_size_cap(rng):
         assert len(fam) <= 25
         flat = [v for s in fam.segments for v in s]
         assert len(flat) == len(set(flat))
+
+
+# Families the drivers returned for these fixed inputs when comparability was
+# still decided by a full hull scan per pair. A refactor of the pipeline must
+# return exactly these segments.
+PINNED_FAMILIES = [
+    ("random-disk", 96, 5, None, FamilyMode.CROSSING,
+     ((2, 19), (4, 57), (7, 86), (14, 53), (15, 18), (16, 55), (32, 76), (38, 80), (39, 40),
+      (44, 52), (47, 69))),
+    ("random-disk", 150, 17, None, FamilyMode.CROSSING,
+     ((3, 39), (5, 91), (14, 112), (17, 148), (26, 94), (35, 48), (44, 128), (60, 76), (63, 145))),
+    ("convex", 64, 2, None, FamilyMode.CROSSING,
+     ((12, 28), (13, 29), (14, 39), (15, 40), (16, 41), (17, 42), (18, 43), (19, 44), (20, 45),
+      (21, 46), (22, 47), (23, 48), (24, 49), (25, 50), (26, 51), (27, 52))),
+    ("convex", 96, 3, None, FamilyMode.CROSSING,
+     ((0, 54), (1, 55), (2, 56), (3, 57), (4, 58), (5, 59), (6, 60), (7, 61), (8, 62), (9, 63),
+      (32, 74), (33, 75), (34, 76), (35, 77), (36, 78), (37, 79), (38, 80), (39, 81), (40, 82),
+      (41, 83), (42, 84), (43, 85), (44, 86), (45, 87), (46, 88), (47, 89), (48, 90), (49, 91),
+      (50, 92), (51, 93), (52, 94), (53, 95))),
+    ("grid-jitter", 80, 7, 0.5, FamilyMode.AVOIDING, ((8, 15), (31, 67), (40, 71), (50, 69))),
+    ("grid-jitter", 120, 9, 0.5, FamilyMode.AVOIDING,
+     ((10, 45), (14, 109), (16, 49), (22, 81), (23, 114), (65, 103), (70, 87))),
+]
+
+
+@pytest.mark.parametrize("kind,n,seed,density,mode,expected", PINNED_FAMILIES)
+def test_driver_families_pinned(kind, n, seed, density, mode, expected):
+    V = generate_points(kind, n, seed)
+    if density is None:
+        G = GeometricGraph.complete(V)
+    else:
+        edge_rng = random.Random(seed)
+        G = GeometricGraph.from_edges(
+            V, [(a, b) for a in range(n - 1) for b in range(a + 1, n) if edge_rng.random() < density]
+        )
+    driver = find_crossing_family if mode is FamilyMode.CROSSING else find_avoiding_family
+    assert driver(G, RunConfig(seed=seed)).segments == expected

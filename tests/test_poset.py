@@ -2,14 +2,24 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import separated_pair
 from crossfam.errors import DegenerateInputError, HypothesisViolatedError, NotSeparatedError
-from crossfam.geom import Point, PointSet, line_meets_hull, segments_cross
+from crossfam.geom import (
+    COORD_LIMIT,
+    Point,
+    PointSet,
+    convex_hull,
+    general_position_check,
+    hull_coords,
+    line_meets_hull,
+    segments_cross,
+)
 from crossfam.poset import (
     Cmp,
+    _classify_pair,
     build_pair_poset,
     interval_chains,
     iota_sum_capped,
@@ -77,6 +87,80 @@ def test_pair_poset_properties_random(rng):
             1 for x, y in itertools.combinations(A, 2) if pp.cmp_ab(x, y) is Cmp.INCOMPARABLE
         )
         assert iota_sum_capped(A, B, V, 10**9) == pp.iota_sum
+
+
+def _reference_side(side, V, other):
+    """Less pairs and incomparable count of one side, one hull scan per pair."""
+    hull = [(p.x, p.y) for p in convex_hull([V[i] for i in other])]
+    less, iota = set(), 0
+    for u, v in itertools.combinations(side, 2):
+        c = _classify_pair(V.coords[u], V.coords[v], hull)
+        if c is Cmp.LESS:
+            less.add((u, v))
+        elif c is Cmp.GREATER:
+            less.add((v, u))
+        else:
+            iota += 1
+    return less, iota
+
+
+def _reference_iota_capped(A, B, V, cap):
+    """The capped count as a plain pair loop: None once the count exceeds cap."""
+    total = 0
+    for side, other in ((A, B), (B, A)):
+        hull = [(p.x, p.y) for p in convex_hull([V[i] for i in other])]
+        for u, v in itertools.combinations(side, 2):
+            if _classify_pair(V.coords[u], V.coords[v], hull) is Cmp.INCOMPARABLE:
+                total += 1
+                if total > cap:
+                    return None
+    return total
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    na=st.integers(1, 9),
+    nb=st.integers(1, 9),
+    span=st.sampled_from([1_000, 2**20, 2**30 - 1]),
+    sign=st.sampled_from([1, -1]),
+)
+@settings(max_examples=150, deadline=None)
+def test_two_tangent_kernel_matches_reference(seed, na, nb, span, sign):
+    # The slabs start at -COORD_LIMIT; the leftmost and the lowest point are
+    # moved onto that edge, and mirroring puts them on +COORD_LIMIT. At span
+    # 2^30 - 1 the coordinates fill the whole range and orientation products
+    # exceed int64.
+    V0, A, B = separated_pair(random.Random(seed), na, nb, span, offset=COORD_LIMIT)
+    coords = [list(c) for c in V0.coords]
+    coords[min(A, key=lambda i: coords[i][0])][0] = -COORD_LIMIT
+    coords[min(range(na + nb), key=lambda i: coords[i][1])][1] = -COORD_LIMIT
+    pts = [(sign * x, sign * y) for x, y in coords]
+    assume(general_position_check(pts) is None)
+    V = PointSet(pts)
+    assert max(abs(c) for xy in pts for c in xy) == COORD_LIMIT
+
+    pp = build_pair_poset(A, B, V)
+    assert (set(pp.less_a), pp.iota_a) == _reference_side(A, V, B)
+    assert (set(pp.less_b), pp.iota_b) == _reference_side(B, V, A)
+    hull_a = hull_coords(V.coords[i] for i in A)
+    hull_b = hull_coords(V.coords[i] for i in B)
+    total = pp.iota_sum
+    for cap in (0, total - 1, total, 10**9):
+        expected = _reference_iota_capped(A, B, V, cap)
+        assert expected == (None if total > max(cap, 0) else total)
+        assert iota_sum_capped(A, B, V, cap) == expected
+        assert iota_sum_capped(A, B, V, cap, hull_a, hull_b) == expected
+
+
+def test_build_pair_poset_tangent_vertex_on_line():
+    # (5, 0), a vertex of the B hull, lies on the line through (0, 0) and
+    # (1, 0); seen from (0, 0) it is a tangent vertex, so the pair's sign is
+    # zero and the input must still be rejected as degenerate.
+    V = PointSet(P((0, 0), (1, 0), (5, 0), (5, 10), (6, 5)), check_general_position=False)
+    with pytest.raises(DegenerateInputError):
+        build_pair_poset((0, 1), (2, 3, 4), V)
+    with pytest.raises(DegenerateInputError):
+        iota_sum_capped((0, 1), (2, 3, 4), V, 10**9)
 
 
 def test_crossing_guarantee(rng):
