@@ -16,7 +16,7 @@ from .crossing import (
     split_pair,
     theory_params,
 )
-from .clusters import build_clusters, find_avoiding_dense_pair, pair_statistics, select_pair
+from .clusters import build_clusters, find_avoiding_dense_pair
 from .geom import (
     GeometricGraph,
     Orientation,
@@ -76,11 +76,9 @@ __all__ = [
     "match_avoiding_pair",
     "max_family_bruteforce",
     "orientation",
-    "pair_statistics",
     "sample_sector_net",
     "segments_avoiding",
     "segments_cross",
-    "select_pair",
     "split_pair",
     "theory_params",
     "verify_family",

@@ -1,7 +1,7 @@
 """Command-line surface: generate, run, verify, oracle, bench.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
-3 internal error (for example zone verification exhausted).
+3 internal error.
 """
 
 from __future__ import annotations
@@ -23,12 +23,10 @@ from .crossing import (
 )
 from .errors import (
     CrossfamError,
-    EmptyGraphError,
     GeneralPositionError,
     ParseError,
     RangeTooSmallError,
     TooLargeError,
-    ZoneVerificationError,
 )
 from .formats import (
     ResultData,
@@ -143,7 +141,6 @@ def _run_config(args, seed: int) -> RunConfig:
         s=getattr(args, "s", None),
         seed=seed,
         max_retries=getattr(args, "max_retries", 8),
-        net_constant=getattr(args, "net_constant", 40),
     )
 
 
@@ -332,7 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--s", type=int, default=None)
     r.add_argument("--seed", type=int, default=None)
     r.add_argument("--max-retries", type=int, default=8)
-    r.add_argument("--net-constant", type=int, default=40)
     r.add_argument("--svg", default=None)
     r.add_argument("--out", default=None)
     r.set_defaults(func=cmd_run)
@@ -375,7 +371,7 @@ def main(argv=None) -> int:
     except GeneralPositionError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (ZoneVerificationError, EmptyGraphError, CrossfamError) as e:
+    except CrossfamError as e:
         print(f"internal error: {e}", file=sys.stderr)
         return 3
 

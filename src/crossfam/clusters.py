@@ -15,8 +15,8 @@ from math import isqrt
 from typing import Iterable
 
 from .geom import GeometricGraph, PointSet, hull_coords
-from .poset import PairPoset, build_pair_poset, iota_sum_capped
-from .zones import AllDetermined, CandidateLines, Sampled, ZoneLineSet, build_zone_lines, net_sample_size
+from .poset import build_pair_poset, iota_sum_capped
+from .zones import Sampled, ZoneLineSet, build_zone_lines
 
 
 @dataclass(frozen=True)
@@ -38,23 +38,6 @@ class ClusterDecomposition:
     cells: tuple[CellAssignment, ...]
     leftover: tuple[int, ...]
     on_lines: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class PairStats:
-    """Exact per-cluster-pair statistics: connecting edge count and the
-    total incomparable-pair count over both induced orders."""
-
-    i: int
-    j: int
-    edge_count: int
-    iota_sum: int
-
-    def is_dense(self, delta: Fraction, m: int) -> bool:
-        return self.edge_count * delta.denominator >= delta.numerator * m * m
-
-    def is_avoiding(self, eps: Fraction, m: int) -> bool:
-        return self.iota_sum * eps.denominator <= eps.numerator * m * m
 
 
 def _splitter_direction(coords: list[tuple[int, int]]) -> tuple[int, int]:
@@ -134,63 +117,23 @@ def _edges_between(G: GeometricGraph, A: Iterable[int], B: Iterable[int]) -> int
     return sum(1 for u in a for v in b if G.has_edge(u, v))
 
 
-def pair_statistics(G: GeometricGraph, D: ClusterDecomposition) -> list[PairStats]:
-    """Exact statistics for every unordered cluster pair."""
-    V = G.vertices
-    out: list[PairStats] = []
-    k = len(D.clusters)
-    for i in range(k - 1):
-        for j in range(i + 1, k):
-            cnt = _edges_between(G, D.clusters[i], D.clusters[j])
-            P = build_pair_poset(D.clusters[i], D.clusters[j], V)
-            out.append(PairStats(i, j, cnt, P.iota_sum))
-    return out
-
-
-def select_pair(stats, eps, delta, m: int) -> tuple[int, int] | None:
-    """The qualifying pair with maximum edge count, ties to smallest (i, j)."""
-    eps = Fraction(eps)
-    delta = Fraction(delta)
-    best: PairStats | None = None
-    for st in sorted(stats, key=lambda s: (s.i, s.j)):
-        if not st.is_dense(delta, m):
-            continue
-        if not st.is_avoiding(eps, m):
-            continue
-        if best is None or st.edge_count > best.edge_count:
-            best = st
-    return (best.i, best.j) if best else None
-
-
 def desk_net_size(n: int, m: int) -> int:
     """Net size small enough that cells can still hold m-point clusters.
 
     The theoretical sample-size formula exceeds |V| at any desk scale, which
     would put every point on an arrangement line and leave nothing to
-    cluster; this cap keeps the cell count near n / m instead.
+    cluster; this size keeps the cell count near n / m instead.
     """
     return max(2, isqrt(isqrt(8 * max(n, 1) // max(m, 1))))
 
 
-def find_avoiding_dense_pair(
-    G: GeometricGraph,
-    m: int,
-    eps,
-    delta,
-    seed: int,
-    *,
-    zone_eps=None,
-    net_size: int | None = None,
-    audit: CandidateLines | None = None,
-    net_constant: int = 40,
-):
+def find_avoiding_dense_pair(G: GeometricGraph, m: int, eps, delta, seed: int):
     """Find two separated m-clusters forming a dense, untangled pair.
 
-    Composes the zone-line construction (zone budget eps*delta/2), the cell
-    decomposition, and the pair scan. Returns (A, B, PairPoset) or None.
-    When ``net_size`` is not given, the sample is capped at a desk-scale size
-    so clusters can exist at all, and the audit defaults to none; explicit
-    arguments restore the uncapped behaviour.
+    Samples a net of ``desk_net_size(n, m)`` points with the given seed,
+    cuts V into clusters over the lines the net determines (zone budget
+    eps*delta/2, no zone audit), and scans the cluster pairs. Returns
+    (A, B, PairPoset) or None.
     """
     V = G.vertices
     n = len(V)
@@ -200,21 +143,9 @@ def find_avoiding_dense_pair(
         raise ValueError("parameters must be positive")
     if n < 2 or n < 2 * m:
         return None
-    ze = Fraction(zone_eps) if zone_eps is not None else eps * delta / 2
-    if net_size is None:
-        formula = net_sample_size(ze, n, net_constant)
-        capped = desk_net_size(n, m)
-        size = min(formula, capped)
-        if audit is None:
-            audit = Sampled(0) if size < formula else AllDetermined()
-    else:
-        size = net_size
-        if audit is None:
-            audit = AllDetermined()
-
-    zls = build_zone_lines(
-        V, ze, seed, audit, net_constant=net_constant, size_override=size
-    )
+    if eps * delta > 2:
+        raise ValueError(f"eps*delta must be at most 2, got {eps * delta}")
+    zls = build_zone_lines(V, eps * delta / 2, seed, Sampled(0), size_override=desk_net_size(n, m))
     D = build_clusters(V, zls, m)
     if len(D.clusters) < 2:
         return None

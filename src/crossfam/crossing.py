@@ -22,7 +22,6 @@ from .errors import (
     HypothesisViolatedError,
     NoEligiblePairsError,
     NotTotalOrderError,
-    ZoneVerificationError,
 )
 from .geom import (
     GeometricGraph,
@@ -262,26 +261,13 @@ def split_pair(
     return parts
 
 
-def _subset_totally_ordered(P: PairPoset, side, cmp) -> bool:
-    s = list(side)
-    for i in range(len(s) - 1):
-        for j in range(i + 1, len(s)):
-            if cmp(s[i], s[j]) is Cmp.INCOMPARABLE:
-                return False
-    return True
-
-
 def _base_segments(G: GeometricGraph, A, B, P: PairPoset, mode: FamilyMode, theory: bool) -> list[Segment]:
     V = G.vertices
     if not theory:
         # Match the largest totally ordered sub-pair: the full sides when the
         # pair is untangled, else the longest chains of each side.
         a_side, b_side = tuple(A), tuple(B)
-        if not (
-            len(a_side) == len(b_side)
-            and _subset_totally_ordered(P, a_side, P.cmp_ab)
-            and _subset_totally_ordered(P, b_side, P.cmp_ba)
-        ):
+        if not (len(a_side) == len(b_side) and P.is_zero_avoiding):
             ca = longest_chain(sorted(a_side), lambda u, v: P.less_in_a(u, v))
             cb = longest_chain(sorted(b_side), lambda u, v: P.less_in_b(u, v))
             r = min(len(ca), len(cb))
@@ -308,8 +294,6 @@ def crossing_family_from_pair(
     budget: int = 2,
     theory: bool = False,
     levels: Sequence["LevelParams"] | None = None,
-    t_override: int | None = None,
-    k_override: int | None = None,
 ) -> SegmentFamily | None:
     """Recursive extraction of a verified family from one separated pair.
 
@@ -330,18 +314,12 @@ def crossing_family_from_pair(
             t, k, msub = lvl.t, lvl.k, lvl.m
             a2, b2 = a, b
         else:
-            t = t_override if t_override is not None else 3
+            t = 3
             quarter = len(a) // (t + 1)
             if quarter < 1:
                 return base
-            if k_override is not None:
-                k = k_override
-                msub = quarter // k
-            else:
-                msub = max(1, isqrt(quarter))
-                k = quarter // msub
-            if k < 1 or msub < 1:
-                return base
+            msub = isqrt(quarter)
+            k = quarter // msub
             trunc = (t + 1) * k * msub
             a2, b2 = tuple(a)[:trunc], tuple(b)[:trunc]
         try:
@@ -505,15 +483,11 @@ class RunConfig:
 
     theory: bool = False
     m: int | None = None
-    k: int | None = None
-    t: int | None = None
     eps: Fraction | None = None
     delta: Fraction | None = None
     s: int | None = None
     seed: int = 0
     max_retries: int = 8
-    m_decay: int = 2
-    net_constant: int = 40
 
 
 def _icbrt(n: int) -> int:
@@ -536,9 +510,10 @@ def _dense_exponent(n: int, edges: int) -> Fraction:
 
 
 def _best_edge_family(G: GeometricGraph, mode: FamilyMode) -> SegmentFamily:
-    for e in G.edges_iter():
-        return make_family(mode, [e], G, G.vertices)
-    raise EmptyGraphError("graph has no edges")
+    e = G.first_edge()
+    if e is None:
+        raise EmptyGraphError("graph has no edges")
+    return make_family(mode, [e], G, G.vertices)
 
 
 def _find_family(G: GeometricGraph, cfg: RunConfig, mode: FamilyMode) -> SegmentFamily:
@@ -555,9 +530,7 @@ def _find_family(G: GeometricGraph, cfg: RunConfig, mode: FamilyMode) -> Segment
         else:
             sched = theory_params(n, _dense_exponent(n, G.edge_count), s)
             search_delta = sched.delta
-        pick = find_avoiding_dense_pair(
-            G, sched.M, sched.eps, search_delta, cfg.seed, net_constant=cfg.net_constant
-        )
+        pick = find_avoiding_dense_pair(G, sched.M, sched.eps, search_delta, cfg.seed)
         if pick is not None:
             fam = crossing_family_from_pair(
                 G, pick[0], pick[1], pick[2], mode=mode, budget=s, theory=True, levels=sched.levels
@@ -573,29 +546,15 @@ def _find_family(G: GeometricGraph, cfg: RunConfig, mode: FamilyMode) -> Segment
     grow_cap = min(n // 2, 128)
 
     for attempt in range(max(1, cfg.max_retries)):
-        try:
-            pick = find_avoiding_dense_pair(
-                G, m, eps, delta, cfg.seed + attempt, net_constant=cfg.net_constant
-            )
-        except ZoneVerificationError:
-            pick = None
+        pick = find_avoiding_dense_pair(G, m, eps, delta, cfg.seed + attempt)
         if pick is None:
             # No qualifying pair at this scale: coarser clusters, laxer budget.
             if m <= 2 and eps >= 1:
                 break
-            m = max(2, m // max(1, cfg.m_decay))
+            m = max(2, m // 2)
             eps = min(Fraction(1), eps * 2)
             continue
-        fam = crossing_family_from_pair(
-            G,
-            pick[0],
-            pick[1],
-            pick[2],
-            mode=mode,
-            budget=budget,
-            t_override=cfg.t,
-            k_override=cfg.k,
-        )
+        fam = crossing_family_from_pair(G, pick[0], pick[1], pick[2], mode=mode, budget=budget)
         if fam is not None and len(fam) > len(best):
             best = fam
         if fam is not None and len(fam) >= m and m < grow_cap:

@@ -190,6 +190,12 @@ class GeometricGraph:
         else:
             yield from sorted(self._edges)
 
+    def first_edge(self) -> Segment | None:
+        """The smallest edge, or None for an edgeless graph; O(E), no sort."""
+        if self._edges is None:
+            return (0, 1) if len(self.vertices) >= 2 else None
+        return min(self._edges, default=None)
+
     def edges_sorted(self) -> list[Segment]:
         return list(self.edges_iter())
 
@@ -296,69 +302,68 @@ def convex_hull(points: Iterable[Point]) -> list[Point]:
     return [Point(x, y) for x, y in hull_coords((p.x, p.y) for p in map(_as_point, points))]
 
 
-def _on_segment(p: Point, q: Point, r: Point) -> bool:
+def _in_box(p, q, r) -> bool:
     # Assumes p, q, r collinear; is r within the closed box of pq?
-    return min(p.x, q.x) <= r.x <= max(p.x, q.x) and min(p.y, q.y) <= r.y <= max(p.y, q.y)
+    return min(p[0], q[0]) <= r[0] <= max(p[0], q[0]) and min(p[1], q[1]) <= r[1] <= max(p[1], q[1])
 
 
-def _closed_segments_intersect(p: Point, q: Point, r: Point, s: Point) -> bool:
-    o1 = orientation(p, q, r)
-    o2 = orientation(p, q, s)
-    o3 = orientation(r, s, p)
-    o4 = orientation(r, s, q)
+def _orient3(p, q, r) -> int:
+    return _orient_coords(p[0], p[1], q[0], q[1], r[0], r[1])
+
+
+def _closed_segments_meet(p, q, r, s) -> bool:
+    o1 = _orient3(p, q, r)
+    o2 = _orient3(p, q, s)
+    o3 = _orient3(r, s, p)
+    o4 = _orient3(r, s, q)
     if o1 != o2 and o3 != o4:
         return True
-    if o1 == 0 and _on_segment(p, q, r):
-        return True
-    if o2 == 0 and _on_segment(p, q, s):
-        return True
-    if o3 == 0 and _on_segment(r, s, p):
-        return True
-    if o4 == 0 and _on_segment(r, s, q):
-        return True
-    return False
+    return (
+        (o1 == 0 and _in_box(p, q, r))
+        or (o2 == 0 and _in_box(p, q, s))
+        or (o3 == 0 and _in_box(r, s, p))
+        or (o4 == 0 and _in_box(r, s, q))
+    )
 
 
-def _point_in_hull(p: Point, hull: list[Point]) -> bool:
-    # Closed containment; hull is CCW from convex_hull (or a point / segment).
+def _in_hull(p, hull) -> bool:
+    # Closed containment; hull as returned by hull_coords.
     h = len(hull)
     if h == 1:
         return p == hull[0]
     if h == 2:
-        return orientation(hull[0], hull[1], p) == 0 and _on_segment(hull[0], hull[1], p)
-    for i in range(h):
-        if orientation(hull[i], hull[(i + 1) % h], p) == Orientation.CW:
-            return False
-    return True
+        return _orient3(hull[0], hull[1], p) == 0 and _in_box(hull[0], hull[1], p)
+    return all(_orient3(hull[i - 1], hull[i], p) >= 0 for i in range(h))
 
 
-def _hull_edges(hull: list[Point]):
+def _hull_edges(hull):
     h = len(hull)
-    if h == 2:
-        yield hull[0], hull[1]
-    elif h >= 3:
-        for i in range(h):
-            yield hull[i], hull[(i + 1) % h]
+    if h < 3:
+        return [tuple(hull)] if h == 2 else []
+    return [(hull[i - 1], hull[i]) for i in range(h)]
+
+
+def hull_coords_disjoint(ha, hb) -> bool:
+    """True iff two nonempty hulls from ``hull_coords`` are disjoint as
+    closed sets."""
+    if any(_in_hull(p, hb) for p in ha) or any(_in_hull(q, ha) for q in hb):
+        return False
+    return not any(
+        _closed_segments_meet(p, q, r, s) for p, q in _hull_edges(ha) for r, s in _hull_edges(hb)
+    )
 
 
 def hulls_disjoint(A, B) -> bool:
     """True iff the convex hulls of the two point collections are disjoint
-    as closed sets."""
-    pa = [_as_point(p) for p in A]
-    pb = [_as_point(p) for p in B]
-    if not pa or not pb:
+    as closed sets.
+
+    See ``hull_coords_disjoint``, which this wraps.
+    """
+    ca = [(p.x, p.y) for p in map(_as_point, A)]
+    cb = [(p.x, p.y) for p in map(_as_point, B)]
+    if not ca or not cb:
         raise ValueError("hulls_disjoint requires nonempty inputs")
-    ha = convex_hull(pa)
-    hb = convex_hull(pb)
-    if any(_point_in_hull(p, hb) for p in ha):
-        return False
-    if any(_point_in_hull(q, ha) for q in hb):
-        return False
-    for e1 in _hull_edges(ha):
-        for e2 in _hull_edges(hb):
-            if _closed_segments_intersect(e1[0], e1[1], e2[0], e2[1]):
-                return False
-    return True
+    return hull_coords_disjoint(hull_coords(ca), hull_coords(cb))
 
 
 def line_meets_hull(x: Point, y: Point, B) -> bool:

@@ -25,7 +25,7 @@ from enum import Enum
 from typing import Callable, Sequence
 
 from .errors import DegenerateInputError, HypothesisViolatedError, NotSeparatedError
-from .geom import Point, PointSet, _orient_coords, convex_hull, hull_coords, hulls_disjoint
+from .geom import Point, PointSet, _orient_coords, convex_hull, hull_coords, hull_coords_disjoint
 
 # Comparability tables are materialized in O(m^2); keep inputs cluster-sized.
 SIZE_CAP = 4096
@@ -178,16 +178,18 @@ def build_pair_poset(A, B, V: PointSet, *, check_separated: bool = True) -> Pair
         raise ValueError("sides must be disjoint index sets")
     if len(a) > SIZE_CAP or len(b) > SIZE_CAP:
         raise ValueError(f"side exceeds the comparability table cap ({SIZE_CAP})")
-    if check_separated and not hulls_disjoint([V[i] for i in a], [V[i] for i in b]):
-        raise NotSeparatedError("convex hulls of the two sides intersect")
     coords = V.coords
+    hull_a = hull_coords(coords[i] for i in a)
+    hull_b = hull_coords(coords[i] for i in b)
+    if check_separated and not hull_coords_disjoint(hull_a, hull_b):
+        raise NotSeparatedError("convex hulls of the two sides intersect")
     tables = []
-    for side, other in ((a, b), (b, a)):
+    for side, other_hull in ((a, hull_b), (b, hull_a)):
         # Filled as a set: a frozenset copied from a set gets a smaller table
         # than one built from a list. A side of k points has fewer than k**2
         # pairs, so this cap never binds.
         less: set[tuple[int, int]] = set()
-        iota = _compare_side(side, coords, hull_coords(coords[i] for i in other), len(side) ** 2, less)
+        iota = _compare_side(side, coords, other_hull, len(side) ** 2, less)
         tables.append((frozenset(less), iota))
     (less_a, iota_a), (less_b, iota_b) = tables
     return PairPoset(a, b, less_a, less_b, iota_a, iota_b)

@@ -121,8 +121,12 @@ def test_criterion_3_interval_chains():
 def test_criterion_4_zone_audit():
     # 50 random point sets up to n=200, eps cycling {1/2, 1/4, 1/8}: the
     # construction passes the full determined-line audit within 16 attempts.
+    # A run audits no zone when the net is all of V (every candidate is an
+    # arrangement line) or when the points off the net already fit the
+    # budget; at least 8 runs must do neither, so the gate cannot go vacuous.
     rng = random.Random(404)
     eps_cycle = [Fraction(1, 2), Fraction(1, 4), Fraction(1, 8)]
+    audited = 0
     for run in range(50):
         n = rng.randint(10, 200)
         eps = eps_cycle[run % 3]
@@ -130,6 +134,10 @@ def test_criterion_4_zone_audit():
         zls = build_zone_lines(V, eps, seed=run, audit=AllDetermined())
         assert zls.verified
         assert verify_zone_property(zls, V, eps, AllDetermined()) is None
+        off_net = n - len(zls.net)
+        if off_net > 0 and off_net * eps.denominator > eps.numerator * n:
+            audited += 1
+    assert audited >= 8, f"only {audited} runs audit a zone"
     _report("4 zone-line audit (50 point sets, eps in {1/2, 1/4, 1/8})")
 
 

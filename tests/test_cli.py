@@ -1,8 +1,12 @@
+import dataclasses
 import os
+from fractions import Fraction
 
 import pytest
 
-from crossfam.cli import generate_points, main, run_bench
+import crossfam
+from crossfam.cli import _run_config, build_parser, generate_points, main, run_bench
+from crossfam.crossing import RunConfig
 from crossfam.errors import ParseError, RangeTooSmallError
 from crossfam.formats import (
     ResultData,
@@ -178,6 +182,34 @@ def test_cli_parse_error_exit_code(tmp_path):
     f = tmp_path / "bad.txt"
     f.write_text("hello world\n")
     assert main(["run", str(f)]) == 2
+
+
+def test_cli_run_rejects_eps_delta_above_two(tmp_path, capsys):
+    # The zone budget eps*delta/2 must lie in (0, 1].
+    graph = tmp_path / "g.txt"
+    graph.write_text(render_graph_file(GeometricGraph.complete(generate_points("random-disk", 20, seed=2))))
+    assert main(["run", str(graph), "--eps", "9", "--delta", "1/4"]) == 2
+    assert "eps*delta" in capsys.readouterr().err
+    out = tmp_path / "r.txt"
+    assert main(["run", str(graph), "--eps", "8", "--delta", "1/4", "--out", str(out)]) == 0
+
+
+def test_run_options_are_the_run_config_fields():
+    # Every RunConfig field is set by a `crossfam run` option, and every run
+    # option other than input, mode and output paths feeds RunConfig.
+    argv = ["run", "g.txt", "--theory", "--m", "5", "--eps", "1/3", "--delta", "1/5",
+            "--s", "2", "--seed", "9", "--max-retries", "4"]
+    args = build_parser().parse_args(argv)
+    assert _run_config(args, args.seed) == RunConfig(
+        theory=True, m=5, eps=Fraction(1, 3), delta=Fraction(1, 5), s=2, seed=9, max_retries=4
+    )
+    assert not build_parser().parse_args(argv + ["--practical"]).theory
+    options = set(vars(args)) - {"command", "func", "input", "mode", "svg", "out"}
+    assert options == {f.name for f in dataclasses.fields(RunConfig)}
+
+
+def test_public_names_resolve():
+    assert all(hasattr(crossfam, name) for name in crossfam.__all__)
 
 
 def test_cli_env_seed(tmp_path, monkeypatch):

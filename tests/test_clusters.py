@@ -1,18 +1,12 @@
 import itertools
+import random
 from fractions import Fraction
 
 from crossfam.cli import generate_points
-from crossfam.clusters import (
-    PairStats,
-    build_clusters,
-    desk_net_size,
-    find_avoiding_dense_pair,
-    pair_statistics,
-    select_pair,
-)
+from crossfam.clusters import build_clusters, desk_net_size, find_avoiding_dense_pair
 from crossfam.geom import GeometricGraph, Point, PointSet, hulls_disjoint
 from crossfam.poset import build_pair_poset
-from crossfam.zones import Line, ZoneLineSet
+from crossfam.zones import Line, Sampled, ZoneLineSet, build_zone_lines
 
 
 def empty_zones():
@@ -104,27 +98,6 @@ def test_build_clusters_shared_x_perturbs_direction():
         assert hulls_disjoint([V[i] for i in c1], [V[i] for i in c2])
 
 
-def test_pair_statistics_complete():
-    pts = [Point(x, x * x - 9 * x + 2) for x in range(8)]
-    V = PointSet(pts)
-    G = GeometricGraph.complete(V)
-    D = build_clusters(V, empty_zones(), 4)
-    stats = pair_statistics(G, D)
-    assert len(stats) == 1
-    assert stats[0].edge_count == 16
-    pp = build_pair_poset(D.clusters[0], D.clusters[1], V)
-    assert stats[0].iota_sum == pp.iota_sum
-
-
-def test_pair_statistics_no_edges():
-    pts = [Point(x, x * x - 9 * x + 2) for x in range(8)]
-    V = PointSet(pts)
-    G = GeometricGraph.from_edges(V, [])
-    D = build_clusters(V, empty_zones(), 4)
-    stats = pair_statistics(G, D)
-    assert stats[0].edge_count == 0
-
-
 def test_edge_category_counts(rng):
     # Every edge lands in exactly one category: leftover endpoint, same
     # cluster, sparse pair, or dense pair.
@@ -134,9 +107,12 @@ def test_edge_category_counts(rng):
         m = 3
         lines = [Line.through(V[0], V[1])]
         D = build_clusters(V, zones_of(*lines), m)
-        stats = pair_statistics(G, D)
-        delta = Fraction(1, 4)
-        dense = {(s.i, s.j) for s in stats if s.is_dense(delta, m)}
+        # Dense at delta = 1/4: at least m*m/4 edges between the two clusters.
+        dense = {
+            (i, j)
+            for i, j in itertools.combinations(range(len(D.clusters)), 2)
+            if 4 * sum(G.has_edge(u, v) for u in D.clusters[i] for v in D.clusters[j]) >= m * m
+        }
         cluster_of = {}
         for ci, c in enumerate(D.clusters):
             for v in c:
@@ -154,48 +130,61 @@ def test_edge_category_counts(rng):
         assert sum(cat) == G.edge_count
 
 
-def test_select_pair_rules():
-    m = 3
-    stats = [
-        PairStats(0, 1, 5, 1),
-        PairStats(0, 2, 7, 2),
-        PairStats(1, 2, 9, 99),  # too tangled
-        PairStats(2, 3, 7, 0),
-    ]
-    eps = Fraction(1, 2)  # iota budget 4.5
-    delta = Fraction(1, 2)  # count budget 4.5
-    assert select_pair(stats, eps, delta, m) == (0, 2)
-    assert select_pair([PairStats(0, 1, 9, 0)], Fraction(1, 10), Fraction(1), m) == (0, 1)
-    assert select_pair([PairStats(0, 1, 1, 0)], Fraction(1), Fraction(1), m) is None
-
-
 def test_desk_net_size():
     assert desk_net_size(200, 5) == 4
     assert desk_net_size(8, 2) == 2
     assert desk_net_size(1024, 10) >= 4
 
 
-def test_find_avoiding_dense_pair_complete(rng):
-    V = generate_points("random-disk", 40, seed=21)
-    G = GeometricGraph.complete(V)
-    got = find_avoiding_dense_pair(G, 3, Fraction(1, 2), Fraction(1, 4), 1)
-    assert got is not None
-    A, B, P = got
-    assert len(A) == len(B) == 3
-    assert hulls_disjoint([V[i] for i in A], [V[i] for i in B])
-    assert P.iota_sum * 2 <= 9  # eps m^2 = 4.5
-    # existence confirmed independently by full enumeration
-    from crossfam.zones import Sampled, build_zone_lines
+def reference_pair(G, m, eps, delta, seed):
+    """The pair the search must pick, found by building every cluster pair's
+    full poset: among the dense, untangled pairs of the same decomposition,
+    the one with the least (-edge count, incomparable pairs, i, j)."""
+    V = G.vertices
+    zls = build_zone_lines(V, eps * delta / 2, seed, Sampled(0), size_override=desk_net_size(len(V), m))
+    clusters = build_clusters(V, zls, m).clusters
+    keys = []
+    for i, j in itertools.combinations(range(len(clusters)), 2):
+        A, B = clusters[i], clusters[j]
+        count = sum(G.has_edge(u, v) for u in A for v in B)
+        iota = build_pair_poset(A, B, V).iota_sum
+        if count * delta.denominator >= delta.numerator * m * m and iota * eps.denominator <= eps.numerator * m * m:
+            keys.append((-count, iota, i, j))
+    if not keys:
+        return None
+    _, _, i, j = min(keys)
+    return clusters[i], clusters[j]
 
-    zls = build_zone_lines(
-        V, Fraction(1, 16), 1, Sampled(0), size_override=desk_net_size(40, 3)
-    )
-    D = build_clusters(V, zls, 3)
-    stats = pair_statistics(G, D)
-    best = select_pair(stats, Fraction(1, 2), Fraction(1, 4), 3)
-    assert best is not None
-    assert (D.clusters[best[0]], D.clusters[best[1]])[0]  # a qualifying pair exists
-    assert {tuple(A), tuple(B)} <= {tuple(c) for c in D.clusters}
+
+def test_find_avoiding_dense_pair_matches_reference():
+    # (kind, n, point seed, edge density or None for complete, m, eps, delta, net seed)
+    cases = [
+        ("random-disk", 40, 21, None, 3, Fraction(1, 2), Fraction(1, 4), 1),
+        ("random-disk", 90, 3, None, 4, Fraction(1, 4), Fraction(1, 4), 2),
+        ("random-disk", 120, 4, 0.5, 3, Fraction(1, 2), Fraction(1, 4), 5),
+        ("convex", 60, 7, None, 4, Fraction(1, 4), Fraction(1, 4), 0),
+        ("convex", 100, 8, None, 5, Fraction(1, 8), Fraction(1, 2), 3),
+        ("convex", 80, 9, 0.5, 3, Fraction(1, 2), Fraction(1, 4), 4),
+        ("grid-jitter", 64, 11, None, 3, Fraction(1, 4), Fraction(1, 4), 6),
+        ("grid-jitter", 110, 12, 0.5, 4, Fraction(1, 2), Fraction(1, 4), 7),
+        ("grid-jitter", 90, 13, 0.5, 2, Fraction(1, 8), Fraction(1, 2), 8),
+    ]
+    for kind, n, point_seed, density, m, eps, delta, seed in cases:
+        V = generate_points(kind, n, point_seed)
+        if density is None:
+            G = GeometricGraph.complete(V)
+        else:
+            edge_rng = random.Random(point_seed)
+            G = GeometricGraph.from_edges(
+                V, [(a, b) for a in range(n - 1) for b in range(a + 1, n) if edge_rng.random() < density]
+            )
+        want = reference_pair(G, m, eps, delta, seed)
+        assert want is not None, (kind, n, density)
+        A, B, P = find_avoiding_dense_pair(G, m, eps, delta, seed)
+        assert (A, B) == want, (kind, n, density)
+        assert len(A) == len(B) == m
+        assert hulls_disjoint([V[i] for i in A], [V[i] for i in B])
+        assert P == build_pair_poset(A, B, V)
 
 
 def test_find_avoiding_dense_pair_no_edges():
