@@ -36,7 +36,7 @@ from .formats import (
     render_result_file,
     render_svg,
 )
-from .geom import GeometricGraph, Point, PointSet, general_position_check
+from .geom import GeometricGraph, PointSet, general_position_check, hull_coords
 from .oracle import max_family_bruteforce, verify_family
 
 DEFAULT_RANGE = 1_000_000
@@ -46,7 +46,7 @@ _MAX_FIXUPS = 20_000
 def _fix_general_position(coords, draw, attempts=_MAX_FIXUPS):
     """Replace offending points until the set is in general position."""
     for _ in range(attempts):
-        witness = general_position_check([Point(x, y) for x, y in coords])
+        witness = general_position_check(coords)
         if witness is None:
             return coords
         coords[witness[-1]] = draw()
@@ -84,10 +84,7 @@ def generate_points(kind: str, n: int, seed: int, coord_range: int = DEFAULT_RAN
             for i in range(n):
                 ang = 2 * math.pi * i / n + jitter[i] * 0.5
                 coords.append((round(r * math.cos(ang)), round(r * math.sin(ang))))
-            pts = [Point(x, y) for x, y in coords]
-            from .geom import convex_hull
-
-            if general_position_check(pts) is None and len(convex_hull(pts)) == n:
+            if general_position_check(coords) is None and len(hull_coords(coords)) == n:
                 break
         else:
             raise RangeTooSmallError(
@@ -117,7 +114,8 @@ def generate_points(kind: str, n: int, seed: int, coord_range: int = DEFAULT_RAN
         coords = _fix_general_position(coords, draw)
     else:
         raise ValueError(f"unknown generator kind {kind!r}")
-    return PointSet([Point(x, y) for x, y in coords])
+    # Every branch above certified exactly these coordinates.
+    return PointSet(coords, check_general_position=False)
 
 
 def _seed_default(args) -> int:

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
-from typing import Iterable
 
 from .geom import GeometricGraph, PointSet, hull_coords
 from .poset import build_pair_poset, iota_sum_capped
@@ -109,14 +108,6 @@ def build_clusters(V: PointSet, L: ZoneLineSet, m: int) -> ClusterDecomposition:
     )
 
 
-def _edges_between(G: GeometricGraph, A: Iterable[int], B: Iterable[int]) -> int:
-    a = list(A)
-    b = list(B)
-    if G.is_complete:
-        return len(a) * len(b)
-    return sum(1 for u in a for v in b if G.has_edge(u, v))
-
-
 def desk_net_size(n: int, m: int) -> int:
     """Net size small enough that cells can still hold m-point clusters.
 
@@ -141,6 +132,9 @@ def find_avoiding_dense_pair(G: GeometricGraph, m: int, eps, delta, seed: int):
     delta = Fraction(delta)
     if m < 1 or eps <= 0 or delta <= 0:
         raise ValueError("parameters must be positive")
+    if delta > 1:
+        # Two m-clusters span at most m*m edges, so no pair could qualify.
+        raise ValueError(f"delta must be at most 1, got {delta}")
     if n < 2 or n < 2 * m:
         return None
     if eps * delta > 2:
@@ -164,7 +158,7 @@ def find_avoiding_dense_pair(G: GeometricGraph, m: int, eps, delta, seed: int):
     done = False
     for i in range(k - 1):
         for j in range(i + 1, k):
-            cnt = _edges_between(G, D.clusters[i], D.clusters[j])
+            cnt = G.count_edges(D.clusters[i], D.clusters[j])
             if cnt * delta.denominator < dense_min:
                 continue
             if best is not None:

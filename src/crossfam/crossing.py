@@ -125,15 +125,6 @@ def _match_ranks(a, b, P: PairPoset, V: PointSet, mode: FamilyMode) -> SegmentFa
     return make_family(mode, segs, None, V)
 
 
-def _edges_between_list(G: GeometricGraph, A, B) -> list[Segment]:
-    out = []
-    for u in A:
-        for v in B:
-            if G.has_edge(u, v):
-                out.append((u, v) if u < v else (v, u))
-    return out
-
-
 def _restricted_iota(P: PairPoset, side: Sequence[int], cmp) -> int:
     n = len(side)
     total = 0
@@ -147,9 +138,7 @@ def _restricted_iota(P: PairPoset, side: Sequence[int], cmp) -> int:
 def _verify_split_blocks(parts, G: GeometricGraph, mode: FamilyMode, budget_pairs: int = 20_000) -> None:
     rel = _relation(mode)
     V = G.vertices
-    edge_lists = [
-        _edges_between_list(G, Ai, Bi) for Ai, Bi, _ in parts
-    ]
+    edge_lists = [list(G.edges_between(Ai, Bi)) for Ai, Bi, _ in parts]
     total_checks = 0
     for i in range(len(parts) - 1):
         for j in range(i + 1, len(parts)):
@@ -215,7 +204,7 @@ def split_pair(
     eps = Fraction(1, 32 * t * t * k)
     if theory:
         big = len(a) * len(a)
-        edges = len(_edges_between_list(G, a, b))
+        edges = G.count_edges(a, b)
         if edges * delta.denominator < 8 * delta.numerator * big:
             raise ValueError("pair is not dense enough for the guaranteed split")
         iota = _restricted_iota(P, a, P.cmp_ab) + _restricted_iota(P, b, P.cmp_ba)
@@ -234,7 +223,7 @@ def split_pair(
     eligible: list[tuple[int, int, PairPoset]] = []
     for ai in range(tk):
         for bi in range(tk):
-            cnt = len(_edges_between_list(G, c_blocks[ai], d_blocks[bi]))
+            cnt = G.count_edges(c_blocks[ai], d_blocks[bi])
             if cnt * t < m * m:
                 continue
             iota = iota_sum_capped(c_blocks[ai], d_blocks[bi], V, iota_cap, c_hulls[ai], d_hulls[bi])
@@ -277,11 +266,8 @@ def _base_segments(G: GeometricGraph, A, B, P: PairPoset, mode: FamilyMode, theo
             segs = [s for s in fam.segments if G.has_edge(*s)]
             if len(segs) >= 2:
                 return segs
-    for u in sorted(A):
-        for v in sorted(B):
-            if G.has_edge(u, v):
-                return [(u, v) if u < v else (v, u)]
-    return []
+    e = next(G.edges_between(sorted(A), sorted(B)), None)
+    return [] if e is None else [e]
 
 
 def crossing_family_from_pair(
@@ -510,7 +496,7 @@ def _dense_exponent(n: int, edges: int) -> Fraction:
 
 
 def _best_edge_family(G: GeometricGraph, mode: FamilyMode) -> SegmentFamily:
-    e = G.first_edge()
+    e = next(G.edges_iter(), None)
     if e is None:
         raise EmptyGraphError("graph has no edges")
     return make_family(mode, [e], G, G.vertices)

@@ -135,66 +135,77 @@ def general_position_check(points) -> tuple[int, ...] | None:
 class GeometricGraph:
     """A point set together with an edge set of unordered index pairs.
 
-    The complete graph is represented implicitly (edges is None) so that
-    large instances never materialize all pairs.
+    Edges are kept as one neighbour bitmask (a Python int) per vertex: bit
+    ``j`` of ``_adj[i]`` is set iff ``{i, j}`` is an edge. Every edge query
+    the pipeline makes is answered here.
     """
 
-    __slots__ = ("vertices", "_edges")
+    __slots__ = ("vertices", "_adj", "edge_count")
 
-    def __init__(self, vertices: PointSet, edges):
+    def __init__(self, vertices: PointSet, adj: tuple[int, ...]):
         self.vertices = vertices
-        self._edges = edges  # frozenset of (i, j) with i < j, or None for complete
+        self._adj = adj
+        self.edge_count = sum(mask.bit_count() for mask in adj) // 2
 
     @classmethod
     def complete(cls, vertices: PointSet) -> "GeometricGraph":
-        return cls(vertices, None)
+        full = (1 << len(vertices)) - 1
+        return cls(vertices, tuple(full ^ (1 << i) for i in range(len(vertices))))
 
     @classmethod
     def from_edges(cls, vertices: PointSet, edges: Iterable[Segment]) -> "GeometricGraph":
         n = len(vertices)
-        norm = set()
+        adj = [0] * n
         for a, b in edges:
             if a == b:
                 raise ValueError(f"self-loop at vertex {a}")
             if not (0 <= a < n and 0 <= b < n):
                 raise ValueError(f"edge ({a}, {b}) out of range for {n} vertices")
-            norm.add((a, b) if a < b else (b, a))
-        return cls(vertices, frozenset(norm))
+            adj[a] |= 1 << b
+            adj[b] |= 1 << a
+        return cls(vertices, tuple(adj))
 
     @property
     def is_complete(self) -> bool:
-        return self._edges is None
-
-    @property
-    def edge_count(self) -> int:
         n = len(self.vertices)
-        if self._edges is None:
-            return n * (n - 1) // 2
-        return len(self._edges)
+        return self.edge_count == n * (n - 1) // 2
 
     def has_edge(self, a: int, b: int) -> bool:
-        if a == b:
+        n = len(self.vertices)
+        # Range-check before shifting: a negative shift count raises.
+        if a == b or not (0 <= a < n and 0 <= b < n):
             return False
-        if self._edges is None:
-            n = len(self.vertices)
-            return 0 <= a < n and 0 <= b < n
-        return ((a, b) if a < b else (b, a)) in self._edges
+        return bool(self._adj[a] >> b & 1)
+
+    def count_edges(self, A: Sequence[int], B: Sequence[int]) -> int:
+        """Number of edges between two disjoint vertex sequences."""
+        if self.is_complete:
+            return len(A) * len(B)
+        mask = 0
+        for v in B:
+            mask |= 1 << v
+        adj = self._adj
+        return sum((adj[u] & mask).bit_count() for u in A)
+
+    def edges_between(self, A: Iterable[int], B: Iterable[int]) -> Iterator[Segment]:
+        """Edges joining A to B as ``(min, max)`` pairs, lazily, A-major in
+        the orders given."""
+        B = tuple(B)
+        adj = self._adj
+        for u in A:
+            row = adj[u]
+            for v in B:
+                if row >> v & 1:
+                    yield (u, v) if u < v else (v, u)
 
     def edges_iter(self) -> Iterator[Segment]:
-        """Edges in sorted order, generated lazily for complete graphs."""
-        if self._edges is None:
-            n = len(self.vertices)
-            for a in range(n - 1):
-                for b in range(a + 1, n):
-                    yield (a, b)
-        else:
-            yield from sorted(self._edges)
-
-    def first_edge(self) -> Segment | None:
-        """The smallest edge, or None for an edgeless graph; O(E), no sort."""
-        if self._edges is None:
-            return (0, 1) if len(self.vertices) >= 2 else None
-        return min(self._edges, default=None)
+        """Edges in sorted order, generated lazily."""
+        for a, mask in enumerate(self._adj):
+            mask >>= a + 1
+            while mask:
+                low = mask & -mask
+                yield (a, a + low.bit_length())
+                mask ^= low
 
     def edges_sorted(self) -> list[Segment]:
         return list(self.edges_iter())
@@ -203,7 +214,7 @@ class GeometricGraph:
         return (
             isinstance(other, GeometricGraph)
             and self.vertices == other.vertices
-            and self._edges == other._edges
+            and self._adj == other._adj
         )
 
     def __repr__(self) -> str:
@@ -211,11 +222,26 @@ class GeometricGraph:
         return f"GeometricGraph({len(self.vertices)} vertices, {kind})"
 
 
-def _resolve(seg: Segment, V: PointSet) -> tuple[Point, Point]:
-    a, b = seg
-    if a == b:
-        raise ValueError(f"degenerate segment ({a}, {b})")
-    return V[a], V[b]
+def _segment_orientations(s1: Segment, s2: Segment, V: PointSet) -> tuple[int, int, int, int] | None:
+    # Orientations of c, d against a->b and of a, b against c->d; None when
+    # the segments share an endpoint.
+    a, b = s1
+    c, d = s2
+    if a == b or c == d:
+        raise ValueError("degenerate segment")
+    if a in (c, d) or b in (c, d):
+        return None
+    coords = V.coords
+    (ax, ay), (bx, by), (cx, cy), (dx, dy) = coords[a], coords[b], coords[c], coords[d]
+    o1 = _orient_coords(ax, ay, bx, by, cx, cy)
+    o2 = _orient_coords(ax, ay, bx, by, dx, dy)
+    o3 = _orient_coords(cx, cy, dx, dy, ax, ay)
+    o4 = _orient_coords(cx, cy, dx, dy, bx, by)
+    if not (o1 and o2 and o3 and o4):
+        raise DegenerateInputError(
+            f"collinear endpoints among segments {s1} and {s2}"
+        )
+    return o1, o2, o3, o4
 
 
 def segments_cross(s1: Segment, s2: Segment, V: PointSet) -> bool:
@@ -225,22 +251,8 @@ def segments_cross(s1: Segment, s2: Segment, V: PointSet) -> bool:
     any three of the four endpoints are collinear, since the answer would
     then depend on a convention rather than on general position.
     """
-    a, b = s1
-    c, d = s2
-    if a == b or c == d:
-        raise ValueError("degenerate segment")
-    if a in (c, d) or b in (c, d):
-        return False
-    pa, pb, pc, pd = V[a], V[b], V[c], V[d]
-    o1 = orientation(pa, pb, pc)
-    o2 = orientation(pa, pb, pd)
-    o3 = orientation(pc, pd, pa)
-    o4 = orientation(pc, pd, pb)
-    if 0 in (o1, o2, o3, o4):
-        raise DegenerateInputError(
-            f"collinear endpoints among segments {s1} and {s2}"
-        )
-    return o1 != o2 and o3 != o4
+    o = _segment_orientations(s1, s2, V)
+    return o is not None and o[0] != o[1] and o[2] != o[3]
 
 
 def segments_avoiding(s1: Segment, s2: Segment, V: PointSet) -> bool:
@@ -249,22 +261,8 @@ def segments_avoiding(s1: Segment, s2: Segment, V: PointSet) -> bool:
     This is strictly stronger than disjointness. Segments sharing an endpoint
     are never avoiding. Degenerate (collinear) inputs raise, as for crossing.
     """
-    a, b = s1
-    c, d = s2
-    if a == b or c == d:
-        raise ValueError("degenerate segment")
-    if a in (c, d) or b in (c, d):
-        return False
-    pa, pb, pc, pd = V[a], V[b], V[c], V[d]
-    o1 = orientation(pa, pb, pc)
-    o2 = orientation(pa, pb, pd)
-    o3 = orientation(pc, pd, pa)
-    o4 = orientation(pc, pd, pb)
-    if 0 in (o1, o2, o3, o4):
-        raise DegenerateInputError(
-            f"collinear endpoints among segments {s1} and {s2}"
-        )
-    return o1 == o2 and o3 == o4
+    o = _segment_orientations(s1, s2, V)
+    return o is not None and o[0] == o[1] and o[2] == o[3]
 
 
 def hull_coords(coords: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:

@@ -6,9 +6,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .crossing import FamilyMode, SegmentFamily, make_family
+from .crossing import FamilyMode, SegmentFamily, _relation, make_family
 from .errors import TooLargeError
-from .geom import GeometricGraph, Segment, segments_avoiding, segments_cross
+from .geom import GeometricGraph, Segment
 
 DEFAULT_NODE_LIMIT = 120
 
@@ -29,7 +29,7 @@ def build_relation_graph(
     nodes = tuple(G.edges_iter())
     if len(nodes) > limit:
         raise TooLargeError(f"{len(nodes)} edges exceed the oracle limit of {limit}")
-    rel = segments_cross if mode is FamilyMode.CROSSING else segments_avoiding
+    rel = _relation(mode)
     V = G.vertices
     n = len(nodes)
     adj = [0] * n
@@ -149,7 +149,7 @@ def verify_family(F: SegmentFamily, G: GeometricGraph):
     """
     V = G.vertices
     n = len(V)
-    rel = segments_cross if F.mode is FamilyMode.CROSSING else segments_avoiding
+    rel = _relation(F.mode)
     for seg in F.segments:
         a, b = seg
         if not (0 <= a < n and 0 <= b < n) or a == b:

@@ -162,13 +162,12 @@ def _compare_side(side, coords, hull, cap: int, less: set | None = None) -> int 
     return iota
 
 
-def build_pair_poset(A, B, V: PointSet, *, check_separated: bool = True) -> PairPoset:
+def build_pair_poset(A, B, V: PointSet) -> PairPoset:
     """Construct the full comparability tables for both sides of a pair.
 
     Each side is compared against the opposite side's convex hull by the
-    two-tangent test. Raises NotSeparatedError when the hulls intersect;
-    ``check_separated=False`` is only for sides already known to be
-    separated, since the test is meaningless otherwise.
+    two-tangent test. Raises NotSeparatedError when the hulls intersect,
+    since the test is meaningless otherwise.
     """
     a = tuple(A)
     b = tuple(B)
@@ -181,7 +180,7 @@ def build_pair_poset(A, B, V: PointSet, *, check_separated: bool = True) -> Pair
     coords = V.coords
     hull_a = hull_coords(coords[i] for i in a)
     hull_b = hull_coords(coords[i] for i in b)
-    if check_separated and not hull_coords_disjoint(hull_a, hull_b):
+    if not hull_coords_disjoint(hull_a, hull_b):
         raise NotSeparatedError("convex hulls of the two sides intersect")
     tables = []
     for side, other_hull in ((a, hull_b), (b, hull_a)):

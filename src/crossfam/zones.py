@@ -98,9 +98,6 @@ class ZoneLineSet:
     net: tuple[int, ...]
     verified: bool
 
-    def line_triples(self) -> frozenset[tuple[int, int, int]]:
-        return frozenset((l.a, l.b, l.c) for l in self.lines)
-
 
 def net_sample_size(eps: Fraction, n: int, net_constant: int = 40) -> int:
     """Sample size for the sector-piercing net, clamped to [2, n]."""

@@ -192,6 +192,10 @@ def test_cli_run_rejects_eps_delta_above_two(tmp_path, capsys):
     assert "eps*delta" in capsys.readouterr().err
     out = tmp_path / "r.txt"
     assert main(["run", str(graph), "--eps", "8", "--delta", "1/4", "--out", str(out)]) == 0
+    # Two m-clusters span at most m*m edges, so delta above 1 can never hold.
+    assert main(["run", str(graph), "--delta", "3/2"]) == 2
+    assert "delta must be at most 1" in capsys.readouterr().err
+    assert main(["run", str(graph), "--delta", "1", "--out", str(out)]) == 0
 
 
 def test_run_options_are_the_run_config_fields():

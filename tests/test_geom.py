@@ -1,8 +1,11 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crossfam.errors import DegenerateInputError, GeneralPositionError
+from crossfam.formats import parse_graph_file, render_graph_file
 from crossfam.geom import (
     GeometricGraph,
     Orientation,
@@ -177,3 +180,37 @@ def test_geometric_graph_basics():
         GeometricGraph.from_edges(V, [(0, 0)])
     with pytest.raises(ValueError):
         GeometricGraph.from_edges(V, [(0, 9)])
+
+
+@pytest.mark.parametrize("n", [2, 5, 63, 64, 65, 130])
+@pytest.mark.parametrize("density", [1, 0.5, 0])
+def test_graph_queries_match_reference(n, density):
+    # Sizes on both sides of a machine word, so neighbour masks span one or
+    # more digits; the reference is a plain set of sorted pairs.
+    rng = random.Random(1000 * n + int(10 * density))
+    V = PointSet(P(*((i, i * i) for i in range(n))))  # on a parabola
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    ref = [p for p in pairs if rng.random() < density]
+    ref_set = set(ref)
+    G = GeometricGraph.from_edges(V, ref)
+    assert G.is_complete == (len(ref) == len(pairs))
+    if density == 1:
+        assert G == GeometricGraph.complete(V)
+        text = render_graph_file(G)
+        assert text.endswith("edges complete\n")
+        assert parse_graph_file(text) == G
+    assert G.edge_count == len(ref)
+    assert list(G.edges_iter()) == ref
+    for a in range(n):
+        for b in range(n):
+            assert G.has_edge(a, b) == ((min(a, b), max(a, b)) in ref_set)
+    for a, b in ((-1, 0), (0, -1), (-1, -1), (n, 0), (0, n), (n, n), (-n, 1)):
+        assert G.has_edge(a, b) is False
+    for _ in range(20):
+        order = rng.sample(range(n), n)
+        cut = rng.randint(0, n)
+        A = order[:cut]
+        B = order[cut : cut + rng.randint(0, n - cut)]
+        expect = [(min(u, v), max(u, v)) for u in A for v in B if (min(u, v), max(u, v)) in ref_set]
+        assert G.count_edges(A, B) == len(expect)
+        assert list(G.edges_between(A, B)) == expect
