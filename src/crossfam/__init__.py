@@ -30,6 +30,7 @@ from .geom import (
     orientation,
     segments_avoiding,
     segments_cross,
+    vertex_mask,
 )
 from .oracle import max_family_bruteforce, verify_family
 from .poset import Chain, Cmp, PairPoset, build_pair_poset, interval_chains, less_under, longest_chain
@@ -83,5 +84,6 @@ __all__ = [
     "theory_params",
     "verify_family",
     "verify_zone_property",
+    "vertex_mask",
     "zone_point_count",
 ]

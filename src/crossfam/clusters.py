@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
-from .geom import GeometricGraph, PointSet, hull_coords
+from .geom import GeometricGraph, PointSet, hull_coords, vertex_mask
 from .poset import build_pair_poset, iota_sum_capped
 from .zones import Sampled, ZoneLineSet, build_zone_lines
 
@@ -155,10 +155,11 @@ def find_avoiding_dense_pair(G: GeometricGraph, m: int, eps, delta, seed: int):
     k = len(D.clusters)
     coords = V.coords
     hulls = [hull_coords(coords[v] for v in c) for c in D.clusters]
+    masks = [vertex_mask(c) for c in D.clusters]
     done = False
     for i in range(k - 1):
         for j in range(i + 1, k):
-            cnt = G.count_edges(D.clusters[i], D.clusters[j])
+            cnt = G.count_edges(D.clusters[i], masks[j])
             if cnt * delta.denominator < dense_min:
                 continue
             if best is not None:

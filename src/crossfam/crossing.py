@@ -32,6 +32,7 @@ from .geom import (
     hull_coords,
     segments_avoiding,
     segments_cross,
+    vertex_mask,
 )
 from .poset import Cmp, PairPoset, build_pair_poset, interval_chains, iota_sum_capped, longest_chain
 
@@ -204,7 +205,7 @@ def split_pair(
     eps = Fraction(1, 32 * t * t * k)
     if theory:
         big = len(a) * len(a)
-        edges = G.count_edges(a, b)
+        edges = G.count_edges(a, vertex_mask(b))
         if edges * delta.denominator < 8 * delta.numerator * big:
             raise ValueError("pair is not dense enough for the guaranteed split")
         iota = _restricted_iota(P, a, P.cmp_ab) + _restricted_iota(P, b, P.cmp_ba)
@@ -218,12 +219,13 @@ def split_pair(
     coords = V.coords
     c_hulls = [hull_coords(coords[v] for v in blk) for blk in c_blocks]
     d_hulls = [hull_coords(coords[v] for v in blk) for blk in d_blocks]
+    d_masks = [vertex_mask(blk) for blk in d_blocks]
 
     iota_cap = (eps.numerator * m * m) // eps.denominator
     eligible: list[tuple[int, int, PairPoset]] = []
     for ai in range(tk):
         for bi in range(tk):
-            cnt = G.count_edges(c_blocks[ai], d_blocks[bi])
+            cnt = G.count_edges(c_blocks[ai], d_masks[bi])
             if cnt * t < m * m:
                 continue
             iota = iota_sum_capped(c_blocks[ai], d_blocks[bi], V, iota_cap, c_hulls[ai], d_hulls[bi])

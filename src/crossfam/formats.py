@@ -83,8 +83,8 @@ def parse_graph_file(text: str) -> GeometricGraph:
             m = int(parts[1][2:])
         except ValueError:
             raise ParseError(at + 1, f"bad edge count in {header!r}") from None
-        edges: list[Segment] = []
-        seen = set()
+        n = len(V)
+        adj = [0] * n
         for i in range(m):
             ln = at + 1 + i
             if ln >= len(lines):
@@ -96,13 +96,13 @@ def parse_graph_file(text: str) -> GeometricGraph:
                 a, b = int(toks[0]), int(toks[1])
             except ValueError:
                 raise ParseError(ln + 1, f"bad edge indices {lines[ln]!r}") from None
-            if not (0 <= a < b < len(V)):
+            if not (0 <= a < b < n):
                 raise ParseError(ln + 1, f"edge ({a}, {b}) must satisfy 0 <= i < j < n")
-            if (a, b) in seen:
+            if adj[a] >> b & 1:
                 raise ParseError(ln + 1, f"duplicate edge ({a}, {b})")
-            seen.add((a, b))
-            edges.append((a, b))
-        G = GeometricGraph.from_edges(V, edges)
+            adj[a] |= 1 << b
+            adj[b] |= 1 << a
+        G = GeometricGraph(V, tuple(adj))
         at += 1 + m
     for ln in range(at, len(lines)):
         if lines[ln].strip():

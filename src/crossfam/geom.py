@@ -1,8 +1,10 @@
 """Exact planar primitives on integer coordinates.
 
-Every predicate here is decided with unbounded integer arithmetic; there is
-no floating point anywhere in this module, so results are identical across
-runs and platforms for identical inputs.
+Every predicate here is decided with unbounded integer arithmetic, so
+results are identical across runs and platforms for identical inputs. The
+one use of floating point is a filter in ``general_position_check`` that is
+exact by construction: it only chooses which anchors the integer scan
+visits.
 """
 
 from __future__ import annotations
@@ -12,6 +14,8 @@ from dataclasses import dataclass
 from enum import IntEnum
 from math import gcd
 from typing import Iterable, Iterator
+
+import numpy as np
 
 from .errors import DegenerateInputError, GeneralPositionError
 
@@ -104,6 +108,15 @@ def general_position_check(points) -> tuple[int, ...] | None:
 
     The witness is a duplicate index pair (i, j) or a collinear index triple
     (i, j, k), whichever is found first scanning in index order.
+
+    Each anchor i first goes through a float filter: the slopes dy/dx
+    towards every j > i, sorted. Within ``COORD_LIMIT`` every difference is
+    below 2**33, so exact in float64, and a correctly rounded division maps
+    equal directions to equal quotients. So an anchor without a tied slope
+    starts no collinear triple, and only an anchor with a tie is scanned
+    exactly, by ``_anchor_witness``; the witness is the one a scan of every
+    anchor finds. Coordinates beyond the limit are scanned exactly at every
+    anchor.
     """
     coords = points.coords if isinstance(points, PointSet) else [
         (p.x, p.y) if isinstance(p, Point) else (int(p[0]), int(p[1])) for p in points
@@ -114,22 +127,59 @@ def general_position_check(points) -> tuple[int, ...] | None:
             return (seen[c], i)
         seen[c] = i
     n = len(coords)
-    for i in range(n - 2):
-        xi, yi = coords[i]
-        dirs: dict[tuple[int, int], int] = {}
-        for j in range(i + 1, n):
-            dx = coords[j][0] - xi
-            dy = coords[j][1] - yi
-            g = gcd(dx, dy)
-            dx //= g
-            dy //= g
-            if dx < 0 or (dx == 0 and dy < 0):
-                dx, dy = -dx, -dy
-            key = (dx, dy)
-            if key in dirs:
-                return (i, dirs[key], j)
-            dirs[key] = j
+    anchors = range(n - 2)
+    if n >= 3 and all(abs(x) <= COORD_LIMIT and abs(y) <= COORD_LIMIT for x, y in coords):
+        anchors = _tied_anchors(np.array(coords, dtype=np.float64))
+    for i in anchors:
+        witness = _anchor_witness(coords, i)
+        if witness is not None:
+            return witness
     return None
+
+
+def _tied_anchors(xy) -> Iterator[int]:
+    # Anchors i < n - 2 whose slopes towards the points after them tie in
+    # float64; no other anchor can start a collinear triple.
+    xs, ys = xy[:, 0], xy[:, 1]
+    for i in range(len(xy) - 2):
+        dx = xs[i + 1 :] - xs[i]
+        dy = ys[i + 1 :] - ys[i]
+        q = np.divide(dy, dx, out=np.full(len(dx), np.inf), where=dx != 0)
+        q.sort()
+        if (q[1:] == q[:-1]).any():
+            yield i
+
+
+def _anchor_witness(coords, i: int) -> tuple[int, int, int] | None:
+    """First collinear triple (i, j, k) with i < j < k, k least, or None.
+
+    The only code that decides collinearity: directions from anchor i are
+    reduced by their gcd and given a canonical sign, in exact integers.
+    """
+    xi, yi = coords[i]
+    dirs: dict[tuple[int, int], int] = {}
+    for j in range(i + 1, len(coords)):
+        dx = coords[j][0] - xi
+        dy = coords[j][1] - yi
+        g = gcd(dx, dy)
+        dx //= g
+        dy //= g
+        if dx < 0 or (dx == 0 and dy < 0):
+            dx, dy = -dx, -dy
+        key = (dx, dy)
+        if key in dirs:
+            return (i, dirs[key], j)
+        dirs[key] = j
+    return None
+
+
+def vertex_mask(B: Iterable[int]) -> int:
+    """Bitmask with bit v set for every vertex v of B, as
+    ``GeometricGraph.count_edges`` takes it."""
+    mask = 0
+    for v in B:
+        mask |= 1 << v
+    return mask
 
 
 class GeometricGraph:
@@ -177,15 +227,13 @@ class GeometricGraph:
             return False
         return bool(self._adj[a] >> b & 1)
 
-    def count_edges(self, A: Sequence[int], B: Sequence[int]) -> int:
-        """Number of edges between two disjoint vertex sequences."""
+    def count_edges(self, A: Sequence[int], b_mask: int) -> int:
+        """Number of edges between the vertices of A and the disjoint vertex
+        set whose ``vertex_mask`` is ``b_mask``."""
         if self.is_complete:
-            return len(A) * len(B)
-        mask = 0
-        for v in B:
-            mask |= 1 << v
+            return len(A) * b_mask.bit_count()
         adj = self._adj
-        return sum((adj[u] & mask).bit_count() for u in A)
+        return sum((adj[u] & b_mask).bit_count() for u in A)
 
     def edges_between(self, A: Iterable[int], B: Iterable[int]) -> Iterator[Segment]:
         """Edges joining A to B as ``(min, max)`` pairs, lazily, A-major in

@@ -26,9 +26,9 @@ class RelationGraph:
 def build_relation_graph(
     G: GeometricGraph, mode: FamilyMode, limit: int = DEFAULT_NODE_LIMIT
 ) -> RelationGraph:
+    if G.edge_count > limit:
+        raise TooLargeError(f"{G.edge_count} edges exceed the oracle limit of {limit}")
     nodes = tuple(G.edges_iter())
-    if len(nodes) > limit:
-        raise TooLargeError(f"{len(nodes)} edges exceed the oracle limit of {limit}")
     rel = _relation(mode)
     V = G.vertices
     n = len(nodes)

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import os
 from fractions import Fraction
 
@@ -46,6 +47,22 @@ def test_generate_deterministic():
     assert a == b
 
 
+@pytest.mark.parametrize("kind, n, seed, coord_range, sha256", [
+    ("random-disk", 64, 3, 100, "2431b978a91274ae8dc2b76f9dba19ad65e856f2f1b1424e61c9cebf299a7404"),
+    ("random-disk", 2048, 7, 1_000_000, "a19b5c1e5d2fb1411da7cf72dadcb2dea115aef7c2d5fbc574334d960770070e"),
+    ("convex", 200, 0, 4000, "49ef5183b96e670cdf4b7f7fe6f5bd993e1f632c2865233fbecee4879889c00f"),
+    ("convex", 300, 4, 10000, "dadae1535f37c689f79ef4c37d51fa6ebf7b2e89557faac90204c1e054482c8f"),
+    ("grid-jitter", 64, 1, 100, "117ca225c3c89c390a09b2c4805da103b76f3d0e5d3719133c7d785be3d36b9c"),
+    ("grid-jitter", 200, 2, 4000, "0c0db2c78e590cc21b193b3da16f0793f4e1f41a59991a12c952dfc1d8ea7511"),
+])
+def test_generate_points_pinned(kind, n, seed, coord_range, sha256):
+    # Each of these inputs takes general-position fix-ups (a redrawn point,
+    # or a redrawn convex arc), so the digests pin the witness order the
+    # generator follows; benchmark inputs come from this generator.
+    text = render_point_file(generate_points(kind, n, seed, coord_range))
+    assert hashlib.sha256(text.encode()).hexdigest() == sha256
+
+
 def test_generate_range_too_small():
     with pytest.raises(RangeTooSmallError):
         generate_points("grid-jitter", 100, seed=0, coord_range=16)
@@ -88,12 +105,27 @@ def test_graph_file_roundtrip_edges():
 def test_graph_file_errors():
     V = PointSet([Point(0, 0), Point(3, 1), Point(1, 4)])
     base = render_point_file(V)
-    with pytest.raises(ParseError):
-        parse_graph_file(base)  # missing edges line
-    with pytest.raises(ParseError):
-        parse_graph_file(base + "edges m=1\n2 1\n")  # i >= j
-    with pytest.raises(ParseError):
-        parse_graph_file(base + "edges m=2\n0 1\n0 1\n")  # duplicate
+    # Lines 1-4 hold the points, line 5 the edge header, edges start at 6.
+    cases = [
+        ("", 5),  # missing edges line
+        ("edges m=2\n0 1\n", 7),  # short file
+        ("edges m=2\n0 1\n0 1 2\n", 7),  # wrong token count
+        ("edges m=2\n0 1\n0 x\n", 7),  # non-integer
+        ("edges m=2\n0 1\n2 1\n", 7),  # i >= j
+        ("edges m=2\n0 1\n1 3\n", 7),  # j >= n
+        ("edges m=3\n0 1\n1 2\n0 1\n", 8),  # duplicate
+        ("edges m=1\n0 1\n1 2\n", 7),  # trailing content
+        ("edges complete\n\n0 1\n", 7),  # trailing content
+    ]
+    for tail, line_no in cases:
+        with pytest.raises(ParseError) as e:
+            parse_graph_file(base + tail)
+        assert e.value.line_no == line_no, tail
+    # A point-set witness names the line of its first point.
+    for points, line_no in (("9 0\n0 0\n1 1\n2 2\n", 3), ("0 0\n3 1\n1 4\n3 1\n", 3)):
+        with pytest.raises(ParseError) as e:
+            parse_graph_file("pointset v1 n=4\n" + points + "edges m=1\n0 1\n")
+        assert e.value.line_no == line_no
 
 
 def test_result_file_roundtrip():

@@ -1,4 +1,5 @@
 import random
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from crossfam.errors import DegenerateInputError, GeneralPositionError
 from crossfam.formats import parse_graph_file, render_graph_file
 from crossfam.geom import (
+    COORD_LIMIT,
     GeometricGraph,
     Orientation,
     Point,
@@ -18,6 +20,7 @@ from crossfam.geom import (
     orientation,
     segments_avoiding,
     segments_cross,
+    vertex_mask,
 )
 
 coord = st.integers(min_value=-10_000, max_value=10_000)
@@ -153,6 +156,99 @@ def test_general_position_check_examples():
     assert general_position_check(P((0, 0), (0, 0))) == (0, 1)
 
 
+def reference_general_position_check(coords):
+    # The exact scan over every anchor, as the check ran before its float
+    # filter; kept here as the reference the filtered check must match.
+    seen = {}
+    for i, c in enumerate(coords):
+        if c in seen:
+            return (seen[c], i)
+        seen[c] = i
+    n = len(coords)
+    for i in range(n - 2):
+        xi, yi = coords[i]
+        dirs = {}
+        for j in range(i + 1, n):
+            dx = coords[j][0] - xi
+            dy = coords[j][1] - yi
+            g = gcd(dx, dy)
+            dx //= g
+            dy //= g
+            if dx < 0 or (dx == 0 and dy < 0):
+                dx, dy = -dx, -dy
+            if (dx, dy) in dirs:
+                return (i, dirs[(dx, dy)], j)
+            dirs[(dx, dy)] = j
+    return None
+
+
+L = COORD_LIMIT
+
+
+@st.composite
+def grid_sets(draw):
+    # 0-40 points on a grid of span 2-50, so duplicates and vertical,
+    # horizontal and slanted collinear triples are common; the grid is
+    # scaled and shifted so that some sets sit at the coordinate limit,
+    # which keeps every collinearity.
+    span = draw(st.integers(2, 50))
+    cells = draw(st.lists(st.tuples(st.integers(0, span - 1), st.integers(0, span - 1)), max_size=40))
+    scale = draw(st.sampled_from([1, 3, 1 << 20, 2 * L // (span - 1)]))
+    sx, sy = draw(st.sampled_from([(1, 1), (-1, 1), (1, -1), (-1, -1)]))
+    return [(sx * (L - scale * x), sy * (L - scale * y)) for x, y in cells]
+
+
+@given(grid_sets())
+@settings(max_examples=300, deadline=None)
+def test_general_position_check_matches_reference(coords):
+    expect = reference_general_position_check(coords)
+    assert general_position_check(coords) == expect
+    assert general_position_check(P(*coords)) == expect
+
+
+@given(st.lists(st.tuples(st.sampled_from([-L, -L + 1, -1, 0, 1, L - 1, L]),
+                          st.sampled_from([-L, -L + 1, -1, 0, 1, L - 1, L])), max_size=12))
+@settings(max_examples=200, deadline=None)
+def test_general_position_check_pinned_at_the_limit(coords):
+    assert general_position_check(coords) == reference_general_position_check(coords)
+
+
+@given(grid_sets(), st.sampled_from([L + 1, 2**40, 2**53 + 1, 2**70]))
+@settings(max_examples=100, deadline=None)
+def test_general_position_check_beyond_the_limit(coords, big):
+    # Raw tuples outside COORD_LIMIT take the exact scan for every anchor.
+    coords = [(x * big + 1, y * big - 1) for x, y in coords] + [(big, big)]
+    assert general_position_check(coords) == reference_general_position_check(coords)
+
+
+@pytest.mark.parametrize("coords, expect", [
+    # Vertical lines with the anchor between, above or below the others.
+    ([(5, 0), (5, 3), (5, -2)], (0, 1, 2)),
+    ([(5, 3), (1, 1), (5, -2), (5, 0)], (0, 2, 3)),
+    # Horizontal through the anchor (quotients 0.0 and -0.0).
+    ([(0, 7), (4, 7), (-3, 7)], (0, 1, 2)),
+    ([(0, 7), (-4, 7), (1, 0), (-3, 7)], (0, 1, 3)),
+    # The first anchor has a float tie that is not collinear; the witness
+    # comes from a later anchor.
+    ([(0, 0), (L, L - 1), (L - 1, L - 2), (5, 1), (6, 2), (7, 3)], (3, 4, 5)),
+    ([(2, 9), (0, 0), (1, 1), (2, 2)], (1, 2, 3)),
+    ([(0, 0), (0, 1), (1, 0), (0, 0)], (0, 3)),
+])
+def test_general_position_check_witness_order(coords, expect):
+    assert reference_general_position_check(coords) == expect
+    assert general_position_check(coords) == expect
+
+
+def test_general_position_check_float_tie_is_not_collinear():
+    # (L-1)/L and (L-2)/(L-1) differ by about 2**-62, so both slopes from
+    # the origin round to the same float64; the exact scan clears the tie.
+    coords = [(0, 0), (L, L - 1), (L - 1, L - 2)]
+    assert (L - 1) / L == (L - 2) / (L - 1)
+    assert general_position_check(coords) is None
+    assert general_position_check(P(*coords)) is None
+    assert general_position_check([(-x, -y) for x, y in coords]) is None
+
+
 def test_pointset_certifies_general_position():
     with pytest.raises(GeneralPositionError):
         PointSet(P((0, 0), (1, 1), (2, 2)))
@@ -212,5 +308,5 @@ def test_graph_queries_match_reference(n, density):
         A = order[:cut]
         B = order[cut : cut + rng.randint(0, n - cut)]
         expect = [(min(u, v), max(u, v)) for u in A for v in B if (min(u, v), max(u, v)) in ref_set]
-        assert G.count_edges(A, B) == len(expect)
+        assert G.count_edges(A, vertex_mask(B)) == len(expect)
         assert list(G.edges_between(A, B)) == expect

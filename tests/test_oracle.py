@@ -45,6 +45,20 @@ def test_oracle_limit():
     assert verify_family(fam, G) is None
 
 
+def test_oracle_limit_checked_before_edges_are_listed(monkeypatch):
+    # The edge count is stored, so an oversized graph is refused without
+    # materializing its 523,776 edges.
+    V = PointSet([Point(i, i * i) for i in range(1024)])
+    G = GeometricGraph.complete(V)
+
+    def no_iteration(self):
+        raise AssertionError("edges iterated")
+
+    monkeypatch.setattr(GeometricGraph, "edges_iter", no_iteration)
+    with pytest.raises(TooLargeError, match="523776 edges"):
+        build_relation_graph(G, FamilyMode.CROSSING)
+
+
 def test_relation_graph_no_shared_endpoint_adjacency():
     V = generate_points("random-disk", 8, seed=3)
     G = GeometricGraph.complete(V)
