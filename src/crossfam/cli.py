@@ -321,7 +321,9 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--mode", choices=["crossing", "avoiding"], default="crossing")
     r.add_argument("--theory", action="store_true", default=False)
     r.add_argument("--practical", dest="theory", action="store_false")
-    r.add_argument("--m", type=int, default=None)
+    r.add_argument("--m", type=int, default=None,
+                   help="starting cluster size (default: the largest power of two <= n/2 "
+                        "on a complete graph, n^(1/3) otherwise)")
     r.add_argument("--eps", default=None, help="rational, e.g. 1/4")
     r.add_argument("--delta", default=None, help="rational, e.g. 1/4")
     r.add_argument("--s", type=int, default=None)

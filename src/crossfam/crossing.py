@@ -466,8 +466,18 @@ def theory_params(n: int, x, s: int) -> ParamSchedule:
 @dataclass(frozen=True)
 class RunConfig:
     """Driver configuration. Theory mode follows the exact schedules; the
-    default practical mode adapts parameters to the instance and keeps the
-    largest verified family it finds."""
+    default practical mode picks the cluster size m by itself.
+
+    Practical mode makes at most ``max_retries`` attempts, each with a fresh
+    net (seed ``seed + attempt``); eps doubles (up to 1) after an attempt
+    that found no pair. On a complete graph m starts at ``m`` (default: the
+    largest power of two at most n/2) and halves after each attempt; the
+    first verified family of two or more segments is returned, and the
+    search ends once m is no larger than the best family, since a pair of
+    m-clusters yields at most m segments. On any other graph m starts at
+    ``m`` (default: n^(1/3), clamped to [2, 64]), doubles after a full
+    yield (up to min(n/2, 128)), halves after an attempt that found no pair,
+    and the largest verified family is returned."""
 
     theory: bool = False
     m: int | None = None
@@ -505,6 +515,10 @@ def _best_edge_family(G: GeometricGraph, mode: FamilyMode) -> SegmentFamily:
 
 
 def _find_family(G: GeometricGraph, cfg: RunConfig, mode: FamilyMode) -> SegmentFamily:
+    if cfg.m is not None and cfg.m < 1:
+        raise ValueError(f"m must be at least 1, got {cfg.m}")
+    if cfg.max_retries < 1:
+        raise ValueError(f"max_retries must be at least 1, got {cfg.max_retries}")
     n = len(G.vertices)
     if G.edge_count == 0:
         raise EmptyGraphError("graph has no edges")
@@ -527,13 +541,37 @@ def _find_family(G: GeometricGraph, cfg: RunConfig, mode: FamilyMode) -> Segment
                 best = fam
         return best
 
-    m = cfg.m if cfg.m is not None else min(64, max(2, _icbrt(n)))
     eps = Fraction(cfg.eps) if cfg.eps is not None else Fraction(1, 4)
     delta = Fraction(cfg.delta) if cfg.delta is not None else Fraction(1, 4)
     budget = cfg.s if cfg.s is not None else 2
-    grow_cap = min(n // 2, 128)
 
-    for attempt in range(max(1, cfg.max_retries)):
+    if G.is_complete:
+        # Every matched pair is an edge, so a pair of m-clusters yields up to
+        # m segments and its yield grows with m: search m downwards and
+        # return the first family. No attempt runs at an m the best family
+        # already reaches.
+        m = cfg.m if cfg.m is not None else 1 << ((n // 2).bit_length() - 1)
+        for attempt in range(cfg.max_retries):
+            if m <= len(best):
+                break
+            pick = find_avoiding_dense_pair(G, m, eps, delta, cfg.seed + attempt)
+            if pick is None:
+                # No qualifying pair at this scale: smaller clusters, laxer budget.
+                eps = min(Fraction(1), eps * 2)
+            else:
+                fam = crossing_family_from_pair(G, pick[0], pick[1], pick[2], mode=mode, budget=budget)
+                if fam is not None and len(fam) > len(best):
+                    return fam
+            m //= 2
+        return best
+
+    # Otherwise the matching keeps only the pairs that are edges, and one
+    # attempt's yield scatters at large m (4 to 21 segments over 160 nets at
+    # m=128 on grid-jitter n=768, density 1/2). Start small, keep the best
+    # of fresh nets, and grow m only after a full yield.
+    m = cfg.m if cfg.m is not None else min(64, max(2, _icbrt(n)))
+    grow_cap = min(n // 2, 128)
+    for attempt in range(cfg.max_retries):
         pick = find_avoiding_dense_pair(G, m, eps, delta, cfg.seed + attempt)
         if pick is None:
             # No qualifying pair at this scale: coarser clusters, laxer budget.
@@ -546,8 +584,6 @@ def _find_family(G: GeometricGraph, cfg: RunConfig, mode: FamilyMode) -> Segment
         if fam is not None and len(fam) > len(best):
             best = fam
         if fam is not None and len(fam) >= m and m < grow_cap:
-            # Full yield at this cluster size: spend remaining budget on
-            # larger clusters. Otherwise retry with a fresh net.
             m = min(grow_cap, m * 2)
     return best
 

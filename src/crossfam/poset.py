@@ -75,37 +75,31 @@ def less_under(x: Point, y: Point, B) -> Cmp:
 class PairPoset:
     """Comparability data for a separated pair of vertex-index sets.
 
-    ``less_a`` holds ordered pairs (u, v) of indices of ``a`` with u LESS v
-    relative to ``b``; absent in both directions means incomparable.
-    ``iota_a`` counts unordered incomparable pairs on the ``a`` side.
+    ``succ_a`` maps each vertex u of ``a`` to a bitmask over vertex indices:
+    bit v is set when u is LESS than v relative to ``b``. A pair set in
+    neither direction is incomparable. ``iota_a`` counts unordered
+    incomparable pairs on the ``a`` side. ``succ_b`` and ``iota_b`` describe
+    ``b`` alike.
     """
 
     a: tuple[int, ...]
     b: tuple[int, ...]
-    less_a: frozenset[tuple[int, int]]
-    less_b: frozenset[tuple[int, int]]
+    succ_a: dict[int, int]
+    succ_b: dict[int, int]
     iota_a: int
     iota_b: int
 
     def cmp_ab(self, x: int, y: int) -> Cmp:
-        if (x, y) in self.less_a:
-            return Cmp.LESS
-        if (y, x) in self.less_a:
-            return Cmp.GREATER
-        return Cmp.INCOMPARABLE
+        return _cmp(self.succ_a, x, y)
 
     def cmp_ba(self, x: int, y: int) -> Cmp:
-        if (x, y) in self.less_b:
-            return Cmp.LESS
-        if (y, x) in self.less_b:
-            return Cmp.GREATER
-        return Cmp.INCOMPARABLE
+        return _cmp(self.succ_b, x, y)
 
     def less_in_a(self, x: int, y: int) -> bool:
-        return (x, y) in self.less_a
+        return self.succ_a[x] >> y & 1 == 1
 
     def less_in_b(self, x: int, y: int) -> bool:
-        return (x, y) in self.less_b
+        return self.succ_b[x] >> y & 1 == 1
 
     @property
     def iota_sum(self) -> int:
@@ -121,17 +115,26 @@ class PairPoset:
 _TANGENT_SIGNS = {Cmp.LESS: (1, 1), Cmp.GREATER: (-1, -1), Cmp.INCOMPARABLE: (1, -1)}
 
 
-def _compare_side(side, coords, hull, cap: int, less: set | None = None) -> int | None:
+def _cmp(succ: dict[int, int], x: int, y: int) -> Cmp:
+    if succ[x] >> y & 1:
+        return Cmp.LESS
+    if succ[y] >> x & 1:
+        return Cmp.GREATER
+    return Cmp.INCOMPARABLE
+
+
+def _compare_side(side, coords, hull, cap: int, succ: list[int] | None = None) -> int | None:
     """Compare every pair of ``side`` relative to ``hull`` by the two-tangent test.
 
     ``side`` holds indices into ``coords``; ``hull`` is the counterclockwise
     hull of the opposite set, which must not contain any point of ``side``.
-    Pairs (u, v) with u LESS v are added to ``less`` when it is given.
-    Returns the number of incomparable pairs, or None as soon as it exceeds
-    ``cap``.
+    When ``succ`` (one zero per element of ``side``) is given, bit side[j]
+    of succ[i] is set for each pair with side[i] LESS side[j]. Returns the
+    number of incomparable pairs, or None as soon as it exceeds ``cap``.
     """
     iota = 0
     pts = [coords[v] for v in side]
+    bits = [1 << v for v in side] if succ is not None else None
     k = len(pts)
     for i in range(k - 1):
         px, py = pts[i]
@@ -157,8 +160,11 @@ def _compare_side(side, coords, hull, cap: int, less: set | None = None) -> int 
                 iota += 1
                 if iota > cap:
                     return None
-            elif less is not None:
-                less.add((side[i], side[j]) if s_hi > 0 else (side[j], side[i]))
+            elif succ is not None:
+                if s_hi > 0:
+                    succ[i] |= bits[j]
+                else:
+                    succ[j] |= bits[i]
     return iota
 
 
@@ -184,14 +190,12 @@ def build_pair_poset(A, B, V: PointSet) -> PairPoset:
         raise NotSeparatedError("convex hulls of the two sides intersect")
     tables = []
     for side, other_hull in ((a, hull_b), (b, hull_a)):
-        # Filled as a set: a frozenset copied from a set gets a smaller table
-        # than one built from a list. A side of k points has fewer than k**2
-        # pairs, so this cap never binds.
-        less: set[tuple[int, int]] = set()
-        iota = _compare_side(side, coords, other_hull, len(side) ** 2, less)
-        tables.append((frozenset(less), iota))
-    (less_a, iota_a), (less_b, iota_b) = tables
-    return PairPoset(a, b, less_a, less_b, iota_a, iota_b)
+        # A side of k points has fewer than k**2 pairs, so this cap never binds.
+        succ = [0] * len(side)
+        iota = _compare_side(side, coords, other_hull, len(side) ** 2, succ)
+        tables.append((dict(zip(side, succ)), iota))
+    (succ_a, iota_a), (succ_b, iota_b) = tables
+    return PairPoset(a, b, succ_a, succ_b, iota_a, iota_b)
 
 
 def iota_sum_capped(A, B, V: PointSet, cap: int, hull_a=None, hull_b=None) -> int | None:

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import block_instance, separated_pair
+from crossfam import crossing
 from crossfam.cli import generate_points
 from crossfam.crossing import (
     FamilyMode,
@@ -291,38 +292,125 @@ def test_family_size_cap(rng):
         assert len(flat) == len(set(flat))
 
 
-# Families the drivers returned for these fixed inputs when comparability was
-# still decided by a full hull scan per pair. A refactor of the pipeline must
-# return exactly these segments.
+# Families the drivers return for these fixed inputs: the complete graphs
+# under the descending cluster-size search, the density-1/2 graphs under the
+# growing schedule. A refactor of the pipeline must return exactly these
+# segments.
 PINNED_FAMILIES = [
     ("random-disk", 96, 5, None, FamilyMode.CROSSING,
-     ((2, 19), (4, 57), (7, 86), (14, 53), (15, 18), (16, 55), (32, 76), (38, 80), (39, 40),
+     ((1, 80), (2, 32), (3, 7), (14, 53), (15, 18), (16, 55), (19, 54), (29, 57), (39, 40),
       (44, 52), (47, 69))),
     ("random-disk", 150, 17, None, FamilyMode.CROSSING,
-     ((3, 39), (5, 91), (14, 112), (17, 148), (26, 94), (35, 48), (44, 128), (60, 76), (63, 145))),
+     ((3, 54), (14, 55), (16, 48), (20, 114), (26, 65), (32, 64), (38, 93), (42, 77), (60, 86),
+      (73, 128), (88, 121), (92, 123), (100, 119), (138, 149))),
     ("convex", 64, 2, None, FamilyMode.CROSSING,
-     ((12, 28), (13, 29), (14, 39), (15, 40), (16, 41), (17, 42), (18, 43), (19, 44), (20, 45),
-      (21, 46), (22, 47), (23, 48), (24, 49), (25, 50), (26, 51), (27, 52))),
+     ((9, 40), (10, 41), (11, 42), (12, 43), (13, 44), (14, 45), (15, 46), (31, 47), (32, 48),
+      (33, 49), (34, 50), (35, 51), (36, 52), (37, 53), (38, 54), (39, 55))),
     ("convex", 96, 3, None, FamilyMode.CROSSING,
-     ((0, 54), (1, 55), (2, 56), (3, 57), (4, 58), (5, 59), (6, 60), (7, 61), (8, 62), (9, 63),
-      (32, 74), (33, 75), (34, 76), (35, 77), (36, 78), (37, 79), (38, 80), (39, 81), (40, 82),
-      (41, 83), (42, 84), (43, 85), (44, 86), (45, 87), (46, 88), (47, 89), (48, 90), (49, 91),
-      (50, 92), (51, 93), (52, 94), (53, 95))),
+     ((9, 43), (10, 44), (11, 45), (12, 46), (13, 47), (14, 48), (15, 49), (16, 50), (17, 51),
+      (18, 52), (19, 53), (20, 54), (21, 55), (22, 56), (23, 57), (24, 58), (25, 59), (26, 60),
+      (27, 61), (28, 62), (29, 63), (32, 76), (33, 77), (34, 78), (35, 79), (36, 80), (37, 81),
+      (38, 82), (39, 83), (40, 84), (41, 85), (42, 86))),
     ("grid-jitter", 80, 7, 0.5, FamilyMode.AVOIDING, ((8, 15), (31, 67), (40, 71), (50, 69))),
     ("grid-jitter", 120, 9, 0.5, FamilyMode.AVOIDING,
      ((10, 45), (14, 109), (16, 49), (22, 81), (23, 114), (65, 103), (70, 87))),
 ]
+# Family sizes the earlier schedule found on the same inputs (start at
+# n^(1/3), double m after a full yield, always 8 attempts), which the
+# density-1/2 graphs still use. A change to the schedule must not fall below
+# them.
+EARLIER_SCHEDULE_SIZES = {
+    ("random-disk", 96, 5): 11,
+    ("random-disk", 150, 17): 9,
+    ("convex", 64, 2): 16,
+    ("convex", 96, 3): 32,
+    ("grid-jitter", 80, 7): 4,
+    ("grid-jitter", 120, 9): 7,
+}
+
+
+def _pinned_graph(kind, n, seed, density):
+    V = generate_points(kind, n, seed)
+    if density is None:
+        return GeometricGraph.complete(V)
+    edge_rng = random.Random(seed)
+    return GeometricGraph.from_edges(
+        V, [(a, b) for a in range(n - 1) for b in range(a + 1, n) if edge_rng.random() < density]
+    )
+
+
+@pytest.mark.parametrize("kind,n,seed,density,cfg", [
+    ("random-disk", 150, 17, None, RunConfig(seed=17)),
+    ("random-disk", 100, 4, 0.5, RunConfig(seed=4)),
+    ("convex", 96, 3, None, RunConfig(seed=3)),
+    ("convex", 90, 6, 0.5, RunConfig(seed=6, m=40, max_retries=3)),
+    ("grid-jitter", 120, 9, 0.5, RunConfig(seed=9)),
+    ("grid-jitter", 80, 7, None, RunConfig(seed=7, max_retries=1)),
+    ("grid-jitter", 16, 3, 0.5, RunConfig(seed=3)),
+    ("grid-jitter", 16, 0, 0.5, RunConfig(seed=0, max_retries=3)),
+    ("random-disk", 6, 0, None, RunConfig(seed=0)),  # no family: ends at a hopeless m
+])
+@pytest.mark.parametrize("mode", list(FamilyMode))
+def test_driver_schedule_invariants(monkeypatch, kind, n, seed, density, cfg, mode):
+    attempts = []  # [m, eps, seed, family size or None]
+    real_pick, real_family = crossing.find_avoiding_dense_pair, crossing.crossing_family_from_pair
+
+    def pick(G, m, eps, delta, pick_seed):
+        attempts.append([m, Fraction(eps), pick_seed, None])
+        return real_pick(G, m, eps, delta, pick_seed)
+
+    def family(*args, **kwargs):
+        fam = real_family(*args, **kwargs)
+        attempts[-1][3] = 0 if fam is None else len(fam)
+        return fam
+
+    monkeypatch.setattr(crossing, "find_avoiding_dense_pair", pick)
+    monkeypatch.setattr(crossing, "crossing_family_from_pair", family)
+    G = _pinned_graph(kind, n, seed, density)
+    driver = find_crossing_family if mode is FamilyMode.CROSSING else find_avoiding_family
+    result = driver(G, cfg)
+
+    assert 1 <= len(attempts) <= cfg.max_retries
+    if G.is_complete:
+        first_m = cfg.m or 1 << (n // 2).bit_length() - 1
+    else:
+        first_m = cfg.m or min(64, max(2, crossing._icbrt(n)))
+    assert attempts[0][:3] == [first_m, Fraction(1, 4), cfg.seed]
+    grow_cap = min(n // 2, 128)
+    best = 1  # the driver's fallback is a single edge
+    for k, (m, eps, attempt_seed, size) in enumerate(attempts):
+        assert attempt_seed == cfg.seed + k
+        if k:
+            prev_m, prev_eps, _, prev_size = attempts[k - 1]
+            assert eps == (prev_eps if prev_size is not None else min(Fraction(1), 2 * prev_eps))
+            if G.is_complete:
+                assert prev_size is None or prev_size < 2  # stop at the first family
+                assert m == prev_m // 2
+            elif prev_size is None:
+                assert m == max(2, prev_m // 2)
+            elif prev_size >= prev_m and prev_m < grow_cap:
+                assert m == min(grow_cap, 2 * prev_m)  # grow after a full yield
+            else:
+                assert m == prev_m
+        if G.is_complete:
+            # A pair of m-clusters yields at most m segments: no hopeless attempt.
+            assert m > best
+        best = max(best, size or 0)
+    if G.is_complete:
+        # The search ends only at a family, at the attempt cap, or at a hopeless m.
+        assert best >= 2 or len(attempts) == cfg.max_retries or attempts[-1][0] // 2 <= best
+    else:
+        # It ends early only when no pair qualifies even at m=2 with eps=1.
+        m, eps, _, size = attempts[-1]
+        assert len(attempts) == cfg.max_retries or (size is None and m <= 2 and eps >= 1)
+    assert len(result) == best
+    assert verify_family(result, G) is None
 
 
 @pytest.mark.parametrize("kind,n,seed,density,mode,expected", PINNED_FAMILIES)
 def test_driver_families_pinned(kind, n, seed, density, mode, expected):
-    V = generate_points(kind, n, seed)
-    if density is None:
-        G = GeometricGraph.complete(V)
-    else:
-        edge_rng = random.Random(seed)
-        G = GeometricGraph.from_edges(
-            V, [(a, b) for a in range(n - 1) for b in range(a + 1, n) if edge_rng.random() < density]
-        )
+    G = _pinned_graph(kind, n, seed, density)
     driver = find_crossing_family if mode is FamilyMode.CROSSING else find_avoiding_family
-    assert driver(G, RunConfig(seed=seed)).segments == expected
+    segments = driver(G, RunConfig(seed=seed)).segments
+    assert len(segments) >= EARLIER_SCHEDULE_SIZES[kind, n, seed]
+    assert segments == expected

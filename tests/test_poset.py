@@ -104,6 +104,11 @@ def _reference_side(side, V, other):
     return less, iota
 
 
+def _less_pairs(side, succ):
+    """The LESS pairs a side's successor bitmasks encode."""
+    return {(u, v) for u in side for v in side if succ[u] >> v & 1}
+
+
 def _reference_iota_capped(A, B, V, cap):
     """The capped count as a plain pair loop: None once the count exceeds cap."""
     total = 0
@@ -140,8 +145,8 @@ def test_two_tangent_kernel_matches_reference(seed, na, nb, span, sign):
     assert max(abs(c) for xy in pts for c in xy) == COORD_LIMIT
 
     pp = build_pair_poset(A, B, V)
-    assert (set(pp.less_a), pp.iota_a) == _reference_side(A, V, B)
-    assert (set(pp.less_b), pp.iota_b) == _reference_side(B, V, A)
+    assert (_less_pairs(pp.a, pp.succ_a), pp.iota_a) == _reference_side(A, V, B)
+    assert (_less_pairs(pp.b, pp.succ_b), pp.iota_b) == _reference_side(B, V, A)
     hull_a = hull_coords(V.coords[i] for i in A)
     hull_b = hull_coords(V.coords[i] for i in B)
     total = pp.iota_sum
