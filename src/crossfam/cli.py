@@ -290,6 +290,8 @@ def cmd_bench(args) -> int:
     sizes = [int(tok) for tok in args.sizes.split(",") if tok]
     if any(n < 2 for n in sizes):
         raise ValueError("bench sizes must be at least 2")
+    if args.trials < 1:
+        raise ValueError(f"trials must be at least 1, got {args.trials}")
     rows, slope = run_bench(sizes, args.trials, seed, args.mode, args.max_retries)
     out = ["n,trial,family_size,ms"]
     out.extend(f"{n},{t},{fs},{ms}" for n, t, fs, ms in rows)

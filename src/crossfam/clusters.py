@@ -183,4 +183,4 @@ def find_avoiding_dense_pair(G: GeometricGraph, m: int, eps, delta, seed: int):
         return None
     A = D.clusters[best[2]]
     B = D.clusters[best[3]]
-    return A, B, build_pair_poset(A, B, V)
+    return A, B, build_pair_poset(A, B, V, hulls[best[2]], hulls[best[3]])

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import combinations
 from math import comb, isqrt, log
 from typing import Sequence
 
@@ -34,7 +35,7 @@ from .geom import (
     segments_cross,
     vertex_mask,
 )
-from .poset import Cmp, PairPoset, build_pair_poset, interval_chains, iota_sum_capped, longest_chain
+from .poset import PairPoset, build_pair_poset, interval_chains, iota_sum_capped, longest_chain
 
 
 class FamilyMode(Enum):
@@ -86,9 +87,10 @@ def make_family(mode: FamilyMode, segments, G: GeometricGraph | None, V: PointSe
     return SegmentFamily(mode, tuple(segs), True, G)
 
 
-def _total_order(side: Sequence[int], less) -> list[int]:
-    ranked = sorted(side, key=lambda x: sum(1 for u in side if u != x and less(u, x)))
-    return ranked
+def _total_order(side: Sequence[int], succ) -> list[int]:
+    """``side`` sorted upwards in the total order that ``succ`` masks give it."""
+    side_mask = vertex_mask(side)
+    return sorted(side, key=lambda x: -(succ[x] & side_mask).bit_count())
 
 
 def match_avoiding_pair(A, B, V: PointSet, *, mode: FamilyMode = FamilyMode.CROSSING) -> SegmentFamily:
@@ -116,8 +118,8 @@ def _match_ranks(a, b, P: PairPoset, V: PointSet, mode: FamilyMode) -> SegmentFa
     ``P`` may be the poset of any separated supersets of ``a`` and ``b``: a
     chain relative to a set keeps its order relative to every subset.
     """
-    order_a = _total_order(a, P.less_in_a)
-    order_b = _total_order(b, P.less_in_b)
+    order_a = _total_order(a, P.succ_a)
+    order_b = _total_order(b, P.succ_b)
     t = len(a)
     if mode is FamilyMode.CROSSING:
         segs = [(order_a[i], order_b[i]) for i in range(t)]
@@ -126,14 +128,10 @@ def _match_ranks(a, b, P: PairPoset, V: PointSet, mode: FamilyMode) -> SegmentFa
     return make_family(mode, segs, None, V)
 
 
-def _restricted_iota(P: PairPoset, side: Sequence[int], cmp) -> int:
-    n = len(side)
-    total = 0
-    for i in range(n - 1):
-        for j in range(i + 1, n):
-            if cmp(side[i], side[j]) is Cmp.INCOMPARABLE:
-                total += 1
-    return total
+def _restricted_iota(side: Sequence[int], succ) -> int:
+    """Incomparable pairs within ``side`` under the ``succ`` masks."""
+    side_mask = vertex_mask(side)
+    return comb(len(side), 2) - sum((succ[x] & side_mask).bit_count() for x in side)
 
 
 def _verify_split_blocks(parts, G: GeometricGraph, mode: FamilyMode, budget_pairs: int = 20_000) -> None:
@@ -160,16 +158,29 @@ def check_incomparability_localized(P: PairPoset, A, d_blocks, V: PointSet) -> N
     """Assert that a pair incomparable relative to B stays incomparable
     relative to at most one of the ordered B-blocks."""
     hulls = [convex_hull([V[i] for i in blk]) for blk in d_blocks]
-    side = list(A)
-    for i in range(len(side) - 1):
-        for j in range(i + 1, len(side)):
-            u, v = side[i], side[j]
-            if P.cmp_ab(u, v) is not Cmp.INCOMPARABLE:
-                continue
-            hits = sum(1 for h in hulls if line_meets_hull(V[u], V[v], h))
-            assert hits <= 1, (
-                f"pair ({u}, {v}) incomparable relative to {hits} blocks"
-            )
+    for u, v in combinations(A, 2):
+        if (P.succ_a[u] >> v | P.succ_a[v] >> u) & 1:
+            continue
+        hits = sum(1 for h in hulls if line_meets_hull(V[u], V[v], h))
+        assert hits <= 1, f"pair ({u}, {v}) incomparable relative to {hits} blocks"
+
+
+def _grid_successors(cells, tk: int, mode: FamilyMode) -> dict[int, int]:
+    """Dominance among the ``(ai, bi, ...)`` cells of a tk x tk block grid:
+    cell e precedes every cell in a later row and a later column (crossing)
+    or an earlier column (avoiding). Returns each cell index's successor
+    bitmask, from row and column masks in O(len(cells) + tk) operations."""
+    # rows[i], cols[j]: the cells in rows >= i, in columns >= j.
+    rows, cols = [0] * (tk + 1), [0] * (tk + 1)
+    for e, (ai, bi, *_) in enumerate(cells):
+        rows[ai] |= 1 << e
+        cols[bi] |= 1 << e
+    for i in reversed(range(tk)):
+        rows[i] |= rows[i + 1]
+        cols[i] |= cols[i + 1]
+    if mode is FamilyMode.CROSSING:
+        return {e: rows[ai + 1] & cols[bi + 1] for e, (ai, bi, *_) in enumerate(cells)}
+    return {e: rows[ai + 1] & ~cols[bi] for e, (ai, bi, *_) in enumerate(cells)}
 
 
 def split_pair(
@@ -190,6 +201,8 @@ def split_pair(
     pair, and returns a longest chain of eligible pairs. Crossing mode chains
     pairs with both indices increasing; avoiding mode reverses the second
     coordinate. Each returned pair carries its own comparability tables.
+    ``P`` is the poset of a pair whose sides start with A and B: the
+    recursion splits prefixes of the sides its poset was built for.
     """
     a = tuple(A)
     b = tuple(B)
@@ -208,14 +221,14 @@ def split_pair(
         edges = G.count_edges(a, vertex_mask(b))
         if edges * delta.denominator < 8 * delta.numerator * big:
             raise ValueError("pair is not dense enough for the guaranteed split")
-        iota = _restricted_iota(P, a, P.cmp_ab) + _restricted_iota(P, b, P.cmp_ba)
+        iota = _restricted_iota(a, P.succ_a) + _restricted_iota(b, P.succ_b)
         budget = eps * delta * big
         if iota * budget.denominator > budget.numerator:
             raise ValueError("pair is too tangled for the guaranteed split")
 
     tk = t * k
-    c_blocks = interval_chains(a, P.less_in_a, m, tk).blocks
-    d_blocks = interval_chains(b, P.less_in_b, m, tk).blocks
+    c_blocks = interval_chains(a, P.succ_a, m, tk).blocks
+    d_blocks = interval_chains(b, P.succ_b, m, tk).blocks
     coords = V.coords
     c_hulls = [hull_coords(coords[v] for v in blk) for blk in c_blocks]
     d_hulls = [hull_coords(coords[v] for v in blk) for blk in d_blocks]
@@ -231,16 +244,12 @@ def split_pair(
             iota = iota_sum_capped(c_blocks[ai], d_blocks[bi], V, iota_cap, c_hulls[ai], d_hulls[bi])
             if iota is None:
                 continue
-            sub = build_pair_poset(c_blocks[ai], d_blocks[bi], V)
+            sub = build_pair_poset(c_blocks[ai], d_blocks[bi], V, c_hulls[ai], d_hulls[bi])
             eligible.append((ai, bi, sub))
     if not eligible:
         raise NoEligiblePairsError("no block pair is both dense and untangled")
 
-    if mode is FamilyMode.CROSSING:
-        dom = lambda p, q: p[0] < q[0] and p[1] < q[1]
-    else:
-        dom = lambda p, q: p[0] < q[0] and p[1] > q[1]
-    chain = longest_chain(eligible, dom)
+    chain = [eligible[e] for e in longest_chain(_grid_successors(eligible, tk, mode))]
     if theory:
         assert len(chain) >= k, "guaranteed chain length not reached"
     parts = [(c_blocks[ai], d_blocks[bi], sub) for ai, bi, sub in chain]
@@ -259,8 +268,8 @@ def _base_segments(G: GeometricGraph, A, B, P: PairPoset, mode: FamilyMode, theo
         # pair is untangled, else the longest chains of each side.
         a_side, b_side = tuple(A), tuple(B)
         if not (len(a_side) == len(b_side) and P.is_zero_avoiding):
-            ca = longest_chain(sorted(a_side), lambda u, v: P.less_in_a(u, v))
-            cb = longest_chain(sorted(b_side), lambda u, v: P.less_in_b(u, v))
+            ca = longest_chain(P.succ_a)
+            cb = longest_chain(P.succ_b)
             r = min(len(ca), len(cb))
             a_side, b_side = tuple(ca[:r]), tuple(cb[:r])
         if len(a_side) >= 1:
@@ -288,7 +297,8 @@ def crossing_family_from_pair(
     At the bottom of the recursion a totally ordered pair yields its full
     matching (one edge in theory mode); otherwise the pair is split and the
     blocks are processed independently, skipping failed blocks outside of
-    theory mode. Returns None when the pair spans no edges at all.
+    theory mode. Returns None when the pair spans no edges at all. ``P`` is
+    the poset of exactly the pair (A, B).
     """
 
     def rec(a, b, p, depth) -> list[Segment]:
@@ -519,6 +529,8 @@ def _find_family(G: GeometricGraph, cfg: RunConfig, mode: FamilyMode) -> Segment
         raise ValueError(f"m must be at least 1, got {cfg.m}")
     if cfg.max_retries < 1:
         raise ValueError(f"max_retries must be at least 1, got {cfg.max_retries}")
+    if cfg.s is not None and cfg.s < 1:
+        raise ValueError(f"s must be at least 1, got {cfg.s}")
     n = len(G.vertices)
     if G.edge_count == 0:
         raise EmptyGraphError("graph has no edges")

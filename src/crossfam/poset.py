@@ -14,18 +14,23 @@ each pair (x, y) then costs two orientation signs instead of one per hull
 vertex. The arithmetic is on Python ints, so it is exact over the whole
 coordinate range. A tangent vertex on the line x -> y happens only off
 general position; such a pair is handed to ``_classify_pair``, which scans
-the whole hull and raises.
+the hull in order. It raises when it reaches a vertex on the line, unless
+it has already seen vertices on both sides of the line: then it returns
+INCOMPARABLE without reaching that vertex.
+
+The chain routines read each order as ``PairPoset`` holds it: every
+element's bitmask of the elements it precedes.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Sequence
+from math import comb
+from typing import Mapping, Sequence
 
 from .errors import DegenerateInputError, HypothesisViolatedError, NotSeparatedError
-from .geom import Point, PointSet, _orient_coords, convex_hull, hull_coords, hull_coords_disjoint
+from .geom import Point, PointSet, _orient_coords, convex_hull, hull_coords, hull_coords_disjoint, vertex_mask
 
 # Comparability tables are materialized in O(m^2); keep inputs cluster-sized.
 SIZE_CAP = 4096
@@ -89,12 +94,6 @@ class PairPoset:
     iota_a: int
     iota_b: int
 
-    def cmp_ab(self, x: int, y: int) -> Cmp:
-        return _cmp(self.succ_a, x, y)
-
-    def cmp_ba(self, x: int, y: int) -> Cmp:
-        return _cmp(self.succ_b, x, y)
-
     def less_in_a(self, x: int, y: int) -> bool:
         return self.succ_a[x] >> y & 1 == 1
 
@@ -113,14 +112,6 @@ class PairPoset:
 # Tangent sign pairs that stand for a verdict of the full hull scan, used
 # when a tangent vertex lies on the line.
 _TANGENT_SIGNS = {Cmp.LESS: (1, 1), Cmp.GREATER: (-1, -1), Cmp.INCOMPARABLE: (1, -1)}
-
-
-def _cmp(succ: dict[int, int], x: int, y: int) -> Cmp:
-    if succ[x] >> y & 1:
-        return Cmp.LESS
-    if succ[y] >> x & 1:
-        return Cmp.GREATER
-    return Cmp.INCOMPARABLE
 
 
 def _compare_side(side, coords, hull, cap: int, succ: list[int] | None = None) -> int | None:
@@ -168,12 +159,14 @@ def _compare_side(side, coords, hull, cap: int, succ: list[int] | None = None) -
     return iota
 
 
-def build_pair_poset(A, B, V: PointSet) -> PairPoset:
+def build_pair_poset(A, B, V: PointSet, hull_a=None, hull_b=None) -> PairPoset:
     """Construct the full comparability tables for both sides of a pair.
 
     Each side is compared against the opposite side's convex hull by the
     two-tangent test. Raises NotSeparatedError when the hulls intersect,
-    since the test is meaningless otherwise.
+    since the test is meaningless otherwise. Callers that already hold each
+    side's ``hull_coords`` pass them as ``hull_a`` and ``hull_b``, as for
+    ``iota_sum_capped``; the disjointness check runs on them all the same.
     """
     a = tuple(A)
     b = tuple(B)
@@ -184,8 +177,10 @@ def build_pair_poset(A, B, V: PointSet) -> PairPoset:
     if len(a) > SIZE_CAP or len(b) > SIZE_CAP:
         raise ValueError(f"side exceeds the comparability table cap ({SIZE_CAP})")
     coords = V.coords
-    hull_a = hull_coords(coords[i] for i in a)
-    hull_b = hull_coords(coords[i] for i in b)
+    if hull_a is None:
+        hull_a = hull_coords(coords[i] for i in a)
+    if hull_b is None:
+        hull_b = hull_coords(coords[i] for i in b)
     if not hull_coords_disjoint(hull_a, hull_b):
         raise NotSeparatedError("convex hulls of the two sides intersect")
     tables = []
@@ -230,111 +225,97 @@ class Chain:
         return len(self.blocks)
 
 
-def interval_chains(elements: Sequence, less: Callable, n: int, k: int) -> Chain:
+def interval_chains(elements: Sequence[int], succ: Mapping[int, int], n: int, k: int) -> Chain:
     """Extract k blocks of n elements, blockwise totally ordered.
 
-    The construction drops every element incomparable to too many others,
-    linearly extends the rest (ties broken by original position), and takes
-    k intervals of length n separated by a fixed buffer of skipped elements.
-    Requires |P| > nk and 16k * iota <= (|P| - nk)^2; otherwise raises
-    HypothesisViolatedError carrying the offending quantities.
+    ``succ`` maps each element (a non-negative int) to the bitmask of the
+    elements it precedes, as ``PairPoset.succ_a`` does; bits of anything
+    outside ``elements`` are ignored. The construction drops every element
+    incomparable to too many others, linearly extends the rest (ties broken
+    by position in ``elements``), and takes k intervals of length n
+    separated by a fixed buffer of skipped elements. Requires |P| > nk and
+    16k * iota <= (|P| - nk)^2; otherwise raises HypothesisViolatedError
+    carrying the offending quantities before any pairwise work.
     """
     items = list(elements)
     N = len(items)
     if n < 1 or k < 1:
         raise ValueError("n and k must be positive")
-
-    # Pairwise comparability; cmp[i][j] True when items[i] < items[j].
-    inc_count = [0] * N
-    lt = [[False] * N for _ in range(N)]
-    iota = 0
-    for i in range(N - 1):
-        for j in range(i + 1, N):
-            if less(items[i], items[j]):
-                lt[i][j] = True
-            elif less(items[j], items[i]):
-                lt[j][i] = True
-            else:
-                iota += 1
-                inc_count[i] += 1
-                inc_count[j] += 1
-
+    mask = vertex_mask(items)
+    later = [succ[x] & mask for x in items]
+    iota = comb(N, 2) - sum(s.bit_count() for s in later)
     slack = N - n * k
     if slack <= 0 or 16 * k * iota > slack * slack:
         raise HypothesisViolatedError(N, n, k, iota)
 
-    # Keep elements with |I_x| < T where T = slack / (4k), compared exactly.
-    q_idx = [i for i in range(N) if inc_count[i] * 4 * k < slack]
+    # pred[i]: bitmask over positions of the elements below items[i].
+    pos = {x: i for i, x in enumerate(items)}
+    pred = [0] * N
+    for i, s in enumerate(later):
+        while s:
+            low = s & -s
+            pred[pos[low.bit_length() - 1]] |= 1 << i
+            s ^= low
 
-    # Stable topological order of the kept elements, ties by original index.
-    pos_in_q = {v: i for i, v in enumerate(q_idx)}
-    indeg = [0] * len(q_idx)
-    succs: list[list[int]] = [[] for _ in q_idx]
-    for qi, i in enumerate(q_idx):
-        for qj, j in enumerate(q_idx):
-            if lt[i][j]:
-                succs[qi].append(qj)
-                indeg[qj] += 1
-    ready = [i for i in range(len(q_idx)) if indeg[i] == 0]
-    heapq.heapify(ready)
+    # Keep elements with |I_x| < T where T = slack / (4k), compared exactly.
+    inc_count = [N - 1 - later[i].bit_count() - pred[i].bit_count() for i in range(N)]
+    rest = vertex_mask(i for i in range(N) if inc_count[i] * 4 * k < slack)
+
+    # Topological order of the kept elements, ties by position: each step
+    # takes the lowest kept position with no kept predecessor left.
     order: list[int] = []
-    while ready:
-        cur = heapq.heappop(ready)
-        order.append(q_idx[cur])
-        for nxt in succs[cur]:
-            indeg[nxt] -= 1
-            if indeg[nxt] == 0:
-                heapq.heappush(ready, nxt)
-    assert len(order) == len(q_idx), "comparability tables are not acyclic"
+    while rest:
+        waiting = rest
+        i = (waiting & -waiting).bit_length() - 1
+        while pred[i] & rest:
+            waiting &= waiting - 1
+            assert waiting, "comparability tables are not acyclic"
+            i = (waiting & -waiting).bit_length() - 1
+        order.append(i)
+        rest ^= 1 << i
 
     buffer = slack // (2 * k)  # floor(2T)
-    blocks = []
-    for b in range(k):
-        start = b * (n + buffer)
-        blocks.append(tuple(items[i] for i in order[start : start + n]))
+    blocks = [tuple(items[i] for i in order[b * (n + buffer) :][:n]) for b in range(k)]
     assert all(len(blk) == n for blk in blocks), "kept set too small for the intervals"
 
     if __debug__:
-        for bi in range(k - 1):
-            for bj in range(bi + 1, k):
-                for u in blocks[bi]:
-                    for v in blocks[bj]:
-                        assert less(u, v), "interval blocks are not totally ordered"
+        above = 0
+        for blk in reversed(blocks):
+            assert all(succ[u] & above == above for u in blk), "interval blocks are not totally ordered"
+            above |= vertex_mask(blk)
     return Chain(tuple(blocks))
 
 
-def longest_chain(items: Sequence, dominates: Callable) -> list:
-    """A maximum-length chain under a strict partial order.
+def longest_chain(succ: Mapping[int, int]) -> list[int]:
+    """A maximum-length chain of a strict partial order.
 
-    ``dominates(a, b)`` must be irreflexive and transitive, with True meaning
-    a precedes b. Among maximum chains the lexicographically smallest index
-    sequence is returned.
+    ``succ`` maps each element (a non-negative int) to the bitmask of the
+    elements it precedes; bits of anything outside its keys are ignored.
+    The relation must be irreflexive and transitive. Among maximum chains
+    the lexicographically smallest element sequence is returned.
     """
-    n = len(items)
-    if n == 0:
-        return []
-    dom = [[dominates(items[i], items[j]) for j in range(n)] for i in range(n)]
-    # Transitivity makes "number of dominators" a valid topological height.
-    ndom = [sum(dom[j][i] for j in range(n)) for i in range(n)]
-    topo = sorted(range(n), key=lambda i: (ndom[i], i))
-    suffix = [1] * n
-    for i in reversed(topo):
-        best = 0
-        for j in range(n):
-            if dom[i][j] and suffix[j] > best:
-                best = suffix[j]
-        suffix[i] = 1 + best
-    total = max(suffix)
+    keys = vertex_mask(succ)
+    succ = {x: s & keys for x, s in succ.items()}
+    # levels[h]: the elements whose longest chain upwards has h + 1
+    # elements. By transitivity the successors of x meet exactly the levels
+    # below its own, so bisection finds it once every successor is placed;
+    # successors have fewer successors, so they come first in this order.
+    levels: list[int] = []
+    for x in sorted(succ, key=lambda x: succ[x].bit_count()):
+        lo, hi = 0, len(levels)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if succ[x] & levels[mid]:
+                lo = mid + 1
+            else:
+                hi = mid
+        if lo == len(levels):
+            levels.append(0)
+        levels[lo] |= 1 << x
     chain: list[int] = []
-    need = total
-    candidates = range(n)
-    while need > 0:
-        pick = min(
-            i
-            for i in candidates
-            if suffix[i] == need and (not chain or dom[chain[-1]][i])
-        )
-        chain.append(pick)
-        need -= 1
-        candidates = [j for j in range(n) if dom[pick][j]]
-    return [items[i] for i in chain]
+    candidates = keys
+    for level in reversed(levels):
+        low = candidates & level
+        chain.append((low & -low).bit_length() - 1)
+        candidates = succ[chain[-1]]
+    return chain

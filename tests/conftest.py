@@ -22,6 +22,13 @@ def fixup_general_position(coords, redraw, attempts=20_000):
     raise RuntimeError("could not reach general position")
 
 
+def succ_masks(items, less):
+    """Successor bitmasks of the relation ``less`` on int items: bit y of
+    entry x is set when less(x, y). This is the form ``interval_chains`` and
+    ``longest_chain`` take."""
+    return {x: sum(1 << y for y in items if less(x, y)) for x in items}
+
+
 def separated_pair(rng: random.Random, na: int, nb: int, span: int = 100_000, offset: int = 0):
     """Two point clouds in disjoint vertical slabs, jointly in general
     position, with ``offset`` subtracted from every coordinate; returns

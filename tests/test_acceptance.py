@@ -8,7 +8,7 @@ import itertools
 import random
 from fractions import Fraction
 
-from conftest import block_instance, separated_pair
+from conftest import block_instance, separated_pair, succ_masks
 from crossfam.cli import generate_points, main, run_bench
 from crossfam.crossing import (
     FamilyMode,
@@ -103,7 +103,7 @@ def test_criterion_3_interval_chains():
         rng.shuffle(labels)
         pos = {lab: i for i, lab in enumerate(labels)}
         less = lambda a, b: pos[b] - pos[a] >= g
-        chain = interval_chains(labels, less, n, k)
+        chain = interval_chains(labels, succ_masks(labels, less), n, k)
         assert len(chain.blocks) == k
         seen = set()
         for blk in chain.blocks:
@@ -163,7 +163,7 @@ def test_criterion_5_split_cross_block():
             for e in itertools.product(Ai, Bi):
                 for f in itertools.product(Aj, Bj):
                     assert rel(e, f, V)
-        d_blocks = interval_chains(B, P.less_in_b, m, t * k).blocks
+        d_blocks = interval_chains(B, P.succ_b, m, t * k).blocks
         check_incomparability_localized(P, A, d_blocks, V)
     _report("5 split cross-block guarantee (100 constructed instances)")
 

@@ -228,12 +228,16 @@ def test_cli_run_rejects_eps_delta_above_two(tmp_path, capsys):
     assert main(["run", str(graph), "--delta", "3/2"]) == 2
     assert "delta must be at most 1" in capsys.readouterr().err
     assert main(["run", str(graph), "--delta", "1", "--out", str(out)]) == 0
-    # The starting cluster size and the attempt cap must be positive.
-    for option, value in (("--m", "0"), ("--m", "-4"), ("--max-retries", "0"), ("--max-retries", "-3")):
+    # The starting cluster size, the attempt cap and the recursion depth must be positive.
+    for option, value in (
+        ("--m", "0"), ("--m", "-4"), ("--max-retries", "0"), ("--max-retries", "-3"), ("--s", "0"), ("--s", "-3"),
+    ):
         assert main(["run", str(graph), option, value, "--out", str(out)]) == 2
         assert f"{option[2:].replace('-', '_')} must be at least 1, got {value}" in capsys.readouterr().err
     assert main(["bench", "--sizes", "16", "--trials", "1", "--max-retries", "0"]) == 2
     assert "max_retries must be at least 1" in capsys.readouterr().err
+    assert main(["bench", "--sizes", "8", "--trials", "0"]) == 2
+    assert "trials must be at least 1, got 0" in capsys.readouterr().err
 
 
 def test_run_options_are_the_run_config_fields():

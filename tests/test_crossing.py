@@ -43,6 +43,26 @@ def test_match_avoiding_example():
     assert segments_avoiding((0, 3), (1, 2), V)
 
 
+def test_side_counts_read_masks(rng):
+    # Ranks and the theory split's incomparable count are popcounts of the
+    # successor masks, restricted to the side; they agree with pair queries
+    # on prefixes of the poset's sides, as the recursion passes them.
+    for _ in range(40):
+        V, A, B = separated_pair(rng, rng.randint(2, 12), rng.randint(2, 6))
+        pp = build_pair_poset(A, B, V)
+        side = A[: rng.randint(1, len(A))]
+        pairs = list(itertools.combinations(side, 2))
+        incomparable = sum(1 for u, v in pairs if not pp.less_in_a(u, v) and not pp.less_in_a(v, u))
+        assert crossing._restricted_iota(side, pp.succ_a) == incomparable
+        chain = [pp.a[0]]
+        for v in pp.a[1:]:
+            if all(pp.less_in_a(u, v) or pp.less_in_a(v, u) for u in chain):
+                chain.append(v)
+        rng.shuffle(chain)
+        order = crossing._total_order(chain, pp.succ_a)
+        assert all(pp.less_in_a(u, v) for u, v in zip(order, order[1:]))
+
+
 def test_match_sizes_and_verification(rng):
     # untangled pairs of width 6 give six pairwise crossing segments
     for trial in range(20):
