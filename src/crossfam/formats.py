@@ -1,15 +1,73 @@
 """Flat text file formats and SVG rendering.
 
 Versioned plain-text headers keep the files inspectable; parse errors carry
-1-based line numbers. Every renderer round-trips through its parser.
+1-based line numbers, counted at the line boundaries ``str.splitlines``
+uses. Every renderer round-trips through its parser.
+
+A graph file's edge list is decoded in bulk: ``parse_graph_file`` splits
+off only the point lines and the ``edges`` header as strings, then finds
+the edge lines and decodes every ``<digits> <digits>`` line with numpy,
+with no Python object per line. Any other line (a tab, a sign, an
+underscore, a non-ASCII digit or a bad token) goes through the scalar
+``split``/``int`` rule, so the accepted grammar, and each error's line and
+message, are those of a line-by-line parse. The range, ``i < j`` and
+duplicate checks run on the index arrays, and ``geom.neighbour_masks`` sets
+the neighbour bits. Extra memory is O(E) plus the n²/8 bytes of the masks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import GeneralPositionError, ParseError
-from .geom import GeometricGraph, Point, PointSet, Segment
+from .geom import GeometricGraph, Point, PointSet, Segment, neighbour_masks
+
+# Every line boundary of str.splitlines other than "\n"; "\r\n" is one.
+_OTHER_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+_TO_NEWLINE = dict.fromkeys(map(ord, _OTHER_BREAKS), "\n")
+# Longest digit run decoded in int32 (10**9 < 2**31); a longer one takes
+# the scalar rule.
+_MAX_DIGITS = 9
+
+
+class _Lines:
+    """The lines of a text, as ``str.splitlines`` gives them, split off the
+    front. ``rest`` is the text not yet taken, and ``line_no`` the number of
+    the last line taken."""
+
+    def __init__(self, text: str, line_no: int = 0):
+        # Rewriting each boundary as one "\n" leaves every line unchanged.
+        if any(ch in text for ch in _OTHER_BREAKS):
+            text = text.replace("\r\n", "\n").translate(_TO_NEWLINE)
+        self.rest = text
+        self.line_no = line_no
+
+    def take(self, count: int) -> list[str]:
+        """The next ``count`` lines, fewer if the text ends first."""
+        if not self.rest:
+            return []
+        # A text has fewer lines than characters, so the cap keeps every
+        # line and a huge count within split's range.
+        *lines, rest = self.rest.split("\n", min(count, len(self.rest)))
+        if len(lines) < count:
+            # The text ended; what follows its last "\n" is a last line
+            # unless it is empty.
+            if rest:
+                lines.append(rest)
+            rest = ""
+        self.rest = rest
+        self.line_no += len(lines)
+        return lines
+
+
+def _reject_trailing(lines: _Lines) -> None:
+    # Every line boundary is whitespace, so a blank rest holds blank lines.
+    if lines.rest.strip():
+        for i, line in enumerate(lines.rest.split("\n"), lines.line_no + 1):
+            if line.strip():
+                raise ParseError(i, f"unexpected trailing content {line!r}")
 
 
 def render_point_file(V: PointSet) -> str:
@@ -18,41 +76,40 @@ def render_point_file(V: PointSet) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_point_lines(lines: list[str], start: int) -> tuple[PointSet, int]:
-    header = lines[start].strip() if start < len(lines) else ""
+def _parse_points(lines: _Lines) -> PointSet:
+    """The point set at the front of a file: its header and point lines."""
+    header = "".join(lines.take(1)).strip()
     parts = header.split()
     if len(parts) != 3 or parts[0] != "pointset" or parts[1] != "v1" or not parts[2].startswith("n="):
-        raise ParseError(start + 1, f"expected 'pointset v1 n=<N>', got {header!r}")
+        raise ParseError(1, f"expected 'pointset v1 n=<N>', got {header!r}")
     try:
         n = int(parts[2][2:])
     except ValueError:
-        raise ParseError(start + 1, f"bad point count in {header!r}") from None
+        n = -1
+    if n < 0:
+        raise ParseError(1, f"bad point count in {header!r}")
     pts = []
-    for i in range(n):
-        ln = start + 1 + i
-        if ln >= len(lines):
-            raise ParseError(ln + 1, f"expected {n} points, file ends after {i}")
-        toks = lines[ln].split()
+    taken = lines.take(n)
+    for i, line in enumerate(taken):
+        toks = line.split()
         if len(toks) != 2:
-            raise ParseError(ln + 1, f"expected '<x> <y>', got {lines[ln]!r}")
+            raise ParseError(i + 2, f"expected '<x> <y>', got {line!r}")
         try:
             pts.append(Point(int(toks[0]), int(toks[1])))
         except ValueError:
-            raise ParseError(ln + 1, f"bad integer coordinates {lines[ln]!r}") from None
+            raise ParseError(i + 2, f"bad integer coordinates {line!r}") from None
+    if len(taken) < n:
+        raise ParseError(len(taken) + 2, f"expected {n} points, file ends after {len(taken)}")
     try:
-        V = PointSet(pts)
+        return PointSet(pts)
     except GeneralPositionError as e:
-        first = min(e.witness)
-        raise ParseError(start + 2 + first, str(e)) from None
-    return V, start + 1 + n
+        raise ParseError(2 + min(e.witness), str(e)) from None
 
 
 def parse_point_file(text: str) -> PointSet:
-    lines = text.splitlines()
-    V, next_line = _parse_point_lines(lines, 0)
-    for ln in range(next_line, len(lines)):
-        if lines[ln].strip():
-            raise ParseError(ln + 1, f"unexpected trailing content {lines[ln]!r}")
+    lines = _Lines(text)
+    V = _parse_points(lines)
+    _reject_trailing(lines)
     return V
 
 
@@ -67,47 +124,125 @@ def render_graph_file(G: GeometricGraph) -> str:
 
 
 def parse_graph_file(text: str) -> GeometricGraph:
-    lines = text.splitlines()
-    V, at = _parse_point_lines(lines, 0)
-    if at >= len(lines):
-        raise ParseError(at + 1, "expected an 'edges' line")
-    header = lines[at].strip()
+    lines = _Lines(text)
+    V = _parse_points(lines)
+    taken = lines.take(1)
+    if not taken:
+        raise ParseError(lines.line_no + 1, "expected an 'edges' line")
+    header = taken[0].strip()
     if header == "edges complete":
         G = GeometricGraph.complete(V)
-        at += 1
     else:
         parts = header.split()
         if len(parts) != 2 or parts[0] != "edges" or not parts[1].startswith("m="):
-            raise ParseError(at + 1, f"expected 'edges m=<M>' or 'edges complete', got {header!r}")
+            raise ParseError(
+                lines.line_no, f"expected 'edges m=<M>' or 'edges complete', got {header!r}"
+            )
         try:
             m = int(parts[1][2:])
         except ValueError:
-            raise ParseError(at + 1, f"bad edge count in {header!r}") from None
-        n = len(V)
-        adj = [0] * n
-        for i in range(m):
-            ln = at + 1 + i
-            if ln >= len(lines):
-                raise ParseError(ln + 1, f"expected {m} edges, file ends after {i}")
-            toks = lines[ln].split()
-            if len(toks) != 2:
-                raise ParseError(ln + 1, f"expected '<i> <j>', got {lines[ln]!r}")
-            try:
-                a, b = int(toks[0]), int(toks[1])
-            except ValueError:
-                raise ParseError(ln + 1, f"bad edge indices {lines[ln]!r}") from None
-            if not (0 <= a < b < n):
-                raise ParseError(ln + 1, f"edge ({a}, {b}) must satisfy 0 <= i < j < n")
-            if adj[a] >> b & 1:
-                raise ParseError(ln + 1, f"duplicate edge ({a}, {b})")
-            adj[a] |= 1 << b
-            adj[b] |= 1 << a
-        G = GeometricGraph(V, tuple(adj))
-        at += 1 + m
-    for ln in range(at, len(lines)):
-        if lines[ln].strip():
-            raise ParseError(ln + 1, f"unexpected trailing content {lines[ln]!r}")
+            m = -1
+        if m < 0:
+            raise ParseError(lines.line_no, f"bad edge count in {header!r}")
+        G, lines = _parse_edges(V, m, lines)
+    _reject_trailing(lines)
     return G
+
+
+def _edge_tokens(line: str, line_no: int) -> tuple[int, int]:
+    """The scalar rule for one edge line: two ``int`` tokens."""
+    toks = line.split()
+    if len(toks) != 2:
+        raise ParseError(line_no, f"expected '<i> <j>', got {line!r}")
+    try:
+        return int(toks[0]), int(toks[1])
+    except ValueError:
+        raise ParseError(line_no, f"bad edge indices {line!r}") from None
+
+
+def _decimal(c: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Values of the ASCII digit runs ``c[lo[k]:hi[k]]``, each at most
+    ``_MAX_DIGITS`` long; an empty run is 0."""
+    val = np.zeros(len(lo), dtype=np.int32)
+    for k in range(int((hi - lo).max(initial=0))):
+        at = np.minimum(lo + k, hi)
+        val = np.where(at < hi, val * 10 + (c[at].astype(np.int32) - 48), val)
+    return val
+
+
+def _parse_edges(V: PointSet, m: int, lines: _Lines) -> tuple[GeometricGraph, _Lines]:
+    """The graph on V whose m edge lines follow the last line taken from
+    ``lines``, and the lines after them.
+
+    The first bad line in file order raises, with the message the scalar
+    rule and the checks of a line-by-line parse give it.
+    """
+    n = len(V)
+    line_no = lines.line_no + 1  # of the first edge line
+    data = lines.rest.encode("utf-8", "surrogatepass")
+    if data and not data.endswith(b"\n"):
+        data += b"\n"
+    c = np.frombuffer(data, dtype=np.uint8)
+    # ``nd`` holds the offsets of the non-digits and ``brk`` the positions
+    # in ``nd`` of the breaks that end the first m lines. Below 2 GiB of
+    # text the offsets fit in int32, which halves every array here.
+    offset = np.int32 if len(data) < 2**31 else np.int64
+    nd = np.flatnonzero((c < 48) | (c > 57)).astype(offset)
+    brk = np.flatnonzero(c[nd] == 10)[:m]
+    k = len(brk)
+    ends = nd[brk]
+    starts = np.concatenate((np.zeros(1, offset), ends + 1))[:k]
+    # A line of the bulk form holds one non-digit, a space, between two
+    # nonempty digit runs; it is the non-digit before the line's break.
+    space = nd[brk - 1]
+    bulk = np.diff(brk, prepend=-1) == 2
+    del nd, brk
+    bulk &= (
+        (c[space] == 32)
+        & (starts < space)
+        & (space < ends - 1)
+        & (space - starts <= _MAX_DIGITS)
+        & (ends - space <= _MAX_DIGITS + 1)
+    )
+    a = _decimal(c, starts, np.where(bulk, space, starts))
+    b = _decimal(c, np.where(bulk, space + 1, ends), ends)
+    del space
+
+    def line_at(i: int) -> str:
+        return data[starts[i] : ends[i]].decode("utf-8", "surrogatepass")
+
+    # Lines before ``parsed`` have indices; the line at ``parsed`` (if < k)
+    # fails the scalar rule with ``token_error``.
+    parsed, token_error = k, None
+    for i in np.flatnonzero(~bulk).tolist():
+        try:
+            pair = _edge_tokens(line_at(i), line_no + i)
+        except ParseError as e:
+            parsed, token_error = i, e
+            break
+        # An index outside [0, n) fails the range check whatever its value;
+        # -1 keeps it within int32.
+        a[i], b[i] = (v if 0 <= v < n else -1 for v in pair)
+    a, b = a[:parsed], b[:parsed]
+    out_of_range = np.flatnonzero((a < 0) | (a >= b) | (b >= n))
+    good = int(out_of_range[0]) if len(out_of_range) else parsed
+    a, b = a[:good], b[:good]
+    G = GeometricGraph(V, neighbour_masks(n, a, b))
+    if G.edge_count != good:
+        # Fewer distinct edges than lines: report the first repeat.
+        key = a.astype(np.int64) * n + b
+        order = np.argsort(key, kind="stable")
+        first = int(order[1:][key[order[1:]] == key[order[:-1]]].min())
+        raise ParseError(line_no + first, f"duplicate edge ({a[first]}, {b[first]})")
+    if good < parsed:
+        i, j = _edge_tokens(line_at(good), line_no + good)
+        raise ParseError(line_no + good, f"edge ({i}, {j}) must satisfy 0 <= i < j < n")
+    if token_error is not None:
+        raise token_error
+    if k < m:
+        raise ParseError(line_no + k, f"expected {m} edges, file ends after {k}")
+    tail = data[ends[-1] + 1 if k else 0 :].decode("utf-8", "surrogatepass")
+    return G, _Lines(tail, lines.line_no + m)
 
 
 @dataclass(frozen=True)
@@ -183,7 +318,9 @@ def parse_result_file(text: str) -> ResultData:
     try:
         count = int(seg_s[2:])
     except ValueError:
-        raise ParseError(7, f"bad segment count {seg_s!r}") from None
+        count = -1
+    if count < 0:
+        raise ParseError(7, f"bad segment count {seg_s!r}")
     segs: list[Segment] = []
     for i in range(count):
         ln = 7 + i

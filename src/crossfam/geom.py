@@ -182,6 +182,27 @@ def vertex_mask(B: Iterable[int]) -> int:
     return mask
 
 
+_BIT = np.array([1 << i for i in range(8)], dtype=np.uint8)
+
+
+def neighbour_masks(n: int, a: np.ndarray, b: np.ndarray) -> tuple[int, ...]:
+    """One neighbour bitmask per vertex of an n-vertex graph whose edges are
+    ``{a[k], b[k]}``, as ``GeometricGraph`` keeps them.
+
+    The indices must lie in ``[0, n)`` with ``a[k] != b[k]``; an edge given
+    twice sets the same bits again. The bits are set in bulk in a packed
+    ``n x ceil(n/8)`` byte array, little-endian within each row, so extra
+    memory is O(E) plus the n²/8 bytes the masks take; each row then becomes
+    one Python int.
+    """
+    width = (n + 7) // 8
+    packed = np.zeros((n, width), dtype=np.uint8)
+    for u, v in ((a, b), (b, a)):
+        np.bitwise_or.at(packed, (u, v >> 3), _BIT[v & 7])
+    buf = packed.tobytes()
+    return tuple(int.from_bytes(buf[i * width : (i + 1) * width], "little") for i in range(n))
+
+
 class GeometricGraph:
     """A point set together with an edge set of unordered index pairs.
 
@@ -190,12 +211,14 @@ class GeometricGraph:
     the pipeline makes is answered here.
     """
 
-    __slots__ = ("vertices", "_adj", "edge_count")
+    __slots__ = ("vertices", "_adj", "edge_count", "is_complete")
 
     def __init__(self, vertices: PointSet, adj: tuple[int, ...]):
         self.vertices = vertices
         self._adj = adj
         self.edge_count = sum(mask.bit_count() for mask in adj) // 2
+        n = len(vertices)
+        self.is_complete = self.edge_count == n * (n - 1) // 2
 
     @classmethod
     def complete(cls, vertices: PointSet) -> "GeometricGraph":
@@ -205,20 +228,14 @@ class GeometricGraph:
     @classmethod
     def from_edges(cls, vertices: PointSet, edges: Iterable[Segment]) -> "GeometricGraph":
         n = len(vertices)
-        adj = [0] * n
+        edges = list(edges)
         for a, b in edges:
             if a == b:
                 raise ValueError(f"self-loop at vertex {a}")
             if not (0 <= a < n and 0 <= b < n):
                 raise ValueError(f"edge ({a}, {b}) out of range for {n} vertices")
-            adj[a] |= 1 << b
-            adj[b] |= 1 << a
-        return cls(vertices, tuple(adj))
-
-    @property
-    def is_complete(self) -> bool:
-        n = len(self.vertices)
-        return self.edge_count == n * (n - 1) // 2
+        ends = np.array(edges, dtype=np.int64).reshape(-1, 2)
+        return cls(vertices, neighbour_masks(n, ends[:, 0], ends[:, 1]))
 
     def has_edge(self, a: int, b: int) -> bool:
         n = len(self.vertices)

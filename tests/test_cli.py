@@ -116,11 +116,20 @@ def test_graph_file_errors():
         ("edges m=3\n0 1\n1 2\n0 1\n", 8),  # duplicate
         ("edges m=1\n0 1\n1 2\n", 7),  # trailing content
         ("edges complete\n\n0 1\n", 7),  # trailing content
+        ("edges m=-1\n", 5),  # negative edge count
     ]
     for tail, line_no in cases:
         with pytest.raises(ParseError) as e:
             parse_graph_file(base + tail)
         assert e.value.line_no == line_no, tail
+    # A negative count is reported on its own header line.
+    for text, line_no, message in (
+        ("pointset v1 n=-3\nedges m=0\n", 1, "bad point count in 'pointset v1 n=-3'"),
+        (base + "edges m=-1\n0 1\n", 5, "bad edge count in 'edges m=-1'"),
+    ):
+        with pytest.raises(ParseError) as e:
+            parse_graph_file(text)
+        assert (e.value.line_no, str(e.value)) == (line_no, f"line {line_no}: {message}")
     # A point-set witness names the line of its first point.
     for points, line_no in (("9 0\n0 0\n1 1\n2 2\n", 3), ("0 0\n3 1\n1 4\n3 1\n", 3)):
         with pytest.raises(ParseError) as e:
@@ -141,6 +150,13 @@ def test_result_file_roundtrip():
     assert parse_result_file(text) == r
     assert "ms 123" in text
     assert "ms" not in strip_timing(text).split("\n")[5]
+
+
+def test_result_file_negative_segment_count():
+    text = "result v1\nmode crossing\nverified true\nseed 7\nparams \nms 1\nsegments n=-2\n"
+    with pytest.raises(ParseError) as e:
+        parse_result_file(text)
+    assert (e.value.line_no, str(e.value)) == (7, "line 7: bad segment count 'n=-2'")
 
 
 def test_cli_generate_run_verify_oracle(tmp_path, capsys):
