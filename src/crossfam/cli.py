@@ -130,12 +130,23 @@ def _seed_default(args) -> int:
     return 0
 
 
+def _rational(args, name: str) -> Fraction | None:
+    text = getattr(args, name, None)
+    if not text:
+        return None
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        # Fraction raises this, not ValueError, for a zero denominator.
+        raise ValueError(f"{name} must be a rational with a nonzero denominator, got {text!r}") from None
+
+
 def _run_config(args, seed: int) -> RunConfig:
     return RunConfig(
         theory=getattr(args, "theory", False),
         m=getattr(args, "m", None),
-        eps=Fraction(args.eps) if getattr(args, "eps", None) else None,
-        delta=Fraction(args.delta) if getattr(args, "delta", None) else None,
+        eps=_rational(args, "eps"),
+        delta=_rational(args, "delta"),
         s=getattr(args, "s", None),
         seed=seed,
         max_retries=getattr(args, "max_retries", 8),

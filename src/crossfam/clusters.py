@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import isqrt
 
 from .geom import GeometricGraph, PointSet, hull_coords, vertex_mask
-from .poset import build_pair_poset, iota_sum_capped
+from .poset import PairPoset, build_pair_poset
 from .zones import Sampled, ZoneLineSet, build_zone_lines
 
 
@@ -148,39 +148,32 @@ def find_avoiding_dense_pair(G: GeometricGraph, m: int, eps, delta, seed: int):
     # count wins; among equally dense pairs the least tangled one is kept,
     # since downstream yield depends directly on the incomparability count.
     # Tangled pairs are rejected as soon as their count exceeds the relevant
-    # budget, without building full tables.
+    # budget, before their tables are finished.
     iota_cap = (eps.numerator * m * m) // eps.denominator
     dense_min = delta.numerator * m * m  # compare against count * delta.den
-    best: tuple[int, int, int, int] | None = None  # (count, iota, i, j)
+    best: tuple[int, PairPoset] | None = None  # (count, poset)
     k = len(D.clusters)
     coords = V.coords
     hulls = [hull_coords(coords[v] for v in c) for c in D.clusters]
     masks = [vertex_mask(c) for c in D.clusters]
-    done = False
     for i in range(k - 1):
         for j in range(i + 1, k):
             cnt = G.count_edges(D.clusters[i], masks[j])
             if cnt * delta.denominator < dense_min:
                 continue
-            if best is not None:
-                if cnt < best[0]:
-                    continue
-                if cnt == best[0] and best[1] == 0:
-                    continue
             cap = iota_cap
-            if best is not None and cnt == best[0]:
-                cap = min(cap, best[1] - 1)
-            iota = iota_sum_capped(D.clusters[i], D.clusters[j], V, cap, hulls[i], hulls[j])
-            if iota is None:
+            if best is not None:
+                if cnt < best[0] or (cnt == best[0] and best[1].iota_sum == 0):
+                    continue
+                if cnt == best[0]:
+                    cap = min(cap, best[1].iota_sum - 1)
+            P = build_pair_poset(D.clusters[i], D.clusters[j], V, hulls[i], hulls[j], cap)
+            if P is None:
                 continue
-            best = (cnt, iota, i, j)
-            if cnt >= m * m and iota == 0:
-                done = True
-                break
-        if done:
-            break
+            best = (cnt, P)
+            if cnt >= m * m and P.iota_sum == 0:
+                return P.a, P.b, P
     if best is None:
         return None
-    A = D.clusters[best[2]]
-    B = D.clusters[best[3]]
-    return A, B, build_pair_poset(A, B, V, hulls[best[2]], hulls[best[3]])
+    P = best[1]
+    return P.a, P.b, P

@@ -35,7 +35,7 @@ from .geom import (
     segments_cross,
     vertex_mask,
 )
-from .poset import PairPoset, build_pair_poset, interval_chains, iota_sum_capped, longest_chain
+from .poset import PairPoset, build_pair_poset, interval_chains, longest_chain
 
 
 class FamilyMode(Enum):
@@ -241,11 +241,9 @@ def split_pair(
             cnt = G.count_edges(c_blocks[ai], d_masks[bi])
             if cnt * t < m * m:
                 continue
-            iota = iota_sum_capped(c_blocks[ai], d_blocks[bi], V, iota_cap, c_hulls[ai], d_hulls[bi])
-            if iota is None:
-                continue
-            sub = build_pair_poset(c_blocks[ai], d_blocks[bi], V, c_hulls[ai], d_hulls[bi])
-            eligible.append((ai, bi, sub))
+            sub = build_pair_poset(c_blocks[ai], d_blocks[bi], V, c_hulls[ai], d_hulls[bi], iota_cap)
+            if sub is not None:
+                eligible.append((ai, bi, sub))
     if not eligible:
         raise NoEligiblePairsError("no block pair is both dense and untangled")
 

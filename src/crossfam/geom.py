@@ -365,54 +365,24 @@ def convex_hull(points: Iterable[Point]) -> list[Point]:
     return [Point(x, y) for x, y in hull_coords((p.x, p.y) for p in map(_as_point, points))]
 
 
-def _in_box(p, q, r) -> bool:
-    # Assumes p, q, r collinear; is r within the closed box of pq?
-    return min(p[0], q[0]) <= r[0] <= max(p[0], q[0]) and min(p[1], q[1]) <= r[1] <= max(p[1], q[1])
-
-
-def _orient3(p, q, r) -> int:
-    return _orient_coords(p[0], p[1], q[0], q[1], r[0], r[1])
-
-
-def _closed_segments_meet(p, q, r, s) -> bool:
-    o1 = _orient3(p, q, r)
-    o2 = _orient3(p, q, s)
-    o3 = _orient3(r, s, p)
-    o4 = _orient3(r, s, q)
-    if o1 != o2 and o3 != o4:
-        return True
-    return (
-        (o1 == 0 and _in_box(p, q, r))
-        or (o2 == 0 and _in_box(p, q, s))
-        or (o3 == 0 and _in_box(r, s, p))
-        or (o4 == 0 and _in_box(r, s, q))
-    )
-
-
-def _in_hull(p, hull) -> bool:
-    # Closed containment; hull as returned by hull_coords.
-    h = len(hull)
-    if h == 1:
-        return p == hull[0]
-    if h == 2:
-        return _orient3(hull[0], hull[1], p) == 0 and _in_box(hull[0], hull[1], p)
-    return all(_orient3(hull[i - 1], hull[i], p) >= 0 for i in range(h))
-
-
-def _hull_edges(hull):
-    h = len(hull)
-    if h < 3:
-        return [tuple(hull)] if h == 2 else []
-    return [(hull[i - 1], hull[i]) for i in range(h)]
-
-
 def hull_coords_disjoint(ha, hb) -> bool:
     """True iff two nonempty hulls from ``hull_coords`` are disjoint as
-    closed sets."""
-    if any(_in_hull(p, hb) for p in ha) or any(_in_hull(q, ha) for q in hb):
-        return False
-    return not any(
-        _closed_segments_meet(p, q, r, s) for p, q in _hull_edges(ha) for r, s in _hull_edges(hb)
+    closed sets.
+
+    They are exactly when their lexicographic vertex ranges miss, or one
+    lies strictly right of a directed edge of the other. Disjoint hulls have
+    a Minkowski difference that misses the origin. When it is a polygon, the
+    origin lies strictly beyond one of its edge lines, each parallel to an
+    edge of a hull; when it is a point or a segment, the hulls lie on one
+    line, where the ranges miss, or on two parallel lines. A segment hull
+    has an edge each way; a point's zero-length edge separates nothing.
+    """
+    if max(ha) < min(hb) or max(hb) < min(ha):
+        return True
+    return any(
+        all((qx - px) * (ry - py) - (qy - py) * (rx - px) < 0 for rx, ry in other)
+        for h, other in ((ha, hb), (hb, ha))
+        for (px, py), (qx, qy) in zip(h[-1:] + h[:-1], h)
     )
 
 

@@ -18,6 +18,10 @@ the hull in order. It raises when it reaches a vertex on the line, unless
 it has already seen vertices on both sides of the line: then it returns
 INCOMPARABLE without reaching that vertex.
 
+``build_pair_poset`` is the one way in to the kernel. Given a cap, it gives
+up as soon as the incomparable pairs exceed it: the pair scan and the split
+reject tangled pairs so, and keep the tables of the pairs they accept.
+
 The chain routines read each order as ``PairPoset`` holds it: every
 element's bitmask of the elements it precedes.
 """
@@ -114,18 +118,19 @@ class PairPoset:
 _TANGENT_SIGNS = {Cmp.LESS: (1, 1), Cmp.GREATER: (-1, -1), Cmp.INCOMPARABLE: (1, -1)}
 
 
-def _compare_side(side, coords, hull, cap: int, succ: list[int] | None = None) -> int | None:
+def _compare_side(side, coords, hull, cap: int) -> tuple[dict[int, int], int] | None:
     """Compare every pair of ``side`` relative to ``hull`` by the two-tangent test.
 
     ``side`` holds indices into ``coords``; ``hull`` is the counterclockwise
     hull of the opposite set, which must not contain any point of ``side``.
-    When ``succ`` (one zero per element of ``side``) is given, bit side[j]
-    of succ[i] is set for each pair with side[i] LESS side[j]. Returns the
-    number of incomparable pairs, or None as soon as it exceeds ``cap``.
+    Returns each element's successor bitmask, with bit v of u's set when u
+    is LESS than v, and the number of incomparable pairs; or None as soon
+    as that number exceeds ``cap``.
     """
     iota = 0
     pts = [coords[v] for v in side]
-    bits = [1 << v for v in side] if succ is not None else None
+    bits = [1 << v for v in side]
+    succ = [0] * len(side)
     k = len(pts)
     for i in range(k - 1):
         px, py = pts[i]
@@ -151,22 +156,27 @@ def _compare_side(side, coords, hull, cap: int, succ: list[int] | None = None) -
                 iota += 1
                 if iota > cap:
                     return None
-            elif succ is not None:
-                if s_hi > 0:
-                    succ[i] |= bits[j]
-                else:
-                    succ[j] |= bits[i]
-    return iota
+            elif s_hi > 0:
+                succ[i] |= bits[j]
+            else:
+                succ[j] |= bits[i]
+    return dict(zip(side, succ)), iota
 
 
-def build_pair_poset(A, B, V: PointSet, hull_a=None, hull_b=None) -> PairPoset:
+def build_pair_poset(A, B, V: PointSet, hull_a=None, hull_b=None, cap: int | None = None) -> PairPoset | None:
     """Construct the full comparability tables for both sides of a pair.
 
     Each side is compared against the opposite side's convex hull by the
     two-tangent test. Raises NotSeparatedError when the hulls intersect,
     since the test is meaningless otherwise. Callers that already hold each
-    side's ``hull_coords`` pass them as ``hull_a`` and ``hull_b``, as for
-    ``iota_sum_capped``; the disjointness check runs on them all the same.
+    side's ``hull_coords`` pass them as ``hull_a`` and ``hull_b``; the
+    disjointness check runs on them all the same.
+
+    With a ``cap``, returns None as soon as the incomparable pairs of both
+    sides together exceed it, so tangled pairs are rejected before their
+    tables are finished; any poset returned is the one built without a
+    cap. The argument checks, the disjointness check and the degeneracy
+    check of a tangent vertex on a line run with or without a cap.
     """
     a = tuple(A)
     b = tuple(B)
@@ -183,12 +193,16 @@ def build_pair_poset(A, B, V: PointSet, hull_a=None, hull_b=None) -> PairPoset:
         hull_b = hull_coords(coords[i] for i in b)
     if not hull_coords_disjoint(hull_a, hull_b):
         raise NotSeparatedError("convex hulls of the two sides intersect")
+    if cap is None:
+        # Fewer than len(a)**2 + len(b)**2 pairs exist, so this cap never binds.
+        cap = len(a) ** 2 + len(b) ** 2
     tables = []
     for side, other_hull in ((a, hull_b), (b, hull_a)):
-        # A side of k points has fewer than k**2 pairs, so this cap never binds.
-        succ = [0] * len(side)
-        iota = _compare_side(side, coords, other_hull, len(side) ** 2, succ)
-        tables.append((dict(zip(side, succ)), iota))
+        table = _compare_side(side, coords, other_hull, cap)
+        if table is None:
+            return None
+        tables.append(table)
+        cap -= table[1]
     (succ_a, iota_a), (succ_b, iota_b) = tables
     return PairPoset(a, b, succ_a, succ_b, iota_a, iota_b)
 
@@ -196,23 +210,12 @@ def build_pair_poset(A, B, V: PointSet, hull_a=None, hull_b=None) -> PairPoset:
 def iota_sum_capped(A, B, V: PointSet, cap: int, hull_a=None, hull_b=None) -> int | None:
     """Incomparable-pair count over both sides, or None once it exceeds cap.
 
-    Used by pair scanners to reject tangled pairs early without building the
-    full tables. The sides must be separated. Callers that scan many pairs
-    pass each side's ``hull_coords`` as ``hull_a`` and ``hull_b`` so hulls are
-    built once per set rather than once per pair.
+    A library wrapper over ``build_pair_poset`` with a cap; no pipeline
+    module calls it. It is kept so that lookups of the pipeline's layers by
+    name, such as the benchmark's tracer, still find it.
     """
-    coords = V.coords
-    if hull_a is None:
-        hull_a = hull_coords(coords[i] for i in A)
-    if hull_b is None:
-        hull_b = hull_coords(coords[i] for i in B)
-    iota_a = _compare_side(tuple(A), coords, hull_b, cap)
-    if iota_a is None:
-        return None
-    iota_b = _compare_side(tuple(B), coords, hull_a, cap - iota_a)
-    if iota_b is None:
-        return None
-    return iota_a + iota_b
+    P = build_pair_poset(A, B, V, hull_a, hull_b, cap)
+    return None if P is None else P.iota_sum
 
 
 @dataclass(frozen=True)

@@ -256,6 +256,18 @@ def test_cli_run_rejects_eps_delta_above_two(tmp_path, capsys):
     assert "trials must be at least 1, got 0" in capsys.readouterr().err
 
 
+def test_cli_run_rejects_zero_denominator(tmp_path, capsys):
+    # A zero denominator is a usage error (exit 2), as a malformed rational is.
+    graph = tmp_path / "g.txt"
+    graph.write_text(render_graph_file(GeometricGraph.complete(generate_points("random-disk", 20, seed=2))))
+    for option in ("--eps", "--delta"):
+        assert main(["run", str(graph), option, "abc"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert main(["run", str(graph), option, "1/0"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {option[2:]} must be a rational with a nonzero denominator, got '1/0'\n"
+
+
 def test_run_options_are_the_run_config_fields():
     # Every RunConfig field is set by a `crossfam run` option, and every run
     # option other than input, mode and output paths feeds RunConfig.

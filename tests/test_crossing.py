@@ -96,6 +96,7 @@ def test_split_pair_crossing(rng):
     for Ai, Bi, Pi in parts:
         assert len(Ai) == len(Bi) == 2
         assert Pi.iota_sum == 0
+        assert Pi == build_pair_poset(Ai, Bi, V)
     # cross-block relation, exhaustively
     for (Ai, Bi, _), (Aj, Bj, _) in itertools.combinations(parts, 2):
         for e in itertools.product(Ai, Bi):
@@ -109,6 +110,8 @@ def test_split_pair_avoiding(rng):
     P_ = build_pair_poset(A, B, V)
     parts = split_pair(G, A, B, P_, 3, 2, 2, mode=FamilyMode.AVOIDING)
     assert len(parts) >= 2
+    for Ai, Bi, Pi in parts:
+        assert Pi == build_pair_poset(Ai, Bi, V)
     for (Ai, Bi, _), (Aj, Bj, _) in itertools.combinations(parts, 2):
         for e in itertools.product(Ai, Bi):
             for f in itertools.product(Aj, Bj):

@@ -2,7 +2,7 @@ import random
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from crossfam.errors import DegenerateInputError, GeneralPositionError
@@ -13,8 +13,11 @@ from crossfam.geom import (
     Orientation,
     Point,
     PointSet,
+    _orient_coords,
     convex_hull,
     general_position_check,
+    hull_coords,
+    hull_coords_disjoint,
     hulls_disjoint,
     line_meets_hull,
     orientation,
@@ -122,6 +125,113 @@ def test_hulls_disjoint_nested():
     inner = P((4, 4), (5, 6), (6, 4))
     assert not hulls_disjoint(outer, inner)
     assert not hulls_disjoint(inner, outer)
+
+
+# Reference separation test, O(h_a * h_b): closed containment of each
+# vertex in the other hull, then every pair of edges. ``hull_coords_disjoint``
+# must agree with it.
+def _in_box(p, q, r) -> bool:
+    # Assumes p, q, r collinear; is r within the closed box of pq?
+    return min(p[0], q[0]) <= r[0] <= max(p[0], q[0]) and min(p[1], q[1]) <= r[1] <= max(p[1], q[1])
+
+
+def _orient3(p, q, r) -> int:
+    return _orient_coords(p[0], p[1], q[0], q[1], r[0], r[1])
+
+
+def _closed_segments_meet(p, q, r, s) -> bool:
+    o1 = _orient3(p, q, r)
+    o2 = _orient3(p, q, s)
+    o3 = _orient3(r, s, p)
+    o4 = _orient3(r, s, q)
+    if o1 != o2 and o3 != o4:
+        return True
+    return (
+        (o1 == 0 and _in_box(p, q, r))
+        or (o2 == 0 and _in_box(p, q, s))
+        or (o3 == 0 and _in_box(r, s, p))
+        or (o4 == 0 and _in_box(r, s, q))
+    )
+
+
+def _in_hull(p, hull) -> bool:
+    # Closed containment; hull as returned by hull_coords.
+    h = len(hull)
+    if h == 1:
+        return p == hull[0]
+    if h == 2:
+        return _orient3(hull[0], hull[1], p) == 0 and _in_box(hull[0], hull[1], p)
+    return all(_orient3(hull[i - 1], hull[i], p) >= 0 for i in range(h))
+
+
+def _hull_edges(hull):
+    h = len(hull)
+    if h < 3:
+        return [tuple(hull)] if h == 2 else []
+    return [(hull[i - 1], hull[i]) for i in range(h)]
+
+
+def reference_hull_coords_disjoint(ha, hb) -> bool:
+    if any(_in_hull(p, hb) for p in ha) or any(_in_hull(q, ha) for q in hb):
+        return False
+    return not any(
+        _closed_segments_meet(p, q, r, s) for p, q in _hull_edges(ha) for r, s in _hull_edges(hb)
+    )
+
+
+@st.composite
+def hull_pairs(draw):
+    # Two sets of 1-10 points, each in its own box of span 2-5 near the
+    # coordinate limits or zero, or of span COORD_LIMIT in one quadrant. A
+    # set is a cloud, or lattice points of one segment (a point, a segment
+    # or a collinear set). The second set is drawn on its own, shares a
+    # point with the first (touching or overlapping hulls) or is the first
+    # shrunk halfway towards one of its points (often nested).
+    span = draw(st.sampled_from([2, 3, 4, 5, COORD_LIMIT]))
+    if span == COORD_LIMIT:
+        corner = st.sampled_from([-COORD_LIMIT, 0])
+    else:
+        base = draw(st.sampled_from([-COORD_LIMIT, 0, COORD_LIMIT - 3 * span]))
+        corner = st.integers(base, base + 2 * span)
+
+    def one_set():
+        x0, y0 = draw(corner), draw(corner)
+        c = st.tuples(st.integers(x0, x0 + span), st.integers(y0, y0 + span))
+        if draw(st.booleans()):
+            return draw(st.lists(c, min_size=1, max_size=10))
+        (px, py), (qx, qy) = draw(c), draw(c)
+        g = gcd(qx - px, qy - py) or 1
+        ts = draw(st.lists(st.integers(0, g), min_size=1, max_size=10))
+        return [(px + t * (qx - px) // g, py + t * (qy - py) // g) for t in ts]
+
+    a = one_set()
+    how = draw(st.sampled_from(["apart", "share", "halve"]))
+    if how == "apart":
+        b = one_set()
+    elif how == "share":
+        b = one_set() + [draw(st.sampled_from(a))]
+    else:
+        cx, cy = draw(st.sampled_from(a))
+        b = [((x + cx) // 2, (y + cy) // 2) for x, y in a]
+    return a, b
+
+
+@given(hull_pairs())
+@example(([(0, 0), (4, 0), (4, 4), (0, 4)], [(1, 1), (2, 3), (3, 1)]))  # nested
+@example(([(0, 0), (2, 0), (1, 2)], [(2, 0), (4, 1), (3, 3)]))  # touching at a vertex
+@example(([(0, 0), (2, 0), (1, 2)], [(1, 0), (3, -2), (0, -2)]))  # vertex on an edge
+@example(([(0, 0), (2, 2)], [(1, 1), (5, 5)]))  # overlapping collinear segments
+@example(([(0, 0), (2, 2)], [(3, 3), (5, 5)]))  # apart on one line
+@example(([(0, 0), (2, 2)], [(1, 1)]))  # point inside a segment
+@example(([(0, 0), (2, 2)], [(1, 2)]))  # point beside a segment
+@example(([(3, 3)], [(3, 3)]))
+@example(([(3, 3)], [(3, 4)]))
+@settings(max_examples=1000, deadline=None)
+def test_hull_coords_disjoint_matches_reference(pair):
+    ha, hb = (hull_coords(s) for s in pair)
+    expect = reference_hull_coords_disjoint(ha, hb)
+    assert hull_coords_disjoint(ha, hb) == expect
+    assert hull_coords_disjoint(hb, ha) == expect
 
 
 def test_line_meets_hull_examples():

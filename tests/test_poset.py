@@ -66,9 +66,11 @@ def test_build_pair_poset_total_order():
 
 
 def test_build_pair_poset_not_separated():
+    # A cap never skips the separation check.
     V = PointSet(P((0, 0), (2, 0), (1, 5), (1, -5)))
-    with pytest.raises(NotSeparatedError):
-        build_pair_poset((0, 1), (2, 3), V)
+    for cap in (None, 0, 10**9):
+        with pytest.raises(NotSeparatedError):
+            build_pair_poset((0, 1), (2, 3), V, cap=cap)
 
 
 def test_pair_poset_properties_random(rng):
@@ -154,6 +156,8 @@ def test_two_tangent_kernel_matches_reference(seed, na, nb, span, sign):
     for cap in (0, total - 1, total, 10**9):
         expected = _reference_iota_capped(A, B, V, cap)
         assert expected == (None if total > max(cap, 0) else total)
+        assert build_pair_poset(A, B, V, cap=cap) == (None if expected is None else pp)
+        assert build_pair_poset(A, B, V, hull_a, hull_b, cap) == (None if expected is None else pp)
         assert iota_sum_capped(A, B, V, cap) == expected
         assert iota_sum_capped(A, B, V, cap, hull_a, hull_b) == expected
 
@@ -161,10 +165,11 @@ def test_two_tangent_kernel_matches_reference(seed, na, nb, span, sign):
 def test_build_pair_poset_tangent_vertex_on_line():
     # (5, 0), a vertex of the B hull, lies on the line through (0, 0) and
     # (1, 0); seen from (0, 0) it is a tangent vertex, so the pair's sign is
-    # zero and the input must still be rejected as degenerate.
+    # zero and the input must still be rejected as degenerate, capped or not.
     V = PointSet(P((0, 0), (1, 0), (5, 0), (5, 10), (6, 5)), check_general_position=False)
-    with pytest.raises(DegenerateInputError):
-        build_pair_poset((0, 1), (2, 3, 4), V)
+    for cap in (None, 0, 10**9):
+        with pytest.raises(DegenerateInputError):
+            build_pair_poset((0, 1), (2, 3, 4), V, cap=cap)
     with pytest.raises(DegenerateInputError):
         iota_sum_capped((0, 1), (2, 3, 4), V, 10**9)
 
