@@ -1,7 +1,7 @@
 """Command-line surface: generate, run, verify, oracle, bench.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
-3 internal error.
+Exit codes: 0 success, 1 verification failure, 2 usage, parse or file
+error (a path that cannot be read or written), 3 internal error.
 """
 
 from __future__ import annotations
@@ -378,7 +378,7 @@ def main(argv=None) -> int:
         return 2 if e.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (ParseError, ValueError, RangeTooSmallError, TooLargeError, FileNotFoundError) as e:
+    except (ParseError, ValueError, RangeTooSmallError, TooLargeError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except GeneralPositionError as e:

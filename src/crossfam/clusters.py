@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
-from .geom import GeometricGraph, PointSet, hull_coords, vertex_mask
+from .geom import GeometricGraph, PointSet, hull_coords
 from .poset import PairPoset, build_pair_poset
 from .zones import Sampled, ZoneLineSet, build_zone_lines
 
@@ -123,8 +123,10 @@ def find_avoiding_dense_pair(G: GeometricGraph, m: int, eps, delta, seed: int):
 
     Samples a net of ``desk_net_size(n, m)`` points with the given seed,
     cuts V into clusters over the lines the net determines (zone budget
-    eps*delta/2, no zone audit), and scans the cluster pairs. Returns
-    (A, B, PairPoset) or None.
+    eps*delta/2, no zone audit), and scans the cluster pairs. The edge
+    counts of all pairs come from one ``block_edge_counts`` pass; a
+    cluster's hull is built when a pair holding it first reaches
+    ``build_pair_poset``. Returns (A, B, PairPoset) or None.
     """
     V = G.vertices
     n = len(V)
@@ -150,16 +152,19 @@ def find_avoiding_dense_pair(G: GeometricGraph, m: int, eps, delta, seed: int):
     # Tangled pairs are rejected as soon as their count exceeds the relevant
     # budget, before their tables are finished.
     iota_cap = (eps.numerator * m * m) // eps.denominator
-    dense_min = delta.numerator * m * m  # compare against count * delta.den
+    dense_min = delta.numerator * m * m  # compare against count * delta_den
+    delta_den = delta.denominator
     best: tuple[int, PairPoset] | None = None  # (count, poset)
-    k = len(D.clusters)
+    clusters = D.clusters
+    k = len(clusters)
+    counts = G.block_edge_counts(clusters, clusters).tolist()
     coords = V.coords
-    hulls = [hull_coords(coords[v] for v in c) for c in D.clusters]
-    masks = [vertex_mask(c) for c in D.clusters]
+    hulls: list[list[tuple[int, int]] | None] = [None] * k  # built on demand
     for i in range(k - 1):
+        row = counts[i]
         for j in range(i + 1, k):
-            cnt = G.count_edges(D.clusters[i], masks[j])
-            if cnt * delta.denominator < dense_min:
+            cnt = row[j]
+            if cnt * delta_den < dense_min:
                 continue
             cap = iota_cap
             if best is not None:
@@ -167,7 +172,10 @@ def find_avoiding_dense_pair(G: GeometricGraph, m: int, eps, delta, seed: int):
                     continue
                 if cnt == best[0]:
                     cap = min(cap, best[1].iota_sum - 1)
-            P = build_pair_poset(D.clusters[i], D.clusters[j], V, hulls[i], hulls[j], cap)
+            for c in (i, j):
+                if hulls[c] is None:
+                    hulls[c] = hull_coords(coords[v] for v in clusters[c])
+            P = build_pair_poset(clusters[i], clusters[j], V, hulls[i], hulls[j], cap)
             if P is None:
                 continue
             best = (cnt, P)

@@ -218,7 +218,7 @@ def split_pair(
     eps = Fraction(1, 32 * t * t * k)
     if theory:
         big = len(a) * len(a)
-        edges = G.count_edges(a, vertex_mask(b))
+        edges = int(G.block_edge_counts([a], [b])[0, 0])
         if edges * delta.denominator < 8 * delta.numerator * big:
             raise ValueError("pair is not dense enough for the guaranteed split")
         iota = _restricted_iota(a, P.succ_a) + _restricted_iota(b, P.succ_b)
@@ -232,14 +232,13 @@ def split_pair(
     coords = V.coords
     c_hulls = [hull_coords(coords[v] for v in blk) for blk in c_blocks]
     d_hulls = [hull_coords(coords[v] for v in blk) for blk in d_blocks]
-    d_masks = [vertex_mask(blk) for blk in d_blocks]
+    counts = G.block_edge_counts(c_blocks, d_blocks).tolist()
 
     iota_cap = (eps.numerator * m * m) // eps.denominator
     eligible: list[tuple[int, int, PairPoset]] = []
     for ai in range(tk):
         for bi in range(tk):
-            cnt = G.count_edges(c_blocks[ai], d_masks[bi])
-            if cnt * t < m * m:
+            if counts[ai][bi] * t < m * m:
                 continue
             sub = build_pair_poset(c_blocks[ai], d_blocks[bi], V, c_hulls[ai], d_hulls[bi], iota_cap)
             if sub is not None:

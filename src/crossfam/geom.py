@@ -174,8 +174,8 @@ def _anchor_witness(coords, i: int) -> tuple[int, int, int] | None:
 
 
 def vertex_mask(B: Iterable[int]) -> int:
-    """Bitmask with bit v set for every vertex v of B, as
-    ``GeometricGraph.count_edges`` takes it."""
+    """Bitmask with bit v set for every vertex v of B, to intersect with a
+    neighbour or successor bitmask."""
     mask = 0
     for v in B:
         mask |= 1 << v
@@ -183,6 +183,8 @@ def vertex_mask(B: Iterable[int]) -> int:
 
 
 _BIT = np.array([1 << i for i in range(8)], dtype=np.uint8)
+# Temporary bytes one slab of ``GeometricGraph.block_edge_counts`` may use.
+_SLAB_BYTES = 1 << 22
 
 
 def neighbour_masks(n: int, a: np.ndarray, b: np.ndarray) -> tuple[int, ...]:
@@ -244,13 +246,57 @@ class GeometricGraph:
             return False
         return bool(self._adj[a] >> b & 1)
 
-    def count_edges(self, A: Sequence[int], b_mask: int) -> int:
-        """Number of edges between the vertices of A and the disjoint vertex
-        set whose ``vertex_mask`` is ``b_mask``."""
+    def block_edge_counts(self, row_blocks: Sequence[Sequence[int]], col_blocks: Sequence[Sequence[int]]) -> np.ndarray:
+        """Edge counts between blocks of distinct vertices, as an int64
+        array: entry ``[i, j]`` is the number of pairs ``(u, v)`` in
+        ``row_blocks[i] x col_blocks[j]`` that are edges. A vertex shared
+        by the two blocks is not its own neighbour.
+
+        On a complete graph the counts follow from the block sizes and the
+        vertices they share. On any other graph they take one numpy pass:
+        each row vertex's bitmask is unpacked to n bits and summed over its
+        block, then the column vertices are gathered and summed per block.
+        Rows go in slabs, so the temporaries stay near ``_SLAB_BYTES``
+        whatever n is.
+        """
         if self.is_complete:
-            return len(A) * b_mask.bit_count()
+            col_masks = [vertex_mask(B) for B in col_blocks]
+            counts = [
+                [len(A) * len(B) - (a_mask & b_mask).bit_count() for B, b_mask in zip(col_blocks, col_masks)]
+                for A, a_mask in zip(row_blocks, map(vertex_mask, row_blocks))
+            ]
+            return np.array(counts, dtype=np.int64).reshape(len(row_blocks), len(col_blocks))
+        counts = np.zeros((len(row_blocks), len(col_blocks)), dtype=np.int64)
+        # Empty column blocks count nothing and would break reduceat's runs.
+        cols = [j for j, blk in enumerate(col_blocks) if len(blk)]
+        if not cols:
+            return counts
+        col_v = np.array([v for j in cols for v in col_blocks[j]], dtype=np.intp)
+        col_starts = np.cumsum([0] + [len(col_blocks[j]) for j in cols[:-1]])
+        n = len(self.vertices)
+        width = (n + 7) // 8
         adj = self._adj
-        return sum((adj[u] & b_mask).bit_count() for u in A)
+        # Row blocks of one size are summed together by a reshape. A slab
+        # holds whole blocks: their unpacked bits, then per block the int32
+        # neighbour counts of every vertex and of the gathered columns. A
+        # block too large for a slab is unpacked ``chunk`` rows at a time.
+        chunk = max(1, _SLAB_BYTES // n)
+        by_size: dict[int, list[int]] = {}
+        for i, blk in enumerate(row_blocks):
+            if len(blk):
+                by_size.setdefault(len(blk), []).append(i)
+        for size, ids in by_size.items():
+            per = max(1, _SLAB_BYTES // (size * n + 4 * (n + len(col_v))))
+            for b0 in range(0, len(ids), per):
+                batch = ids[b0 : b0 + per]
+                degree = 0  # degree[k, v]: neighbours of v in row block batch[k]
+                for r0 in range(0, size, chunk):
+                    rows = [u for i in batch for u in row_blocks[i][r0 : r0 + chunk]]
+                    packed = np.frombuffer(b"".join(adj[u].to_bytes(width, "little") for u in rows), dtype=np.uint8)
+                    bits = np.unpackbits(packed.reshape(len(rows), width), axis=1, count=n, bitorder="little")
+                    degree = degree + bits.reshape(len(batch), -1, n).sum(axis=1, dtype=np.int32)
+                counts[np.ix_(batch, cols)] = np.add.reduceat(degree[:, col_v], col_starts, axis=1, dtype=np.int64)
+        return counts
 
     def edges_between(self, A: Iterable[int], B: Iterable[int]) -> Iterator[Segment]:
         """Edges joining A to B as ``(min, max)`` pairs, lazily, A-major in

@@ -268,6 +268,27 @@ def test_cli_run_rejects_zero_denominator(tmp_path, capsys):
         assert err == f"error: {option[2:]} must be a rational with a nonzero denominator, got '1/0'\n"
 
 
+def test_cli_unreadable_paths_exit_2(tmp_path, capsys):
+    # A path that cannot be read or written is a usage error (exit 2), not a
+    # verification failure (exit 1): here a directory given as a file.
+    graph = tmp_path / "g.txt"
+    graph.write_text(render_graph_file(GeometricGraph.complete(generate_points("random-disk", 20, seed=2))))
+    result = tmp_path / "r.txt"
+    assert main(["run", str(graph), "--out", str(result)]) == 0
+    folder = str(tmp_path)
+    for argv in (
+        ["run", folder],
+        ["verify", folder, str(graph)],
+        ["verify", str(result), folder],
+        ["oracle", folder],
+        ["run", str(graph), "--out", folder],
+        ["run", str(graph), "--out", str(tmp_path / "r2.txt"), "--svg", folder],
+        ["oracle", str(graph), "--out", folder],
+    ):
+        assert main(argv) == 2, argv
+        assert capsys.readouterr().err.startswith("error: "), argv
+
+
 def test_run_options_are_the_run_config_fields():
     # Every RunConfig field is set by a `crossfam run` option, and every run
     # option other than input, mode and output paths feeds RunConfig.

@@ -193,6 +193,17 @@ def test_find_avoiding_dense_pair_no_edges():
     assert find_avoiding_dense_pair(G, 2, Fraction(1, 2), Fraction(1, 4), 0) is None
 
 
+def test_find_avoiding_dense_pair_none_dense_enough():
+    # A perfect matching puts at most m edges between two m-clusters: the
+    # scan counts them and finds no pair at delta = 1/2, yet one at 1/9.
+    V = generate_points("random-disk", 40, seed=5)
+    G = GeometricGraph.from_edges(V, [(i, i + 1) for i in range(0, 40, 2)])
+    assert not G.is_complete and G.edge_count == 20
+    for seed in range(4):
+        assert find_avoiding_dense_pair(G, 3, Fraction(1, 2), Fraction(1, 2), seed) is None
+    assert find_avoiding_dense_pair(G, 3, Fraction(1, 2), Fraction(1, 9), 0) is not None
+
+
 def test_find_avoiding_dense_pair_too_few_points():
     V = generate_points("random-disk", 5, seed=6)
     G = GeometricGraph.complete(V)

@@ -316,7 +316,7 @@ def test_family_size_cap(rng):
 
 
 # Families the drivers return for these fixed inputs: the complete graphs
-# under the descending cluster-size search, the density-1/2 graphs under the
+# under the descending cluster-size search, the non-complete graphs under the
 # growing schedule. A refactor of the pipeline must return exactly these
 # segments.
 PINNED_FAMILIES = [
@@ -337,10 +337,17 @@ PINNED_FAMILIES = [
     ("grid-jitter", 80, 7, 0.5, FamilyMode.AVOIDING, ((8, 15), (31, 67), (40, 71), (50, 69))),
     ("grid-jitter", 120, 9, 0.5, FamilyMode.AVOIDING,
      ((10, 45), (14, 109), (16, 49), (22, 81), (23, 114), (65, 103), (70, 87))),
+    # Non-complete crossing: the pair scan counts edges block by block.
+    ("random-disk", 120, 11, 0.5, FamilyMode.CROSSING,
+     ((7, 86), (9, 91), (15, 98), (16, 46), (39, 74), (58, 97), (96, 99))),
+    # Near-complete (18 of 4950 edges missing): most cluster pairs tie on the
+    # edge count, so the least tangled of them decides which pair is kept.
+    ("random-disk", 100, 13, 0.995, FamilyMode.AVOIDING,
+     ((2, 74), (4, 24), (6, 7), (16, 69), (17, 80), (33, 63), (44, 61), (66, 81), (90, 92))),
 ]
 # Family sizes the earlier schedule found on the same inputs (start at
 # n^(1/3), double m after a full yield, always 8 attempts), which the
-# density-1/2 graphs still use. A change to the schedule must not fall below
+# non-complete graphs still use. A change to the schedule must not fall below
 # them.
 EARLIER_SCHEDULE_SIZES = {
     ("random-disk", 96, 5): 11,
@@ -349,6 +356,8 @@ EARLIER_SCHEDULE_SIZES = {
     ("convex", 96, 3): 32,
     ("grid-jitter", 80, 7): 4,
     ("grid-jitter", 120, 9): 7,
+    ("random-disk", 120, 11): 7,
+    ("random-disk", 100, 13): 9,
 }
 
 

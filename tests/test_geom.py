@@ -1,10 +1,12 @@
 import random
 from math import gcd
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from crossfam import geom
 from crossfam.errors import DegenerateInputError, GeneralPositionError
 from crossfam.formats import parse_graph_file, render_graph_file
 from crossfam.geom import (
@@ -418,5 +420,95 @@ def test_graph_queries_match_reference(n, density):
         A = order[:cut]
         B = order[cut : cut + rng.randint(0, n - cut)]
         expect = [(min(u, v), max(u, v)) for u in A for v in B if (min(u, v), max(u, v)) in ref_set]
-        assert G.count_edges(A, vertex_mask(B)) == len(expect)
+        assert G.block_edge_counts([A], [B]).tolist() == [[len(expect)]]
         assert list(G.edges_between(A, B)) == expect
+
+
+def reference_block_edge_counts(G, row_blocks, col_blocks):
+    # One mask intersection per row vertex and column block, with no
+    # complete-graph shortcut.
+    adj = G._adj
+    col_masks = [vertex_mask(B) for B in col_blocks]
+    return [[sum((adj[u] & mask).bit_count() for u in A) for mask in col_masks] for A in row_blocks]
+
+
+def _parabola(n):
+    # No three points of a parabola are collinear.
+    return PointSet([Point(i, i * i) for i in range(n)], check_general_position=False)
+
+
+def _all_pairs(n):
+    return [(a, b) for a in range(n) for b in range(a + 1, n)]
+
+
+@st.composite
+def block_grids(draw):
+    """(n, edges, row blocks, column blocks). The graph is empty, complete,
+    complete but for one edge, or random. Column blocks are the row blocks
+    themselves (the pair scan's clusters), blocks of the other vertices
+    (the split's grid), or drawn independently, so they may share vertices
+    with the rows. Blocks are runs of a vertex order cut anywhere, so empty
+    and one-element blocks occur, or all one-element blocks."""
+    n = draw(st.sampled_from([0, 1, 2, 7, 8, 9, 63, 64, 65, 129]))
+    pairs = _all_pairs(n)
+    kind = draw(st.sampled_from(["empty", "complete", "near-complete", "random"]))
+    if kind == "empty":
+        edges = []
+    elif kind == "complete":
+        edges = pairs
+    elif kind == "near-complete":
+        gone = draw(st.integers(0, len(pairs) - 1)) if pairs else None
+        edges = [e for k, e in enumerate(pairs) if k != gone]
+    else:
+        rnd = draw(st.randoms(use_true_random=False))
+        p = draw(st.floats(0, 1))
+        edges = [e for e in pairs if rnd.random() < p]
+
+    def blocks(order):
+        if draw(st.booleans()):
+            return [[v] for v in order[: draw(st.integers(0, len(order)))]]
+        cuts = sorted(draw(st.lists(st.integers(0, len(order)), max_size=8)))
+        return [order[a:b] for a, b in zip(cuts, cuts[1:])]
+
+    order = draw(st.permutations(range(n)))
+    layout = draw(st.sampled_from(["same", "split", "independent"]))
+    if layout == "same":
+        rows = cols = blocks(order)
+    elif layout == "split":
+        half = draw(st.integers(0, n))
+        rows, cols = blocks(order[:half]), blocks(order[half:])
+    else:
+        rows, cols = blocks(order), blocks(draw(st.permutations(range(n))))
+    return n, edges, rows, cols
+
+
+@given(block_grids())
+@example((0, [], [], []))
+@example((0, [], [[]], [[], []]))
+@example((1, [], [[0]], [[0]]))
+@example((8, _all_pairs(8)[1:], [[0], [7]], [[7], [0], [0, 7]]))
+@example((9, _all_pairs(9)[:-1], [[0, 8], [1, 2, 3]], [[8], [4, 5, 6, 7, 0]]))
+@example((65, _all_pairs(65), [[0, 64], [5]], [[64, 1], [0, 5], []]))
+@example((64, [(0, 63)], [[0], [63]], [[63], [0]]))
+@settings(max_examples=400, deadline=None)
+def test_block_edge_counts_matches_reference(grid):
+    n, edges, rows, cols = grid
+    G = GeometricGraph.from_edges(_parabola(n), edges)
+    got = G.block_edge_counts(rows, cols)
+    assert got.dtype == np.int64 and got.shape == (len(rows), len(cols))
+    assert got.tolist() == reference_block_edge_counts(G, rows, cols)
+
+
+def test_block_edge_counts_spans_several_slabs():
+    # Large enough that the rows go through several slabs: one row block
+    # whose bits alone fill more than two, and eight small blocks that take
+    # more than one, against columns that cover every vertex.
+    n = 8192
+    rng = random.Random(8192)
+    edges = {tuple(sorted(rng.sample(range(n), 2))) for _ in range(3 * n)}
+    G = GeometricGraph.from_edges(_parabola(n), sorted(edges))
+    order = rng.sample(range(n), n)
+    rows = [order[:1200]] + [order[k : k + 150] for k in range(1200, 2400, 150)]
+    cols = [order[: n // 3], order[n // 3 :]]
+    assert 1200 * n > 2 * geom._SLAB_BYTES and 8 * 150 * n > geom._SLAB_BYTES
+    assert G.block_edge_counts(rows, cols).tolist() == reference_block_edge_counts(G, rows, cols)
