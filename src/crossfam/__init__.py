@@ -35,18 +35,15 @@ from .geom import (
 from .oracle import max_family_bruteforce, verify_family
 from .poset import Chain, Cmp, PairPoset, build_pair_poset, interval_chains, less_under, longest_chain
 from .zones import (
-    AllDetermined,
     Line,
-    Sampled,
     ZoneLineSet,
+    audit_zone_lines,
     build_zone_lines,
-    sample_sector_net,
     verify_zone_property,
     zone_point_count,
 )
 
 __all__ = [
-    "AllDetermined",
     "Chain",
     "Cmp",
     "FamilyMode",
@@ -57,10 +54,10 @@ __all__ = [
     "Point",
     "PointSet",
     "RunConfig",
-    "Sampled",
     "Segment",
     "SegmentFamily",
     "ZoneLineSet",
+    "audit_zone_lines",
     "build_clusters",
     "build_pair_poset",
     "build_zone_lines",
@@ -77,7 +74,6 @@ __all__ = [
     "match_avoiding_pair",
     "max_family_bruteforce",
     "orientation",
-    "sample_sector_net",
     "segments_avoiding",
     "segments_cross",
     "split_pair",

@@ -1,10 +1,11 @@
 """Cluster decomposition of a point set over a line arrangement, and the
 search for a separated pair of clusters that is both dense and untangled.
 
-Points are grouped by their open cell (sign vector over the arrangement
-lines); each cell is chunked into groups of exactly m along a splitter
-direction, so any two clusters are separated by a line. Points on arrangement
-lines and partial chunks form the leftover set.
+The pair search samples a net (``zones.build_zone_lines``) and cuts V over
+the lines it determines. Points are grouped by their open cell (sign vector
+over the lines); each cell is chunked into groups of exactly m along a
+splitter direction, so any two clusters are separated by a line. Points on
+the lines and partial chunks form the leftover set.
 """
 
 from __future__ import annotations
@@ -12,29 +13,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
+from typing import Sequence
 
 from .geom import GeometricGraph, PointSet, hull_coords
 from .poset import PairPoset, build_pair_poset
-from .zones import Sampled, ZoneLineSet, build_zone_lines
-
-
-@dataclass(frozen=True)
-class CellAssignment:
-    """Where a cluster lives: its cell's sign vector over the arrangement
-    lines, the splitter direction used to chunk the cell, and the cluster's
-    own projection span along that direction."""
-
-    signs: tuple[int, ...]
-    direction: tuple[int, int]
-    span: tuple[int, int]
+from .zones import Line, build_zone_lines
 
 
 @dataclass(frozen=True)
 class ClusterDecomposition:
-    zone_lines: ZoneLineSet
     m: int
     clusters: tuple[tuple[int, ...], ...]
-    cells: tuple[CellAssignment, ...]
     leftover: tuple[int, ...]
     on_lines: tuple[int, ...]
 
@@ -52,15 +41,15 @@ def _splitter_direction(coords: list[tuple[int, int]]) -> tuple[int, int]:
         k += 1
 
 
-def build_clusters(V: PointSet, L: ZoneLineSet, m: int) -> ClusterDecomposition:
-    """Group points by open cell and chunk each cell into clusters of m.
+def build_clusters(V: PointSet, lines: Sequence[Line], m: int) -> ClusterDecomposition:
+    """Group points by open cell of the arrangement of ``lines`` and chunk
+    each cell into clusters of m.
 
-    Points on any arrangement line join the leftover set, as does the final
+    Points on any of the lines join the leftover set, as does the final
     partial chunk of every cell.
     """
     if m < 1:
         raise ValueError("m must be positive")
-    lines = L.lines
     coords = V.coords
     cells: dict[tuple[int, ...], list[int]] = {}
     on_lines: list[int] = []
@@ -79,30 +68,21 @@ def build_clusters(V: PointSet, L: ZoneLineSet, m: int) -> ClusterDecomposition:
             cells.setdefault(tuple(signs), []).append(idx)
 
     clusters: list[tuple[int, ...]] = []
-    assignments: list[CellAssignment] = []
     leftover: list[int] = list(on_lines)
     for signs in sorted(cells):
         members = cells[signs]
         if len(members) < m:
             leftover.extend(members)
             continue
-        pts = [coords[i] for i in members]
-        direction = _splitter_direction(pts)
-        kx, ky = direction
+        kx, ky = _splitter_direction([coords[i] for i in members])
         members.sort(key=lambda i: (kx * coords[i][0] + ky * coords[i][1], coords[i]))
         full = len(members) // m * m
-        for start in range(0, full, m):
-            chunk = tuple(members[start : start + m])
-            projs = [kx * coords[i][0] + ky * coords[i][1] for i in chunk]
-            clusters.append(chunk)
-            assignments.append(CellAssignment(signs, direction, (min(projs), max(projs))))
+        clusters.extend(tuple(members[start : start + m]) for start in range(0, full, m))
         leftover.extend(members[full:])
 
     return ClusterDecomposition(
-        zone_lines=L,
         m=m,
         clusters=tuple(clusters),
-        cells=tuple(assignments),
         leftover=tuple(sorted(leftover)),
         on_lines=tuple(on_lines),
     )
@@ -122,11 +102,11 @@ def find_avoiding_dense_pair(G: GeometricGraph, m: int, eps, delta, seed: int):
     """Find two separated m-clusters forming a dense, untangled pair.
 
     Samples a net of ``desk_net_size(n, m)`` points with the given seed,
-    cuts V into clusters over the lines the net determines (zone budget
-    eps*delta/2, no zone audit), and scans the cluster pairs. The edge
-    counts of all pairs come from one ``block_edge_counts`` pass; a
-    cluster's hull is built when a pair holding it first reaches
-    ``build_pair_poset``. Returns (A, B, PairPoset) or None.
+    cuts V into clusters over the lines the net determines, and scans the
+    cluster pairs. The net's zones are not audited. The edge counts of all
+    pairs come from one ``block_edge_counts`` pass; a cluster's hull is
+    built when a pair holding it first reaches ``build_pair_poset``.
+    Returns (A, B, PairPoset) or None.
     """
     V = G.vertices
     n = len(V)
@@ -140,9 +120,11 @@ def find_avoiding_dense_pair(G: GeometricGraph, m: int, eps, delta, seed: int):
     if n < 2 or n < 2 * m:
         return None
     if eps * delta > 2:
+        # The paper's zone budget eps*delta/2 is a share of V, so it cannot
+        # exceed 1; the small net sampled here is never audited against it.
         raise ValueError(f"eps*delta must be at most 2, got {eps * delta}")
-    zls = build_zone_lines(V, eps * delta / 2, seed, Sampled(0), size_override=desk_net_size(n, m))
-    D = build_clusters(V, zls, m)
+    zls = build_zone_lines(V, desk_net_size(n, m), seed)
+    D = build_clusters(V, zls.lines, m)
     if len(D.clusters) < 2:
         return None
 

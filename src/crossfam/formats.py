@@ -117,10 +117,8 @@ def render_graph_file(G: GeometricGraph) -> str:
     out = render_point_file(G.vertices)
     if G.is_complete:
         return out + "edges complete\n"
-    edges = G.edges_sorted()
-    out += f"edges m={len(edges)}\n"
-    out += "".join(f"{a} {b}\n" for a, b in edges)
-    return out
+    out += f"edges m={G.edge_count}\n"
+    return out + "".join(f"{a} {b}\n" for a, b in G.edges_iter())
 
 
 def parse_graph_file(text: str) -> GeometricGraph:

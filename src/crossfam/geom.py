@@ -318,9 +318,6 @@ class GeometricGraph:
                 yield (a, a + low.bit_length())
                 mask ^= low
 
-    def edges_sorted(self) -> list[Segment]:
-        return list(self.edges_iter())
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, GeometricGraph)

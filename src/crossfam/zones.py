@@ -1,20 +1,23 @@
-"""Zone-bounding line sets built from seeded point samples, with verification.
+"""Net-determined line sets, and the audit of their zone bound.
 
-The construction samples a point subset, takes all lines it determines, and
-audits that no candidate line's zone in that arrangement holds more than an
-epsilon fraction of the points. Zone membership is decided exactly: a point
-belongs to the zone of a line iff its open arrangement cell meets the line,
-which reduces to a one-dimensional rational feasibility test. The audit runs
-vectorized over points, but every comparison that could flip an answer is
-resolved in exact integer arithmetic.
+The pipeline's step is ``build_zone_lines``: a seeded sample of vertex
+indices (the net) and the lines it determines, whose open cells the
+clusters are cut from. The audit, ``audit_zone_lines``, resamples such nets
+until no line through two points of V has a zone in the arrangement holding
+more than an eps fraction of the points. Zone membership is decided exactly:
+a point belongs to the zone of a line iff its open arrangement cell meets
+the line, which reduces to a one-dimensional rational feasibility test. The
+audit runs vectorized over points, but every comparison that could flip an
+answer is resolved in exact integer arithmetic.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import combinations
 from math import gcd
 from typing import Sequence
 
@@ -43,16 +46,7 @@ class Line:
             raise ValueError("a line needs two distinct points")
         dx = q.x - p.x
         dy = q.y - p.y
-        a = -dy
-        b = dx
-        c = dy * p.x - dx * p.y
-        g = gcd(gcd(abs(a), abs(b)), abs(c))
-        a //= g
-        b //= g
-        c //= g
-        if a < 0 or (a == 0 and b < 0):
-            a, b, c = -a, -b, -c
-        return Line(a, b, c)
+        return Line(-dy, dx, dy * p.x - dx * p.y).normalized()
 
     def normalized(self) -> "Line":
         a, b, c = self.a, self.b, self.c
@@ -75,59 +69,32 @@ class Line:
 
 
 @dataclass(frozen=True)
-class AllDetermined:
-    """Audit every line through a pair of points of V."""
-
-
-@dataclass(frozen=True)
-class Sampled:
-    """Audit a seeded sample of determined lines; count 0 skips the audit."""
-
-    count: int
-    seed: int = 0
-
-
-CandidateLines = AllDetermined | Sampled
-
-
-@dataclass(frozen=True)
 class ZoneLineSet:
+    """A net of vertex indices and the lines it determines. ``epsilon`` is
+    the zone budget the lines were audited against, None when unaudited."""
+
     lines: tuple[Line, ...]
-    epsilon: Fraction
     seed: int
     net: tuple[int, ...]
-    verified: bool
+    epsilon: Fraction | None = None
+
+    @property
+    def verified(self) -> bool:
+        return self.epsilon is not None
 
 
-def net_sample_size(eps: Fraction, n: int, net_constant: int = 40) -> int:
+# Sample-size constant of the sector-piercing net that the audit draws.
+NET_CONSTANT = 40
+
+
+def net_sample_size(eps: Fraction, n: int) -> int:
     """Sample size for the sector-piercing net, clamped to [2, n]."""
     eps = Fraction(eps)
     if not 0 < eps <= 1:
         raise ValueError("eps must be in (0, 1]")
     inv = 1 / eps
-    raw = net_constant * float(inv) * math.log(float(inv))
+    raw = NET_CONSTANT * float(inv) * math.log(float(inv))
     return min(n, max(2, math.ceil(raw)))
-
-
-def sample_sector_net(
-    V: PointSet,
-    eps,
-    seed: int,
-    *,
-    net_constant: int = 40,
-    size_override: int | None = None,
-) -> tuple[int, ...]:
-    """Seeded sample of vertex indices intended to pierce every heavy angular
-    sector; returned sorted for determinism."""
-    n = len(V)
-    if n < 2:
-        raise ValueError("need at least two points")
-    if size_override is not None:
-        size = min(n, max(2, size_override))
-    else:
-        size = net_sample_size(Fraction(eps), n, net_constant)
-    rng = random.Random(seed)
-    return tuple(sorted(rng.sample(range(n), size)))
 
 
 def lines_through(V: PointSet, indices: Sequence[int]) -> tuple[Line, ...]:
@@ -140,37 +107,6 @@ def lines_through(V: PointSet, indices: Sequence[int]) -> tuple[Line, ...]:
         for j in range(i + 1, len(idx)):
             seen.add(Line.through(p, V[idx[j]]))
     return tuple(sorted(seen))
-
-
-def _unrank_pair(rank: int, n: int) -> tuple[int, int]:
-    # rank within the lexicographic list of pairs (i, j), i < j.
-    lo, hi = 0, n - 1
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if mid * (2 * n - mid - 1) // 2 <= rank:
-            lo = mid
-        else:
-            hi = mid - 1
-    i = lo
-    j = i + 1 + rank - i * (2 * n - i - 1) // 2
-    return i, j
-
-
-def _candidate_pairs(n: int, candidates: CandidateLines):
-    total = n * (n - 1) // 2
-    if isinstance(candidates, AllDetermined):
-        for i in range(n - 1):
-            for j in range(i + 1, n):
-                yield i, j
-    elif isinstance(candidates, Sampled):
-        if candidates.count <= 0:
-            return
-        rng = random.Random(candidates.seed)
-        k = min(candidates.count, total)
-        for rank in sorted(rng.sample(range(total), k)):
-            yield _unrank_pair(rank, n)
-    else:
-        raise TypeError(f"unsupported candidate selector: {candidates!r}")
 
 
 def _as_lines(L) -> tuple[Line, ...]:
@@ -402,11 +338,12 @@ class _ZoneAudit:
         return out
 
 
-def verify_zone_property(L, V: PointSet, eps, candidates: CandidateLines):
-    """Check every candidate line's zone against the eps * |V| budget.
+def verify_zone_property(L, V: PointSet, eps):
+    """Check the zone of every line through two points of V against the
+    eps * |V| budget.
 
     Returns None when the property holds, else the first (line, count)
-    witness in candidate order. Comparisons against the budget are exact
+    witness in (i, j) order. Comparisons against the budget are exact
     rational comparisons.
     """
     lines = _as_lines(L)
@@ -414,7 +351,7 @@ def verify_zone_property(L, V: PointSet, eps, candidates: CandidateLines):
     n = len(V)
     triples = {(l.a, l.b, l.c) for l in lines}
     audit: _ZoneAudit | None = None
-    for i, j in _candidate_pairs(n, candidates):
+    for i, j in combinations(range(n), 2):
         ell = Line.through(V[i], V[j])
         if (ell.a, ell.b, ell.c) in triples:
             continue
@@ -435,34 +372,36 @@ def verify_zone_property(L, V: PointSet, eps, candidates: CandidateLines):
     return None
 
 
-def build_zone_lines(
-    V: PointSet,
-    eps,
-    seed: int,
-    audit: CandidateLines,
-    *,
-    net_constant: int = 40,
-    size_override: int | None = None,
-    max_attempts: int = 16,
-) -> ZoneLineSet:
-    """Sample a net, take its determined lines, and verify the zone property.
+def build_zone_lines(V: PointSet, net_size: int, seed: int) -> ZoneLineSet:
+    """Sample a net of ``net_size`` vertex indices (clamped to [2, n],
+    sorted) with the given seed, and take the lines it determines."""
+    n = len(V)
+    if n < 2:
+        raise ValueError("need at least two points")
+    net = tuple(sorted(random.Random(seed).sample(range(n), min(n, max(2, net_size)))))
+    return ZoneLineSet(lines_through(V, net), seed, net)
 
-    On a failed audit the net is resampled with the next seed, up to
+
+def audit_zone_lines(
+    V: PointSet, eps, seed: int, net_size: int | None = None, *, max_attempts: int = 16
+) -> ZoneLineSet:
+    """Sample a net, take its determined lines, and audit the zone property.
+
+    The net has ``net_sample_size(eps, n)`` points unless ``net_size`` is
+    given. On a failed audit the net is resampled with the next seed, up to
     ``max_attempts`` times; exhaustion raises ZoneVerificationError carrying
     the worst witness observed.
     """
     eps = Fraction(eps)
+    if net_size is None:
+        net_size = net_sample_size(eps, len(V))
     worst_line = None
     worst_count = -1
     for attempt in range(max_attempts):
-        cur_seed = seed + attempt
-        net = sample_sector_net(
-            V, eps, cur_seed, net_constant=net_constant, size_override=size_override
-        )
-        lines = lines_through(V, net)
-        witness = verify_zone_property(lines, V, eps, audit)
+        zls = build_zone_lines(V, net_size, seed + attempt)
+        witness = verify_zone_property(zls.lines, V, eps)
         if witness is None:
-            return ZoneLineSet(lines, eps, cur_seed, net, True)
+            return replace(zls, epsilon=eps)
         if witness[1] > worst_count:
             worst_line, worst_count = witness
     raise ZoneVerificationError(worst_line, worst_count, max_attempts)

@@ -28,7 +28,7 @@ from crossfam.geom import (
 )
 from crossfam.oracle import max_family_bruteforce, verify_family
 from crossfam.poset import build_pair_poset, interval_chains
-from crossfam.zones import AllDetermined, build_zone_lines, verify_zone_property
+from crossfam.zones import audit_zone_lines, verify_zone_property
 
 
 def _report(name: str):
@@ -131,9 +131,9 @@ def test_criterion_4_zone_audit():
         n = rng.randint(10, 200)
         eps = eps_cycle[run % 3]
         V = generate_points("random-disk", n, seed=40_000 + run)
-        zls = build_zone_lines(V, eps, seed=run, audit=AllDetermined())
+        zls = audit_zone_lines(V, eps, seed=run)
         assert zls.verified
-        assert verify_zone_property(zls, V, eps, AllDetermined()) is None
+        assert verify_zone_property(zls, V, eps) is None
         off_net = n - len(zls.net)
         if off_net > 0 and off_net * eps.denominator > eps.numerator * n:
             audited += 1

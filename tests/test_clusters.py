@@ -3,24 +3,16 @@ import random
 from fractions import Fraction
 
 from crossfam.cli import generate_points
-from crossfam.clusters import build_clusters, desk_net_size, find_avoiding_dense_pair
+from crossfam.clusters import _splitter_direction, build_clusters, desk_net_size, find_avoiding_dense_pair
 from crossfam.geom import GeometricGraph, Point, PointSet, hulls_disjoint
 from crossfam.poset import build_pair_poset
-from crossfam.zones import Line, Sampled, ZoneLineSet, build_zone_lines
-
-
-def empty_zones():
-    return ZoneLineSet((), Fraction(1), 0, (), True)
-
-
-def zones_of(*lines):
-    return ZoneLineSet(tuple(lines), Fraction(1), 0, (), True)
+from crossfam.zones import Line, build_zone_lines
 
 
 def test_build_clusters_single_cell():
     pts = [Point(x, x * x - 7 * x + 3) for x in range(10)]  # parabola, distinct x
     V = PointSet(pts)
-    D = build_clusters(V, empty_zones(), 3)
+    D = build_clusters(V, (), 3)
     assert len(D.clusters) == 3
     assert all(len(c) == 3 for c in D.clusters)
     assert D.leftover == (9,)
@@ -29,7 +21,7 @@ def test_build_clusters_single_cell():
 
 def test_build_clusters_m_too_big():
     V = PointSet([Point(0, 0), Point(1, 3), Point(5, 1)])
-    D = build_clusters(V, empty_zones(), 5)
+    D = build_clusters(V, (), 5)
     assert D.clusters == ()
     assert set(D.leftover) == {0, 1, 2}
 
@@ -38,19 +30,18 @@ def test_build_clusters_split_cell():
     left = [Point(-x - 1, x * x + x) for x in range(4)]
     right = [Point(x + 1, x * x - x + 1) for x in range(5)]
     V = PointSet(left + right)
-    D = build_clusters(V, zones_of(Line(1, 0, 0)), 2)
+    D = build_clusters(V, (Line(1, 0, 0),), 2)
     assert len(D.clusters) == 4
     # one leftover from the odd right cell
     assert len(D.leftover) == 1
-    for c, cell in zip(D.clusters, D.cells):
+    for c in D.clusters:
         xs = {1 if V[i].x > 0 else -1 for i in c}
         assert len(xs) == 1
-        assert cell.signs in ((1,), (-1,))
 
 
 def test_build_clusters_on_line_points_go_to_leftover():
     V = PointSet([Point(0, 1), Point(0, -3), Point(3, 1), Point(2, 5), Point(-1, 4), Point(-2, 2)])
-    D = build_clusters(V, zones_of(Line(1, 0, 0)), 2)
+    D = build_clusters(V, (Line(1, 0, 0),), 2)
     assert set(D.on_lines) == {0, 1}
     assert set(D.on_lines) <= set(D.leftover)
 
@@ -62,7 +53,7 @@ def test_build_clusters_partition_and_separation(rng):
         lines = []
         for i in range(q - 1):
             lines.append(Line.through(V[i], V[i + 1]))
-        D = build_clusters(V, zones_of(*set(lines)), rng.randint(2, 4))
+        D = build_clusters(V, tuple(set(lines)), rng.randint(2, 4))
         everything = [i for c in D.clusters for i in c] + list(D.leftover)
         assert sorted(everything) == list(range(len(V)))
         for c1, c2 in itertools.combinations(D.clusters, 2):
@@ -72,17 +63,15 @@ def test_build_clusters_partition_and_separation(rng):
 def test_leftover_bound(rng):
     # With r >= 3 arrangement lines, at most (r^2 - 1) cells hold a partial
     # chunk of size < m, and lines carry at most 2 points each.
-    from crossfam.zones import build_zone_lines, Sampled
-
     for trial in range(6):
         n = rng.randint(40, 120)
         m = rng.randint(2, 5)
         V = generate_points("random-disk", n, 800 + trial)
-        zls = build_zone_lines(V, Fraction(1, 2), trial, Sampled(0), size_override=3)
-        r = len(zls.lines)
+        lines = build_zone_lines(V, 3, trial).lines
+        r = len(lines)
         if r < 3:
             continue
-        D = build_clusters(V, zls, m)
+        D = build_clusters(V, lines, m)
         partial = len(D.leftover) - len(D.on_lines)
         assert partial <= (r * r - 1) * m
         assert len(D.on_lines) <= 2 * r
@@ -91,9 +80,9 @@ def test_leftover_bound(rng):
 def test_build_clusters_shared_x_perturbs_direction():
     pts = [Point(0, 0), Point(0, 5), Point(1, 2), Point(1, 9), Point(3, 1), Point(2, 7)]
     V = PointSet(pts)
-    D = build_clusters(V, empty_zones(), 2)
+    D = build_clusters(V, (), 2)
     assert len(D.clusters) == 3
-    assert all(cell.direction != (1, 0) for cell in D.cells)
+    assert _splitter_direction(V.coords) != (1, 0)
     for c1, c2 in itertools.combinations(D.clusters, 2):
         assert hulls_disjoint([V[i] for i in c1], [V[i] for i in c2])
 
@@ -106,7 +95,7 @@ def test_edge_category_counts(rng):
         G = GeometricGraph.complete(V)
         m = 3
         lines = [Line.through(V[0], V[1])]
-        D = build_clusters(V, zones_of(*lines), m)
+        D = build_clusters(V, lines, m)
         # Dense at delta = 1/4: at least m*m/4 edges between the two clusters.
         dense = {
             (i, j)
@@ -141,8 +130,8 @@ def reference_pair(G, m, eps, delta, seed):
     full poset: among the dense, untangled pairs of the same decomposition,
     the one with the least (-edge count, incomparable pairs, i, j)."""
     V = G.vertices
-    zls = build_zone_lines(V, eps * delta / 2, seed, Sampled(0), size_override=desk_net_size(len(V), m))
-    clusters = build_clusters(V, zls, m).clusters
+    lines = build_zone_lines(V, desk_net_size(len(V), m), seed).lines
+    clusters = build_clusters(V, lines, m).clusters
     keys = []
     for i, j in itertools.combinations(range(len(clusters)), 2):
         A, B = clusters[i], clusters[j]

@@ -383,7 +383,7 @@ def test_geometric_graph_basics():
     H = GeometricGraph.from_edges(V, [(1, 0), (2, 3)])
     assert H.edge_count == 2
     assert H.has_edge(0, 1) and not H.has_edge(0, 2)
-    assert H.edges_sorted() == [(0, 1), (2, 3)]
+    assert list(H.edges_iter()) == [(0, 1), (2, 3)]
     with pytest.raises(ValueError):
         GeometricGraph.from_edges(V, [(0, 0)])
     with pytest.raises(ValueError):

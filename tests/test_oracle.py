@@ -78,7 +78,7 @@ def test_oracle_bruteforce_matches_naive(rng):
         V = generate_points("random-disk", 6, seed=50 + trial)
         G = GeometricGraph.complete(V)
         for mode, rel in ((FamilyMode.CROSSING, segments_cross), (FamilyMode.AVOIDING, segments_avoiding)):
-            edges = G.edges_sorted()
+            edges = list(G.edges_iter())
             best = 0
             for size in range(1, 4):
                 for combo in itertools.combinations(edges, size):

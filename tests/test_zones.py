@@ -1,22 +1,25 @@
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from conftest import zone_count_walk
+from crossfam import zones
 from crossfam.cli import generate_points
+from crossfam.clusters import desk_net_size
+from crossfam.crossing import RunConfig, find_avoiding_family, find_crossing_family
 from crossfam.errors import ZoneVerificationError
-from crossfam.geom import Point, PointSet
+from crossfam.geom import GeometricGraph, Point, PointSet
+from crossfam.oracle import verify_family
 from crossfam.zones import (
-    AllDetermined,
     Line,
-    Sampled,
     _ZoneAudit,
+    audit_zone_lines,
     build_zone_lines,
     lines_through,
     net_sample_size,
-    sample_sector_net,
     verify_zone_property,
     zone_point_count,
 )
@@ -45,12 +48,27 @@ def test_net_sample_size_formula():
 
 def test_sample_sector_net():
     V = generate_points("random-disk", 1000, seed=3)
-    q = sample_sector_net(V, Fraction(1, 4), 7)
+    size = net_sample_size(Fraction(1, 4), len(V))
+    q = build_zone_lines(V, size, 7).net
     assert len(q) == 222
-    assert q == sample_sector_net(V, Fraction(1, 4), 7)
-    assert q != sample_sector_net(V, Fraction(1, 4), 8)
+    assert q == build_zone_lines(V, size, 7).net
+    assert q != build_zone_lines(V, size, 8).net
     small = PointSet([Point(0, 0), Point(1, 0), Point(0, 1)])
-    assert sample_sector_net(small, Fraction(1, 10), 0) == (0, 1, 2)
+    assert build_zone_lines(small, net_sample_size(Fraction(1, 10), 3), 0).net == (0, 1, 2)
+
+
+def test_build_zone_lines_matches_sample_rule():
+    # The net is a seeded sample of min(n, max(2, size)) indices, sorted,
+    # and the lines are the ones it determines.
+    for n, point_seed in ((2, 1), (3, 2), (9, 3), (40, 4)):
+        V = generate_points("random-disk", n, seed=point_seed)
+        for seed in (0, 1, 7):
+            for size in (0, 1, 2, 3, n, n + 1):
+                net = tuple(sorted(random.Random(seed).sample(range(n), min(n, max(2, size)))))
+                zls = build_zone_lines(V, size, seed)
+                assert zls.net == net, (n, seed, size)
+                assert zls.lines == lines_through(V, net)
+                assert zls.seed == seed and not zls.verified
 
 
 def test_lines_through_counts():
@@ -86,37 +104,18 @@ def test_zone_on_line_points_not_counted():
 
 def test_verify_zone_property_trivial_eps():
     V = generate_points("random-disk", 30, seed=1, coord_range=10_000)
-    assert verify_zone_property([Line(1, 0, 0)], V, Fraction(1), AllDetermined()) is None
+    assert verify_zone_property([Line(1, 0, 0)], V, Fraction(1)) is None
+    V = generate_points("random-disk", 60, seed=13, coord_range=50_000)
+    assert verify_zone_property(build_zone_lines(V, 3, 1).lines, V, Fraction(1)) is None
 
 
 def test_verify_zone_property_empty_arrangement():
     V = PointSet([Point(0, 0), Point(5, 1), Point(1, 7)])
-    witness = verify_zone_property([], V, Fraction(1, 2), AllDetermined())
+    witness = verify_zone_property([], V, Fraction(1, 2))
     assert witness is not None
     line, count = witness
     assert count == 3
     assert line == Line.through(V[0], V[1])
-
-
-def test_verify_zone_property_sampled_zero_is_noop():
-    V = PointSet([Point(0, 0), Point(5, 1), Point(1, 7)])
-    assert verify_zone_property([], V, Fraction(1, 2), Sampled(0)) is None
-
-
-def test_verify_zone_property_sampled_subset_of_full():
-    V = generate_points("random-disk", 60, seed=13, coord_range=50_000)
-    net = sample_sector_net(V, Fraction(1, 2), 1, size_override=3)
-    lines = lines_through(V, net)
-    # the sampled audit checks a subset, so a full pass implies a sampled pass
-    full = verify_zone_property(lines, V, Fraction(1), AllDetermined())
-    assert full is None
-    assert verify_zone_property(lines, V, Fraction(1), Sampled(64, seed=2)) is None
-    # and a sampled witness, when found, is a genuine violation
-    w = verify_zone_property(lines, V, Fraction(1, 20), Sampled(64, seed=2))
-    if w is not None:
-        line, count = w
-        assert zone_point_count(lines, line, V) == count
-        assert count * 20 > len(V)
 
 
 def test_fast_audit_matches_reference(rng):
@@ -124,8 +123,7 @@ def test_fast_audit_matches_reference(rng):
     for trial in range(20):
         n = rng.randint(8, 26)
         V = generate_points("random-disk", n, 900 + trial, 2000)
-        net = sample_sector_net(V, Fraction(1, 2), trial, size_override=rng.randint(2, 5))
-        lines = lines_through(V, net)
+        lines = build_zone_lines(V, rng.randint(2, 5), trial).lines
         aud = _ZoneAudit(V, lines)
         triples = {(l.a, l.b, l.c) for l in lines}
         for i in range(0, n - 1, 2):
@@ -144,8 +142,7 @@ def test_fast_audit_matches_reference(rng):
 def test_zone_monotone_under_more_lines(rng):
     for trial in range(10):
         V = generate_points("random-disk", 20, 700 + trial, 2000)
-        net = sample_sector_net(V, Fraction(1, 2), trial, size_override=4)
-        lines = list(lines_through(V, net))
+        lines = list(build_zone_lines(V, 4, trial).lines)
         extra = Line.through(V[10], V[11])
         base = lines[:]
         more = lines + [extra] if extra not in lines else lines
@@ -159,27 +156,59 @@ def test_zone_monotone_under_more_lines(rng):
 
 def test_build_zone_lines_small_nets():
     V = generate_points("random-disk", 30, seed=2, coord_range=100_000)
-    zls = build_zone_lines(V, Fraction(1), 0, AllDetermined())
+    zls = build_zone_lines(V, 2, 0)
     assert len(zls.net) == 2 and len(zls.lines) == 1
-    zls4 = build_zone_lines(V, Fraction(1), 0, AllDetermined(), size_override=4)
-    assert len(zls4.lines) == 6
+    assert len(build_zone_lines(V, 4, 0).lines) == 6
+    # eps = 1 gives the audit a 2-point net, which always passes.
+    assert audit_zone_lines(V, Fraction(1), 0) == replace(zls, epsilon=Fraction(1))
+    assert len(audit_zone_lines(V, Fraction(1), 0, 4).lines) == 6
 
 
 def test_build_zone_lines_verified_and_deterministic():
     V = generate_points("random-disk", 100, seed=11)
-    a = build_zone_lines(V, Fraction(1, 2), 5, AllDetermined())
-    b = build_zone_lines(V, Fraction(1, 2), 5, AllDetermined())
+    a = audit_zone_lines(V, Fraction(1, 2), 5)
+    b = audit_zone_lines(V, Fraction(1, 2), 5)
     assert a == b
-    assert a.verified
-    assert verify_zone_property(a, V, Fraction(1, 2), AllDetermined()) is None
+    assert a.verified and a.epsilon == Fraction(1, 2)
+    assert verify_zone_property(a, V, Fraction(1, 2)) is None
+    assert build_zone_lines(V, 4, 5) == build_zone_lines(V, 4, 5)
+
+
+def test_only_the_audit_marks_lines_verified():
+    # The pipeline's 4-point net on this input leaves a zone holding 124 of
+    # the 256 points, far over a 1/32 budget, so it must not claim a pass.
+    V = generate_points("random-disk", 256, seed=1)
+    zls = build_zone_lines(V, desk_net_size(256, 8), 1)
+    assert len(zls.net) == 4 and len(zls.lines) == 6
+    assert not zls.verified and zls.epsilon is None
+    witness = verify_zone_property(zls, V, Fraction(1, 32))
+    assert witness is not None and witness[1] == 124
+    assert zone_point_count(zls, witness[0], V) == 124
+    assert audit_zone_lines(V, Fraction(1), 1).verified
 
 
 def test_build_zone_lines_exhaustion():
     V = generate_points("random-disk", 40, seed=4, coord_range=50_000)
     # A 2-point net cannot bound zones by a quarter of the points.
     with pytest.raises(ZoneVerificationError) as exc:
-        build_zone_lines(V, Fraction(1, 4), 0, AllDetermined(), size_override=2, max_attempts=3)
+        audit_zone_lines(V, Fraction(1, 4), 0, 2, max_attempts=3)
     assert exc.value.witness_count > 10
+
+
+def test_drivers_never_audit(monkeypatch):
+    # Neither driver reaches the zone audit, on complete or sparse graphs.
+    def no_audit(*args, **kwargs):
+        raise AssertionError("a driver built the zone audit")
+
+    monkeypatch.setattr(zones, "_ZoneAudit", no_audit)
+    for kind, n, seed in (("random-disk", 40, 1), ("convex", 24, 2), ("grid-jitter", 60, 3)):
+        V = generate_points(kind, n, seed)
+        edge_rng = random.Random(seed)
+        sparse = [(a, b) for a in range(n - 1) for b in range(a + 1, n) if edge_rng.random() < 0.5]
+        for G in (GeometricGraph.complete(V), GeometricGraph.from_edges(V, sparse)):
+            for driver in (find_crossing_family, find_avoiding_family):
+                fam = driver(G, RunConfig(seed=seed))
+                assert fam.verified and verify_family(fam, G) is None
 
 
 def test_huge_coordinates_take_exact_fallback():
@@ -189,8 +218,7 @@ def test_huge_coordinates_take_exact_fallback():
     base = generate_points("random-disk", 12, seed=6, coord_range=1000)
     scale = 2**21
     V = PointSet([Point(p.x * scale, p.y * scale) for p in base])
-    net = sample_sector_net(V, Fraction(1, 2), 0, size_override=3)
-    lines = lines_through(V, net)
+    lines = build_zone_lines(V, 3, 0).lines
     aud = _ZoneAudit(V, lines)
     assert not aud.fast
     triples = {(l.a, l.b, l.c) for l in lines}
@@ -203,13 +231,13 @@ def test_huge_coordinates_take_exact_fallback():
             assert aud.count(V[i], V[j]) == zone_count_walk(lines, ell, V)
             checked += 1
     assert checked >= 5
-    assert verify_zone_property(lines, V, Fraction(1), AllDetermined()) is None
+    assert verify_zone_property(lines, V, Fraction(1)) is None
 
 
 def test_line_count_within_formula_bound():
     V = generate_points("random-disk", 200, seed=9)
     for eps in (Fraction(1, 2), Fraction(1, 4)):
-        zls = build_zone_lines(V, eps, 0, AllDetermined())
+        zls = audit_zone_lines(V, eps, 0)
         size = net_sample_size(eps, len(V))
         assert len(zls.lines) <= size * (size - 1) // 2
         inv = float(1 / eps)
