@@ -21,6 +21,13 @@ from .errors import DegenerateInputError, GeneralPositionError
 
 COORD_LIMIT = 2**31 - 1
 
+# The one bound behind every int64 kernel. With coordinates at most 2^29 in
+# magnitude, every coordinate difference is at most 2^30, every product of
+# two differences at most 2^60, and every 2x2 determinant at most 2^61, so
+# orientation signs computed in int64 never overflow. Larger inputs take the
+# exact Python-int path.
+INT64_COORD_LIMIT = 2**29
+
 # A segment is a pair of vertex indices into a PointSet.
 Segment = tuple[int, int]
 
@@ -71,14 +78,22 @@ class PointSet(Sequence):
 
     By default construction certifies general position (no duplicates, no
     three collinear points). Intermediate sets can waive the check.
+
+    ``coords`` holds the coordinates as int tuples and ``xy`` as a read-only
+    n x 2 int64 array, which always fits since every coordinate is at most
+    ``COORD_LIMIT``. ``within_int64_bound`` is True when every coordinate is
+    at most ``INT64_COORD_LIMIT`` in magnitude, so int64 kernels may run.
     """
 
-    __slots__ = ("points", "coords")
+    __slots__ = ("points", "coords", "xy", "within_int64_bound")
 
     def __init__(self, points: Iterable, *, check_general_position: bool = True):
         pts = tuple(_as_point(p) for p in points)
         self.points = pts
         self.coords = tuple((p.x, p.y) for p in pts)
+        self.xy = np.array(self.coords, dtype=np.int64).reshape(len(pts), 2)
+        self.xy.flags.writeable = False
+        self.within_int64_bound = not pts or int(np.abs(self.xy).max()) <= INT64_COORD_LIMIT
         if check_general_position:
             witness = general_position_check(self)
             if witness is not None:
@@ -118,9 +133,13 @@ def general_position_check(points) -> tuple[int, ...] | None:
     anchor finds. Coordinates beyond the limit are scanned exactly at every
     anchor.
     """
-    coords = points.coords if isinstance(points, PointSet) else [
-        (p.x, p.y) if isinstance(p, Point) else (int(p[0]), int(p[1])) for p in points
-    ]
+    if isinstance(points, PointSet):
+        coords, xy = points.coords, points.xy
+    else:
+        coords = [(p.x, p.y) if isinstance(p, Point) else (int(p[0]), int(p[1])) for p in points]
+        xy = None
+        if all(abs(x) <= COORD_LIMIT and abs(y) <= COORD_LIMIT for x, y in coords):
+            xy = np.array(coords, dtype=np.int64).reshape(len(coords), 2)
     seen: dict[tuple[int, int], int] = {}
     for i, c in enumerate(coords):
         if c in seen:
@@ -128,8 +147,8 @@ def general_position_check(points) -> tuple[int, ...] | None:
         seen[c] = i
     n = len(coords)
     anchors = range(n - 2)
-    if n >= 3 and all(abs(x) <= COORD_LIMIT and abs(y) <= COORD_LIMIT for x, y in coords):
-        anchors = _tied_anchors(np.array(coords, dtype=np.float64))
+    if n >= 3 and xy is not None:
+        anchors = _tied_anchors(xy.astype(np.float64))
     for i in anchors:
         witness = _anchor_witness(coords, i)
         if witness is not None:
@@ -137,17 +156,35 @@ def general_position_check(points) -> tuple[int, ...] | None:
     return None
 
 
+# Float64 entries in one slab of ``_tied_anchors``' slope matrix, so that
+# each of its temporaries stays near 64 KB.
+_SLOPE_SLAB = 1 << 13
+
+
 def _tied_anchors(xy) -> Iterator[int]:
-    # Anchors i < n - 2 whose slopes towards the points after them tie in
-    # float64; no other anchor can start a collinear triple.
+    # Anchors i < n - 2 whose slopes dy/dx towards the points after them tie
+    # in float64; no other anchor can start a collinear triple. Rows of the
+    # slope matrix go in slabs: row i holds i's slopes towards columns
+    # j > i, +inf where dx == 0 and NaN (never equal, sorted last) for
+    # j <= i, so sorting each row puts any tie side by side.
+    n = len(xy)
     xs, ys = xy[:, 0], xy[:, 1]
-    for i in range(len(xy) - 2):
-        dx = xs[i + 1 :] - xs[i]
-        dy = ys[i + 1 :] - ys[i]
-        q = np.divide(dy, dx, out=np.full(len(dx), np.inf), where=dx != 0)
-        q.sort()
-        if (q[1:] == q[:-1]).any():
-            yield i
+    i0 = 0
+    while i0 < n - 2:
+        cols = n - i0 - 1
+        i1 = min(n - 2, i0 + max(1, _SLOPE_SLAB // cols))
+        dx = xs[None, i0 + 1 :] - xs[i0:i1, None]
+        q = ys[None, i0 + 1 :] - ys[i0:i1, None]
+        vertical = dx == 0
+        np.divide(q, dx, out=q, where=~vertical)
+        q[vertical] = np.inf
+        # Column c is point i0 + 1 + c; it is no later than row r's anchor
+        # i0 + r when c < r.
+        q[np.arange(cols)[None, :] < np.arange(i1 - i0)[:, None]] = np.nan
+        q.sort(axis=1)
+        for r in np.flatnonzero((q[:, 1:] == q[:, :-1]).any(axis=1)):
+            yield i0 + int(r)
+        i0 = i1
 
 
 def _anchor_witness(coords, i: int) -> tuple[int, int, int] | None:

@@ -11,12 +11,18 @@ a wedge narrower than a half-turn, bounded by two tangent vertices of the
 hull. All of B lies strictly on one side of a line through x exactly when
 both tangent vertices do. One scan of the hull per x finds its tangents;
 each pair (x, y) then costs two orientation signs instead of one per hull
-vertex. The arithmetic is on Python ints, so it is exact over the whole
-coordinate range. A tangent vertex on the line x -> y happens only off
-general position; such a pair is handed to ``_classify_pair``, which scans
-the hull in order. It raises when it reaches a vertex on the line, unless
-it has already seen vertices on both sides of the line: then it returns
-INCOMPARABLE without reaching that vertex.
+vertex. The test has two implementations with one result. The reference,
+``_compare_side``, is a scalar loop on Python ints, exact over the whole
+coordinate range. ``_compare_side_int64`` runs it in int64 numpy arrays in
+row slabs, and ``build_pair_poset`` sends it every side of at least
+``_INT64_MIN_SIDE`` points whose point set lies within
+``geom.INT64_COORD_LIMIT``, where no orientation sign can overflow; smaller
+sides and larger coordinates take the scalar loop. A tangent vertex on the
+line x -> y happens only off general position; the int64 kernel then hands
+its whole side to the scalar loop, which hands the pair to
+``_classify_pair``. That scans the hull in order. It raises when it reaches
+a vertex on the line, unless it has already seen vertices on both sides of
+the line: then it returns INCOMPARABLE without reaching that vertex.
 
 ``build_pair_poset`` is the one way in to the kernel. Given a cap, it gives
 up as soon as the incomparable pairs exceed it: the pair scan and the split
@@ -33,11 +39,23 @@ from enum import Enum
 from math import comb
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from .errors import DegenerateInputError, HypothesisViolatedError, NotSeparatedError
 from .geom import Point, PointSet, _orient_coords, convex_hull, hull_coords, hull_coords_disjoint, vertex_mask
 
 # Comparability tables are materialized in O(m^2); keep inputs cluster-sized.
 SIZE_CAP = 4096
+
+# Sides smaller than this are compared by the scalar loop. Measured on a
+# 2-vCPU x86-64 machine with numpy 2.4: the int64 kernel costs about 100 us
+# a call on small sides and ties the scalar loop at about 16 points on a
+# full table; at 24 it takes about half the scalar time on a full table,
+# and still wins when a cap stops the scalar loop halfway.
+_INT64_MIN_SIDE = 24
+# Int64 entries in one row slab of the int64 kernel, so that each of its
+# temporaries stays near 64 KB.
+_PAIR_SLAB = 1 << 13
 
 
 class Cmp(Enum):
@@ -163,14 +181,93 @@ def _compare_side(side, coords, hull, cap: int) -> tuple[dict[int, int], int] | 
     return dict(zip(side, succ)), iota
 
 
+def _compare_side_int64(side, V: PointSet, hull, cap: int) -> tuple[dict[int, int], int] | None:
+    """``_compare_side`` in int64 numpy arithmetic, for ``V`` within the
+    int64 bound (``V.within_int64_bound``); same arguments but ``V`` for
+    ``coords``, same result.
+
+    The side's points go in row slabs. For each point x, the hull edges
+    that see x strictly on their right form one run, and its two ends are
+    x's tangent vertices: every hull vertex lies in the wedge they span
+    from x, or on its rays. Each row then takes the two tangent signs
+    against every point y of the side. Both positive means x is LESS than
+    y, from x's row alone; the incomparable pairs of the rows so far are
+    counted for y after x, so the count matches the scalar loop's at the
+    same row, and None is returned once it exceeds ``cap``. A zero sign, a
+    tangent vertex on a line through two points of the side, hands the
+    whole side to ``_compare_side``, so a degenerate input raises, or gives
+    up at the cap, exactly as the scalar loop does.
+    """
+    k = len(side)
+    idx = np.array(side, dtype=np.intp)
+    xs, ys = V.xy[idx].T
+    H = np.array(hull + hull[:1], dtype=np.int64)
+    hx, hy = H[:-1, 0], H[:-1, 1]
+    m = len(hx)
+    # Edge e runs from hull vertex e to e + 1; x is strictly right of it
+    # when ex * y - ey * x < ec.
+    ex, ey = (H[1:] - H[:-1]).T
+    ec = ex * hy - ey * hx
+    # Successor bits are set at bit positions v - base of a row, packed
+    # little-endian as ``neighbour_masks`` does, then shifted by base.
+    base = min(side) & ~7
+    span = max(side) - base + 1
+    width = (span + 7) // 8
+    cols = idx - base
+    # A row holds k tangent signs, m edge tests and span unpacked bits.
+    step = max(1, _PAIR_SLAB // max(k, m, span // 8))
+    succ: list[int] = []
+    iota = 0
+    for i0 in range(0, k, step):
+        i1 = min(k, i0 + step)
+        px, py = xs[i0:i1, None], ys[i0:i1, None]
+        seen = ex * py - ey * px < ec
+        # Columns -1 .. m of the edges' cyclic order, to find where runs
+        # start and end. With no edge seeing x (a hull of one point, or a
+        # segment hull on x's line), vertex 0 and its successor are
+        # tangents all the same.
+        ring = np.concatenate((seen[:, -1:], seen, seen[:, :1]), axis=1)
+        first = np.argmax(seen > ring[:, :-2], axis=1)
+        last = (np.argmax(seen > ring[:, 2:], axis=1) + 1) % m
+        # The tangent signs dx * ty - dy * tx of every pair, in place to
+        # keep four slab-sized int64 arrays alive at most.
+        dx = xs - px
+        dy = ys - py
+        s_first = dx * (hy[first, None] - py)
+        s_first -= dy * (hx[first, None] - px)
+        dx *= hy[last, None] - py
+        dy *= hx[last, None] - px
+        s_last = np.subtract(dx, dy, out=dx)
+        # Each row's own column is its one pair of zero signs.
+        if np.count_nonzero((s_first == 0) | (s_last == 0)) > i1 - i0:
+            return _compare_side(side, V.coords, hull, cap)
+        left_first = s_first > 0
+        left_last = s_last > 0
+        # Incomparability does not depend on which end of a pair takes the
+        # tangents, so the slab's own square block is symmetric and half
+        # of it lies after the diagonal.
+        tangled = left_first != left_last
+        count = np.count_nonzero(tangled[:, i1:]) + np.count_nonzero(tangled[:, i0:i1]) // 2
+        iota += count
+        if count and iota > cap:
+            return None
+        bits = np.zeros((i1 - i0, span), dtype=bool)
+        bits[:, cols] = left_first & left_last
+        buf = np.packbits(bits, axis=1, bitorder="little").tobytes()
+        succ.extend(int.from_bytes(buf[r * width : (r + 1) * width], "little") << base for r in range(i1 - i0))
+    return dict(zip(side, succ)), iota
+
+
 def build_pair_poset(A, B, V: PointSet, hull_a=None, hull_b=None, cap: int | None = None) -> PairPoset | None:
     """Construct the full comparability tables for both sides of a pair.
 
     Each side is compared against the opposite side's convex hull by the
-    two-tangent test. Raises NotSeparatedError when the hulls intersect,
-    since the test is meaningless otherwise. Callers that already hold each
-    side's ``hull_coords`` pass them as ``hull_a`` and ``hull_b``; the
-    disjointness check runs on them all the same.
+    two-tangent test: in int64 arrays for a side of at least
+    ``_INT64_MIN_SIDE`` points within the int64 bound, else by the scalar
+    loop, with one result either way. Raises NotSeparatedError when the
+    hulls intersect, since the test is meaningless otherwise. Callers that
+    already hold each side's ``hull_coords`` pass them as ``hull_a`` and
+    ``hull_b``; the disjointness check runs on them all the same.
 
     With a ``cap``, returns None as soon as the incomparable pairs of both
     sides together exceed it, so tangled pairs are rejected before their
@@ -198,7 +295,10 @@ def build_pair_poset(A, B, V: PointSet, hull_a=None, hull_b=None, cap: int | Non
         cap = len(a) ** 2 + len(b) ** 2
     tables = []
     for side, other_hull in ((a, hull_b), (b, hull_a)):
-        table = _compare_side(side, coords, other_hull, cap)
+        if V.within_int64_bound and len(side) >= _INT64_MIN_SIDE:
+            table = _compare_side_int64(side, V, other_hull, cap)
+        else:
+            table = _compare_side(side, coords, other_hull, cap)
         if table is None:
             return None
         tables.append(table)

@@ -26,10 +26,6 @@ import numpy as np
 from .errors import ZoneVerificationError
 from .geom import Point, PointSet
 
-# Coordinates at or below this magnitude keep every intermediate product of
-# the vectorized audit inside int64; larger inputs take the exact slow path.
-_FAST_COORD_LIMIT = 2**29
-
 
 @dataclass(frozen=True, order=True)
 class Line:
@@ -198,15 +194,17 @@ class _ZoneAudit:
         self.V = V
         self.lines = list(lines)
         self.n = len(V)
-        coord_max = max((max(abs(x), abs(y)) for x, y in V.coords), default=0)
-        self.fast = bool(self.lines) and coord_max <= _FAST_COORD_LIMIT
+        # Within ``geom.INT64_COORD_LIMIT`` a line's a and b are at most
+        # 2^30 and its c at most 2^60, so every a*x + b*y + c and
+        # a*dx + b*dy the audit computes stays at most 2^61; larger inputs
+        # take the exact path.
+        self.fast = bool(self.lines) and V.within_int64_bound
         if not self.fast:
             return
         self.La = np.array([l.a for l in self.lines], dtype=np.int64)
         self.Lb = np.array([l.b for l in self.lines], dtype=np.int64)
         self.Lc = np.array([l.c for l in self.lines], dtype=np.int64)
-        xs = np.array([p[0] for p in V.coords], dtype=np.int64)
-        ys = np.array([p[1] for p in V.coords], dtype=np.int64)
+        xs, ys = V.xy[:, 0], V.xy[:, 1]
         vals = xs[:, None] * self.La[None, :] + ys[:, None] * self.Lb[None, :] + self.Lc[None, :]
         self.S = np.sign(vals).astype(np.int8)
         self.off_cells = (self.S == 0).any(axis=1)

@@ -11,6 +11,7 @@ from crossfam.errors import DegenerateInputError, GeneralPositionError
 from crossfam.formats import parse_graph_file, render_graph_file
 from crossfam.geom import (
     COORD_LIMIT,
+    INT64_COORD_LIMIT,
     GeometricGraph,
     Orientation,
     Point,
@@ -359,6 +360,51 @@ def test_general_position_check_float_tie_is_not_collinear():
     assert general_position_check(coords) is None
     assert general_position_check(P(*coords)) is None
     assert general_position_check([(-x, -y) for x, y in coords]) is None
+
+
+def _reference_tied_anchors(xy):
+    # One float64 divide and sort per anchor, as the filter first ran.
+    xs, ys = xy[:, 0], xy[:, 1]
+    tied = []
+    for i in range(len(xy) - 2):
+        dx = xs[i + 1 :] - xs[i]
+        dy = ys[i + 1 :] - ys[i]
+        q = np.divide(dy, dx, out=np.full(len(dx), np.inf), where=dx != 0)
+        q.sort()
+        if (q[1:] == q[:-1]).any():
+            tied.append(i)
+    return tied
+
+
+@pytest.mark.parametrize("n", [3, 4, 90, 300])
+@pytest.mark.parametrize("slab", [1, 50, geom._SLOPE_SLAB])
+def test_tied_anchors_match_per_anchor_reference(n, slab, monkeypatch):
+    # Grids of span 20 tie often (vertical, horizontal and slanted lines,
+    # duplicates); span 10**6 rarely. Slabs of 1 and 50 entries split the
+    # rows at every anchor and every few anchors.
+    monkeypatch.setattr(geom, "_SLOPE_SLAB", slab)
+    rng = random.Random(n * 1000 + slab)
+    for span, scale in ((20, 1), (10**6, 1), (20, 2 * L // 19)):
+        coords = [(L - scale * rng.randrange(span), scale * rng.randrange(span) - L) for _ in range(n)]
+        xy = np.array(coords, dtype=np.float64)
+        assert list(geom._tied_anchors(xy)) == _reference_tied_anchors(xy)
+        assert general_position_check(coords) == reference_general_position_check(coords)
+
+
+@pytest.mark.parametrize("top, within", [
+    (0, True), (INT64_COORD_LIMIT, True), (INT64_COORD_LIMIT + 1, False), (COORD_LIMIT, False),
+])
+def test_pointset_int64_array_and_bound(top, within):
+    coords = [(1, 2), (-top, 5), (7, top)]
+    V = PointSet(coords, check_general_position=False)
+    assert V.xy.dtype == np.int64
+    assert V.xy.tolist() == [list(c) for c in coords]
+    assert V.within_int64_bound is within
+    with pytest.raises(ValueError):
+        V.xy[0, 0] = 0
+    empty = PointSet([])
+    assert empty.xy.shape == (0, 2)
+    assert empty.within_int64_bound
 
 
 def test_pointset_certifies_general_position():

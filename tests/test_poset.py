@@ -1,16 +1,20 @@
 import heapq
 import itertools
 import random
+import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import separated_pair, succ_masks
+from conftest import fixup_general_position, separated_pair, succ_masks
+from crossfam import poset
 from crossfam.crossing import FamilyMode, _grid_successors
 from crossfam.errors import DegenerateInputError, HypothesisViolatedError, NotSeparatedError
 from crossfam.geom import (
     COORD_LIMIT,
+    INT64_COORD_LIMIT,
     Point,
     PointSet,
     convex_hull,
@@ -22,6 +26,8 @@ from crossfam.geom import (
 from crossfam.poset import (
     Cmp,
     _classify_pair,
+    _compare_side,
+    _compare_side_int64,
     build_pair_poset,
     interval_chains,
     iota_sum_capped,
@@ -162,6 +168,120 @@ def test_two_tangent_kernel_matches_reference(seed, na, nb, span, sign):
         assert iota_sum_capped(A, B, V, cap, hull_a, hull_b) == expected
 
 
+def _side_and_hull(seed, na, nb, kind, top):
+    """Coordinates of a side A of na points and an opposite side B of nb
+    points in disjoint vertical slabs, with every coordinate at most
+    ``top`` in magnitude and the leftmost point of A at x = -top. B is a
+    random cloud, or with kind "arc" lies on a parabola, so that its hull
+    keeps most of its points. Returns (coords, A, B)."""
+    rng = random.Random(seed)
+
+    def draw(idx):
+        if idx < na:
+            return (rng.randint(0, top // 2), rng.randint(0, 2 * top))
+        if kind == "arc":
+            j = rng.randint(-top, top)
+            return (2 * top - (top * top - j * j) // (2 * top), top + j)
+        return (rng.randint(3 * top // 2, 2 * top), rng.randint(0, 2 * top))
+
+    coords = [draw(i) for i in range(na + nb)]
+    fixup_general_position(coords, draw)
+    left = min(range(na), key=lambda i: coords[i])
+    coords[left] = (0, coords[left][1])
+    return [(x - top, y - top) for x, y in coords], tuple(range(na)), tuple(range(na, na + nb))
+
+
+# Stands for "no cap" in the direct kernel calls: above any pair count.
+_NO_CAP = 10**9
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    na=st.integers(1, 64),
+    kind=st.sampled_from(["point", "segment", "cloud", "arc"]),
+    nb=st.integers(3, 30),
+    top=st.sampled_from([INT64_COORD_LIMIT, INT64_COORD_LIMIT + 1, COORD_LIMIT]),
+    sign=st.sampled_from([1, -1]),
+    slab=st.sampled_from([1, 64, poset._PAIR_SLAB]),
+)
+@settings(max_examples=300, deadline=None)
+def test_int64_kernel_matches_scalar_reference(seed, na, kind, nb, top, sign, slab):
+    # Sides of 1..64 points cross the int64 threshold; hulls have one
+    # vertex, two, or many. The largest coordinate sits at the int64 bound,
+    # one beyond it, or at COORD_LIMIT. A slab of 1 or 64 entries splits the
+    # rows, so the cap is checked after every row or every few.
+    nb = {"point": 1, "segment": 2}.get(kind, nb)
+    coords, A, B = _side_and_hull(seed, na, nb, kind, top)
+    pts = [(sign * x, sign * y) for x, y in coords]
+    assume(general_position_check(pts) is None)
+    V = PointSet(pts)
+    assert max(abs(c) for xy in pts for c in xy) == top
+    assert V.within_int64_bound == (top <= INT64_COORD_LIMIT)
+    hull_a = hull_coords(V.coords[i] for i in A)
+    hull_b = hull_coords(V.coords[i] for i in B)
+    if kind in ("point", "segment", "arc"):
+        assert len(hull_b) == nb
+
+    with mock.patch.object(poset, "_PAIR_SLAB", slab):
+        for side, hull in ((A, hull_b), (B, hull_a)):
+            total = _compare_side(side, V.coords, hull, _NO_CAP)[1]
+            for cap in (0, total - 1, total, _NO_CAP):
+                expect = _compare_side(side, V.coords, hull, cap)
+                assert (expect is None) == (total > max(cap, 0))
+                if V.within_int64_bound:
+                    assert _compare_side_int64(side, V, hull, cap) == expect
+
+        pp = build_pair_poset(A, B, V)
+        assert (_less_pairs(pp.a, pp.succ_a), pp.iota_a) == _reference_side(A, V, B)
+        assert (_less_pairs(pp.b, pp.succ_b), pp.iota_b) == _reference_side(B, V, A)
+        total = pp.iota_sum
+        for cap in (0, total - 1, total, None):
+            expect = pp if cap is None or total <= max(cap, 0) else None
+            assert build_pair_poset(A, B, V, cap=cap) == expect
+            assert build_pair_poset(A, B, V, hull_a, hull_b, cap) == expect
+
+
+def test_build_pair_poset_takes_int64_kernel_only_within_bound(monkeypatch):
+    # Sides of at least _INT64_MIN_SIDE points within the int64 bound go to
+    # the int64 kernel; smaller sides and larger coordinates do not.
+    t = poset._INT64_MIN_SIDE
+    calls = []
+    kernel = poset._compare_side_int64
+    monkeypatch.setattr(poset, "_compare_side_int64", lambda side, *rest: calls.append(len(side)) or kernel(side, *rest))
+    for top, sizes in ((INT64_COORD_LIMIT, [t]), (INT64_COORD_LIMIT + 1, [])):
+        coords, A, B = _side_and_hull(11, t, t - 1, "cloud", top)
+        V = PointSet(coords)
+        calls.clear()
+        pp = build_pair_poset(A, B, V)
+        assert calls == sizes
+        assert (_less_pairs(pp.a, pp.succ_a), pp.iota_a) == _reference_side(A, V, B)
+
+
+def test_int64_kernel_memory_is_slabbed():
+    # The pair matrix of a 2048-point side would take 32 MB in int64, and
+    # 4 MB even as bools; in slabs the whole build, masks included, peaks
+    # under 3 MB of traced allocations.
+    V, A, B = separated_pair(random.Random(7), 2048, 3, 2**20)
+    assert V.within_int64_bound
+    tracemalloc.start()
+    try:
+        pp = build_pair_poset(A, B, V)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2**20
+    comparable = sum(pp.succ_a[u].bit_count() for u in A)
+    assert comparable + pp.iota_a == 2048 * 2047 // 2
+
+
+def _outcome(compare, *args):
+    """The table a comparison gives, or the error class it raises."""
+    try:
+        return compare(*args)
+    except DegenerateInputError:
+        return DegenerateInputError
+
+
 def test_build_pair_poset_tangent_vertex_on_line():
     # (5, 0), a vertex of the B hull, lies on the line through (0, 0) and
     # (1, 0); seen from (0, 0) it is a tangent vertex, so the pair's sign is
@@ -172,6 +292,31 @@ def test_build_pair_poset_tangent_vertex_on_line():
             build_pair_poset((0, 1), (2, 3, 4), V, cap=cap)
     with pytest.raises(DegenerateInputError):
         iota_sum_capped((0, 1), (2, 3, 4), V, 10**9)
+
+    # The same pair heads a side above the int64 threshold: the kernel meets
+    # the zero sign and hands the whole side to the scalar loop, which
+    # raises at its first pair, capped or not. The zigzag of extra points
+    # adds incomparable pairs and no other degenerate triple.
+    extra = [(-40 - 7 * i, 5 + (-1) ** i * (2 * i + 1)) for i in range(poset._INT64_MIN_SIDE)]
+    V = PointSet(P((0, 0), (1, 0), *extra, (5, 0), (5, 10), (6, 5)), check_general_position=False)
+    A = tuple(range(2 + len(extra)))
+    B = tuple(range(len(A), len(A) + 3))
+    assert V.within_int64_bound
+    for cap in (None, 0, 10**9):
+        with pytest.raises(DegenerateInputError):
+            build_pair_poset(A, B, V, cap=cap)
+    # Last in the side, the pair comes after incomparable pairs: a cap of 0
+    # gives up before reaching it, and no cap raises, on both paths.
+    hull = hull_coords(V.coords[i] for i in B)
+    for slab in (1, 64, poset._PAIR_SLAB):
+        with mock.patch.object(poset, "_PAIR_SLAB", slab):
+            for cap in (0, _NO_CAP):
+                expect = _outcome(_compare_side, A[::-1], V.coords, hull, cap)
+                assert expect == (None if cap == 0 else DegenerateInputError)
+                assert _outcome(_compare_side_int64, A[::-1], V, hull, cap) == expect
+    assert build_pair_poset(A[::-1], B, V, cap=0) is None
+    with pytest.raises(DegenerateInputError):
+        build_pair_poset(A[::-1], B, V)
 
 
 def test_crossing_guarantee(rng):
