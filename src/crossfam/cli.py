@@ -99,19 +99,13 @@ def generate_points(kind: str, n: int, seed: int, coord_range: int = DEFAULT_RAN
             )
         pad = cell // 3
 
-        def draw():
-            i = rng.randrange(g * g)
+        def place(i):
             cx = -(coord_range // 2) + (i % g) * cell + cell // 2
             cy = -(coord_range // 2) + (i // g) * cell + cell // 2
             return (cx + rng.randint(-pad, pad), cy + rng.randint(-pad, pad))
 
-        cells = rng.sample(range(g * g), n)
-        coords = []
-        for i in cells:
-            cx = -(coord_range // 2) + (i % g) * cell + cell // 2
-            cy = -(coord_range // 2) + (i // g) * cell + cell // 2
-            coords.append((cx + rng.randint(-pad, pad), cy + rng.randint(-pad, pad)))
-        coords = _fix_general_position(coords, draw)
+        coords = [place(i) for i in rng.sample(range(g * g), n)]
+        coords = _fix_general_position(coords, lambda: place(rng.randrange(g * g)))
     else:
         raise ValueError(f"unknown generator kind {kind!r}")
     # Every branch above certified exactly these coordinates.
@@ -130,8 +124,7 @@ def _seed_default(args) -> int:
     return 0
 
 
-def _rational(args, name: str) -> Fraction | None:
-    text = getattr(args, name, None)
+def _rational(text: str | None, name: str) -> Fraction | None:
     if not text:
         return None
     try:
@@ -143,13 +136,13 @@ def _rational(args, name: str) -> Fraction | None:
 
 def _run_config(args, seed: int) -> RunConfig:
     return RunConfig(
-        theory=getattr(args, "theory", False),
-        m=getattr(args, "m", None),
-        eps=_rational(args, "eps"),
-        delta=_rational(args, "delta"),
-        s=getattr(args, "s", None),
+        theory=args.theory,
+        m=args.m,
+        eps=_rational(args.eps, "eps"),
+        delta=_rational(args.delta, "delta"),
+        s=args.s,
         seed=seed,
-        max_retries=getattr(args, "max_retries", 8),
+        max_retries=args.max_retries,
     )
 
 
@@ -259,7 +252,7 @@ def cmd_oracle(args) -> int:
     return 0
 
 
-def run_bench(sizes, trials: int, seed: int, mode: str, max_retries: int = 8):
+def run_bench(sizes, trials: int, seed: int, mode: str, max_retries: int = RunConfig.max_retries):
     """Seeded random complete-graph runs; returns (rows, loglog_slope).
 
     Rows are (n, trial, family_size, ms). The slope is fitted by least
@@ -335,13 +328,13 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--theory", action="store_true", default=False)
     r.add_argument("--practical", dest="theory", action="store_false")
     r.add_argument("--m", type=int, default=None,
-                   help="starting cluster size (default: the largest power of two <= n/2 "
-                        "on a complete graph, n^(1/3) otherwise)")
+                   help="starting cluster size, halved after each attempt until "
+                        "one finds a family (default: the largest power of two <= n/2)")
     r.add_argument("--eps", default=None, help="rational, e.g. 1/4")
     r.add_argument("--delta", default=None, help="rational, e.g. 1/4")
     r.add_argument("--s", type=int, default=None)
     r.add_argument("--seed", type=int, default=None)
-    r.add_argument("--max-retries", type=int, default=8)
+    r.add_argument("--max-retries", type=int, default=RunConfig.max_retries)
     r.add_argument("--svg", default=None)
     r.add_argument("--out", default=None)
     r.set_defaults(func=cmd_run)
@@ -364,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--trials", type=int, default=3)
     b.add_argument("--mode", choices=["crossing", "avoiding"], default="crossing")
     b.add_argument("--seed", type=int, default=None)
-    b.add_argument("--max-retries", type=int, default=8)
+    b.add_argument("--max-retries", type=int, default=RunConfig.max_retries)
     b.add_argument("--out", default=None)
     b.set_defaults(func=cmd_bench)
     return p

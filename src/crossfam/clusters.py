@@ -128,11 +128,11 @@ def find_avoiding_dense_pair(G: GeometricGraph, m: int, eps, delta, seed: int):
     if len(D.clusters) < 2:
         return None
 
-    # Scan pairs in (i, j) order. The qualifying pair with the highest edge
-    # count wins; among equally dense pairs the least tangled one is kept,
-    # since downstream yield depends directly on the incomparability count.
-    # Tangled pairs are rejected as soon as their count exceeds the relevant
-    # budget, before their tables are finished.
+    # Scan pairs in (i, j) order. The least tangled qualifying pair wins,
+    # since downstream yield depends directly on the incomparability count;
+    # ties go to more edges, as density need only clear delta. Tangled pairs
+    # are rejected as soon as their count exceeds the relevant budget, before
+    # their tables are finished.
     iota_cap = (eps.numerator * m * m) // eps.denominator
     dense_min = delta.numerator * m * m  # compare against count * delta_den
     delta_den = delta.denominator
@@ -150,10 +150,10 @@ def find_avoiding_dense_pair(G: GeometricGraph, m: int, eps, delta, seed: int):
                 continue
             cap = iota_cap
             if best is not None:
-                if cnt < best[0] or (cnt == best[0] and best[1].iota_sum == 0):
+                if cnt <= best[0] and best[1].iota_sum == 0:
                     continue
-                if cnt == best[0]:
-                    cap = min(cap, best[1].iota_sum - 1)
+                # Only a pair with more edges may tie the best's iota_sum.
+                cap = min(cap, best[1].iota_sum - (cnt <= best[0]))
             for c in (i, j):
                 if hulls[c] is None:
                     hulls[c] = hull_coords(coords[v] for v in clusters[c])

@@ -10,6 +10,7 @@ it leaves a driver; soundness never depends on the search heuristics.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -109,23 +110,20 @@ def match_avoiding_pair(A, B, V: PointSet, *, mode: FamilyMode = FamilyMode.CROS
         raise NotTotalOrderError(
             f"pair has incomparable pairs (iota_a={P.iota_a}, iota_b={P.iota_b})"
         )
-    return _match_ranks(a, b, P, V, mode)
+    segs = _rank_matching(_total_order(a, P.succ_a), _total_order(b, P.succ_b), mode)
+    return make_family(mode, segs, None, V)
 
 
-def _match_ranks(a, b, P: PairPoset, V: PointSet, mode: FamilyMode) -> SegmentFamily:
-    """Rank matching of equal-size sides that ``P`` orders totally.
+def _rank_matching(order_a, order_b, mode: FamilyMode) -> list[Segment]:
+    """Equal ranks (crossing) or opposite ranks (avoiding) of two equally
+    long sides, each listed upwards in its order relative to the other.
 
-    ``P`` may be the poset of any separated supersets of ``a`` and ``b``: a
+    The orders may be relative to any separated supersets of the sides: a
     chain relative to a set keeps its order relative to every subset.
     """
-    order_a = _total_order(a, P.succ_a)
-    order_b = _total_order(b, P.succ_b)
-    t = len(a)
-    if mode is FamilyMode.CROSSING:
-        segs = [(order_a[i], order_b[i]) for i in range(t)]
-    else:
-        segs = [(order_a[i], order_b[t - 1 - i]) for i in range(t)]
-    return make_family(mode, segs, None, V)
+    if mode is FamilyMode.AVOIDING:
+        order_b = order_b[::-1]
+    return list(zip(order_a, order_b))
 
 
 def _restricted_iota(side: Sequence[int], succ) -> int:
@@ -258,24 +256,54 @@ def split_pair(
     return parts
 
 
-def _base_segments(G: GeometricGraph, A, B, P: PairPoset, mode: FamilyMode, theory: bool) -> list[Segment]:
-    V = G.vertices
-    if not theory:
-        # Match the largest totally ordered sub-pair: the full sides when the
-        # pair is untangled, else the longest chains of each side.
-        a_side, b_side = tuple(A), tuple(B)
-        if not (len(a_side) == len(b_side) and P.is_zero_avoiding):
-            ca = longest_chain(P.succ_a)
-            cb = longest_chain(P.succ_b)
-            r = min(len(ca), len(cb))
-            a_side, b_side = tuple(ca[:r]), tuple(cb[:r])
-        if len(a_side) >= 1:
-            fam = _match_ranks(a_side, b_side, P, V, mode)
-            segs = [s for s in fam.segments if G.has_edge(*s)]
-            if len(segs) >= 2:
-                return segs
+def _first_edge(G: GeometricGraph, A, B) -> list[Segment]:
     e = next(G.edges_between(sorted(A), sorted(B)), None)
     return [] if e is None else [e]
+
+
+def _longest_edge_run(G: GeometricGraph, order_a, order_b, mode: FamilyMode) -> list[Segment]:
+    """A longest run of edges between two ordered sides whose ranks rise on
+    both sides (crossing) or rise on A and fall on B (avoiding), by patience
+    sorting over the rank grid in O(E log E)."""
+    cols = order_b[::-1] if mode is FamilyMode.CROSSING else order_b
+    # Keys rise along a run, and each row lists its edges by falling key, so
+    # a run takes at most one edge per row.
+    key = {v: -p for p, v in enumerate(cols)}
+    tails: list[int] = []  # tails[k]: the least key that ends a run of k + 1 edges
+    ends: list[Segment] = []
+    back: dict[Segment, Segment | None] = {}
+    for e in G.edges_between(order_a, cols):
+        x = key[e[0]] if e[0] in key else key[e[1]]
+        k = bisect_left(tails, x)
+        back[e] = ends[k - 1] if k else None
+        tails[k:k + 1] = [x]
+        ends[k:k + 1] = [e]
+    run = []
+    e = ends[-1] if ends else None
+    while e is not None:
+        run.append(e)
+        e = back[e]
+    return run
+
+
+def _base_segments(G: GeometricGraph, A, B, P: PairPoset, mode: FamilyMode) -> list[Segment]:
+    """The direct route of the practical recursion: a longest run of edges
+    between the largest totally ordered sub-pair (the full sides when the
+    pair is untangled, else the longest chains of each side), or a single
+    edge when no run has two."""
+    a_side, b_side = tuple(A), tuple(B)
+    if not (len(a_side) == len(b_side) and P.is_zero_avoiding):
+        a_side, b_side = longest_chain(P.succ_a), longest_chain(P.succ_b)
+    order_a, order_b = _total_order(a_side, P.succ_a), _total_order(b_side, P.succ_b)
+    r = min(len(order_a), len(order_b))
+    run = _rank_matching(order_a[:r], order_b[:r], mode)
+    # A run takes at most one cell per row and per column, so a rank
+    # matching of edges is already a longest run.
+    if not all(G.has_edge(*s) for s in run):
+        run = _longest_edge_run(G, order_a, order_b, mode)
+    if len(run) >= 2:
+        return list(make_family(mode, run, G, G.vertices).segments)
+    return _first_edge(G, A, B)
 
 
 def crossing_family_from_pair(
@@ -291,17 +319,18 @@ def crossing_family_from_pair(
 ) -> SegmentFamily | None:
     """Recursive extraction of a verified family from one separated pair.
 
-    At the bottom of the recursion a totally ordered pair yields its full
-    matching (one edge in theory mode); otherwise the pair is split and the
-    blocks are processed independently, skipping failed blocks outside of
-    theory mode. Returns None when the pair spans no edges at all. ``P`` is
-    the poset of exactly the pair (A, B).
+    Each node's base is a longest run of edges between the pair's ordered
+    chains (one edge in theory mode). At the bottom of the recursion the
+    base is the answer; otherwise the pair is split and the blocks are
+    processed independently, skipping failed blocks outside of theory mode.
+    Returns None when the pair spans no edges at all. ``P`` is the poset of
+    exactly the pair (A, B).
     """
 
     def rec(a, b, p, depth) -> list[Segment]:
-        base = None if theory else _base_segments(G, a, b, p, mode, theory)
+        base = _first_edge(G, a, b) if theory else _base_segments(G, a, b, p, mode)
         if depth <= 1 or len(a) < 4 or len(a) != len(b):
-            return base if base is not None else _base_segments(G, a, b, p, mode, theory)
+            return base
         if theory:
             if levels is None:
                 raise ValueError("theory recursion requires a parameter schedule")
@@ -476,15 +505,12 @@ class RunConfig:
     default practical mode picks the cluster size m by itself.
 
     Practical mode makes at most ``max_retries`` attempts, each with a fresh
-    net (seed ``seed + attempt``); eps doubles (up to 1) after an attempt
-    that found no pair. On a complete graph m starts at ``m`` (default: the
-    largest power of two at most n/2) and halves after each attempt; the
-    first verified family of two or more segments is returned, and the
-    search ends once m is no larger than the best family, since a pair of
-    m-clusters yields at most m segments. On any other graph m starts at
-    ``m`` (default: n^(1/3), clamped to [2, 64]), doubles after a full
-    yield (up to min(n/2, 128)), halves after an attempt that found no pair,
-    and the largest verified family is returned."""
+    net (seed ``seed + attempt``). The cluster size m starts at ``m``
+    (default: the largest power of two at most n/2) and halves after each
+    attempt until one gives a verified family of two or more segments; eps
+    doubles (up to 1) after an attempt that found no pair. If that family's
+    pair misses edges, up to four nets in all run at that m and the largest
+    family wins. The search ends once m is no larger than the best family."""
 
     theory: bool = False
     m: int | None = None
@@ -493,15 +519,6 @@ class RunConfig:
     s: int | None = None
     seed: int = 0
     max_retries: int = 8
-
-
-def _icbrt(n: int) -> int:
-    z = round(n ** (1 / 3))
-    while z**3 > n:
-        z -= 1
-    while (z + 1) ** 3 <= n:
-        z += 1
-    return z
 
 
 def _dense_exponent(n: int, edges: int) -> Fraction:
@@ -519,6 +536,9 @@ def _best_edge_family(G: GeometricGraph, mode: FamilyMode) -> SegmentFamily:
     if e is None:
         raise EmptyGraphError("graph has no edges")
     return make_family(mode, [e], G, G.vertices)
+
+
+_NETS_AT_FAMILY = 4  # nets at the m of a first family whose pair misses edges
 
 
 def _find_family(G: GeometricGraph, cfg: RunConfig, mode: FamilyMode) -> SegmentFamily:
@@ -554,46 +574,32 @@ def _find_family(G: GeometricGraph, cfg: RunConfig, mode: FamilyMode) -> Segment
     delta = Fraction(cfg.delta) if cfg.delta is not None else Fraction(1, 4)
     budget = cfg.s if cfg.s is not None else 2
 
-    if G.is_complete:
-        # Every matched pair is an edge, so a pair of m-clusters yields up to
-        # m segments and its yield grows with m: search m downwards and
-        # return the first family. No attempt runs at an m the best family
-        # already reaches.
-        m = cfg.m if cfg.m is not None else 1 << ((n // 2).bit_length() - 1)
-        for attempt in range(cfg.max_retries):
-            if m <= len(best):
-                break
-            pick = find_avoiding_dense_pair(G, m, eps, delta, cfg.seed + attempt)
-            if pick is None:
-                # No qualifying pair at this scale: smaller clusters, laxer budget.
-                eps = min(Fraction(1), eps * 2)
-            else:
-                fam = crossing_family_from_pair(G, pick[0], pick[1], pick[2], mode=mode, budget=budget)
-                if fam is not None and len(fam) > len(best):
-                    return fam
-            m //= 2
-        return best
-
-    # Otherwise the matching keeps only the pairs that are edges, and one
-    # attempt's yield scatters at large m (4 to 21 segments over 160 nets at
-    # m=128 on grid-jitter n=768, density 1/2). Start small, keep the best
-    # of fresh nets, and grow m only after a full yield.
-    m = cfg.m if cfg.m is not None else min(64, max(2, _icbrt(n)))
-    grow_cap = min(n // 2, 128)
+    # A pair of m-clusters yields at most m segments, and its yield grows
+    # with m: search m downwards and stop at the first m that gives a family.
+    # A pair missing edges yields by the edges it catches as well as by its
+    # geometry, so that m then gets up to _NETS_AT_FAMILY nets and keeps the
+    # largest family. No attempt runs at an m the best family already reaches.
+    m = cfg.m if cfg.m is not None else 1 << ((n // 2).bit_length() - 1)
+    nets = 0  # nets tried at m since it gave a family
     for attempt in range(cfg.max_retries):
+        if m <= len(best):
+            break
         pick = find_avoiding_dense_pair(G, m, eps, delta, cfg.seed + attempt)
-        if pick is None:
-            # No qualifying pair at this scale: coarser clusters, laxer budget.
-            if m <= 2 and eps >= 1:
-                break
-            m = max(2, m // 2)
-            eps = min(Fraction(1), eps * 2)
+        if pick is not None:
+            A, B, P = pick
+            fam = crossing_family_from_pair(G, A, B, P, mode=mode, budget=budget)
+            if fam is not None and len(fam) > len(best):
+                best = fam
+        if len(best) >= 2:
+            nets += 1
+            full = pick is not None and G.block_edge_counts([A], [B])[0, 0] == len(A) * len(B)
+            if full or nets == _NETS_AT_FAMILY:
+                return best
             continue
-        fam = crossing_family_from_pair(G, pick[0], pick[1], pick[2], mode=mode, budget=budget)
-        if fam is not None and len(fam) > len(best):
-            best = fam
-        if fam is not None and len(fam) >= m and m < grow_cap:
-            m = min(grow_cap, m * 2)
+        if pick is None:
+            # No qualifying pair at this scale: smaller clusters, laxer budget.
+            eps = min(Fraction(1), eps * 2)
+        m //= 2
     return best
 
 

@@ -128,7 +128,7 @@ def test_desk_net_size():
 def reference_pair(G, m, eps, delta, seed):
     """The pair the search must pick, found by building every cluster pair's
     full poset: among the dense, untangled pairs of the same decomposition,
-    the one with the least (-edge count, incomparable pairs, i, j)."""
+    the one with the least (incomparable pairs, -edge count, i, j)."""
     V = G.vertices
     lines = build_zone_lines(V, desk_net_size(len(V), m), seed).lines
     clusters = build_clusters(V, lines, m).clusters
@@ -138,7 +138,7 @@ def reference_pair(G, m, eps, delta, seed):
         count = sum(G.has_edge(u, v) for u in A for v in B)
         iota = build_pair_poset(A, B, V).iota_sum
         if count * delta.denominator >= delta.numerator * m * m and iota * eps.denominator <= eps.numerator * m * m:
-            keys.append((-count, iota, i, j))
+            keys.append((iota, -count, i, j))
     if not keys:
         return None
     _, _, i, j = min(keys)

@@ -174,6 +174,66 @@ def test_family_from_pair_two_level(rng):
     assert verify_family(fam, G) is None
 
 
+def _longest_run_reference(cells, mode):
+    """Length of a longest run of (row, col) cells with rows rising and cols
+    rising (crossing) or falling (avoiding), by dynamic programming over all
+    pairs of cells."""
+    sign = 1 if mode is FamilyMode.CROSSING else -1
+    longest = {}
+    for c in sorted(cells, reverse=True):
+        longest[c] = 1 + max(
+            (n for d, n in longest.items() if d[0] > c[0] and sign * (d[1] - c[1]) > 0), default=0
+        )
+    return max(longest.values(), default=0)
+
+
+@pytest.mark.parametrize("mode", list(FamilyMode))
+def test_base_run_matches_reference(mode):
+    # The practical base is a longest monotone run of edges in the rank grid
+    # of the pair's longest chains, read on separated pairs whose sides are
+    # totally ordered (block instances) or tangled (random clouds).
+    rng = random.Random(0xBA5E)
+    for trial in range(240):
+        if trial % 3:
+            V, A, B = separated_pair(rng, rng.randint(1, 8), rng.randint(1, 8))
+        else:
+            V, A, B = block_instance(rng, t=1, k=1, m=rng.randint(1, 4))
+        P_ = build_pair_poset(A, B, V)
+        rows = crossing._total_order(crossing.longest_chain(P_.succ_a), P_.succ_a)
+        cols = crossing._total_order(crossing.longest_chain(P_.succ_b), P_.succ_b)
+        density = rng.choice((0.0, 0.2, 0.5, 0.8, 1.0))
+        grid = itertools.product(range(len(rows)), range(len(cols)))
+        cells = {c for c in grid if rng.random() < density}
+        if trial % 4 == 1:  # an empty row and an empty column
+            i, j = rng.randrange(len(rows)), rng.randrange(len(cols))
+            cells = {c for c in cells if c[0] != i and c[1] != j}
+        chain_edges = [(rows[i], cols[j]) for i, j in cells]
+        # Edges off the chains are outside the grid and must not matter.
+        other = [e for e in itertools.product(A, B)
+                 if (e[0] not in rows or e[1] not in cols) and rng.random() < 0.5]
+        G = GeometricGraph.from_edges(V, [(min(e), max(e)) for e in chain_edges + other])
+
+        rank_a = {v: i for i, v in enumerate(rows)}
+        rank_b = {v: j for j, v in enumerate(cols)}
+        run = crossing._longest_edge_run(G, rows, cols, mode)
+        run_ab = [e if e[0] in rank_a else e[::-1] for e in run]
+        cells_run = sorted((rank_a[a], rank_b[b]) for a, b in run_ab)
+        assert set(cells_run) <= cells
+        assert len(cells_run) == len(run) == _longest_run_reference(cells, mode)
+        assert _longest_run_reference(cells_run, mode) == len(run)
+
+        base = crossing._base_segments(G, A, B, P_, mode)
+        r = min(len(rows), len(cols))
+        if len(run) >= 2:
+            assert len(base) == len(run)
+            assert crossing.make_family(mode, base, G, V).segments == tuple(base)
+        else:
+            assert base == crossing._first_edge(G, A, B)
+        if len(cells) == len(rows) * len(cols) and r >= 2:
+            matched = crossing._rank_matching(rows[:r], cols[:r], mode)
+            assert base == sorted((min(e), max(e)) for e in matched)
+
+
 def test_theory_params_complete():
     s1 = theory_params(100, None, 1)
     assert (s1.K, s1.M, s1.eps) == (1, 9, Fraction(1, 2**14))
@@ -315,10 +375,10 @@ def test_family_size_cap(rng):
         assert len(flat) == len(set(flat))
 
 
-# Families the drivers return for these fixed inputs: the complete graphs
-# under the descending cluster-size search, the non-complete graphs under the
-# growing schedule. A refactor of the pipeline must return exactly these
-# segments.
+# Families the drivers return for these fixed inputs under the descending
+# cluster-size search, whose base matches a longest run of edges and whose
+# pair scan keeps the least tangled dense pair. A refactor of the pipeline
+# must return exactly these segments.
 PINNED_FAMILIES = [
     ("random-disk", 96, 5, None, FamilyMode.CROSSING,
      ((1, 80), (2, 32), (3, 7), (14, 53), (15, 18), (16, 55), (19, 54), (29, 57), (39, 40),
@@ -334,21 +394,23 @@ PINNED_FAMILIES = [
       (18, 52), (19, 53), (20, 54), (21, 55), (22, 56), (23, 57), (24, 58), (25, 59), (26, 60),
       (27, 61), (28, 62), (29, 63), (32, 76), (33, 77), (34, 78), (35, 79), (36, 80), (37, 81),
       (38, 82), (39, 83), (40, 84), (41, 85), (42, 86))),
-    ("grid-jitter", 80, 7, 0.5, FamilyMode.AVOIDING, ((8, 15), (31, 67), (40, 71), (50, 69))),
+    ("grid-jitter", 80, 7, 0.5, FamilyMode.AVOIDING,
+     ((3, 79), (10, 77), (23, 71), (37, 48), (49, 67), (52, 55), (54, 75))),
     ("grid-jitter", 120, 9, 0.5, FamilyMode.AVOIDING,
-     ((10, 45), (14, 109), (16, 49), (22, 81), (23, 114), (65, 103), (70, 87))),
+     ((1, 56), (7, 79), (10, 23), (17, 108), (28, 36), (33, 65), (40, 45), (52, 58), (78, 109),
+      (86, 88))),
     # Non-complete crossing: the pair scan counts edges block by block.
     ("random-disk", 120, 11, 0.5, FamilyMode.CROSSING,
-     ((7, 86), (9, 91), (15, 98), (16, 46), (39, 74), (58, 97), (96, 99))),
+     ((7, 46), (9, 57), (11, 116), (15, 48), (16, 99), (24, 33), (30, 42), (39, 71), (52, 56),
+      (94, 96), (97, 98))),
     # Near-complete (18 of 4950 edges missing): most cluster pairs tie on the
     # edge count, so the least tangled of them decides which pair is kept.
     ("random-disk", 100, 13, 0.995, FamilyMode.AVOIDING,
-     ((2, 74), (4, 24), (6, 7), (16, 69), (17, 80), (33, 63), (44, 61), (66, 81), (90, 92))),
+     ((2, 21), (7, 26), (19, 91), (25, 33), (45, 64), (58, 80), (59, 72), (61, 70), (62, 95))),
 ]
 # Family sizes the earlier schedule found on the same inputs (start at
-# n^(1/3), double m after a full yield, always 8 attempts), which the
-# non-complete graphs still use. A change to the schedule must not fall below
-# them.
+# n^(1/3), double m after a full yield, always 8 attempts). A change to the
+# schedule must not fall below them.
 EARLIER_SCHEDULE_SIZES = {
     ("random-disk", 96, 5): 11,
     ("random-disk", 150, 17): 9,
@@ -384,12 +446,14 @@ def _pinned_graph(kind, n, seed, density):
 ])
 @pytest.mark.parametrize("mode", list(FamilyMode))
 def test_driver_schedule_invariants(monkeypatch, kind, n, seed, density, cfg, mode):
-    attempts = []  # [m, eps, seed, family size or None]
+    attempts = []  # [m, eps, seed, family size or None, pair spans every edge]
     real_pick, real_family = crossing.find_avoiding_dense_pair, crossing.crossing_family_from_pair
 
     def pick(G, m, eps, delta, pick_seed):
-        attempts.append([m, Fraction(eps), pick_seed, None])
-        return real_pick(G, m, eps, delta, pick_seed)
+        got = real_pick(G, m, eps, delta, pick_seed)
+        full = got is not None and all(G.has_edge(u, v) for u in got[0] for v in got[1])
+        attempts.append([m, Fraction(eps), pick_seed, None, full])
+        return got
 
     def family(*args, **kwargs):
         fam = real_family(*args, **kwargs)
@@ -403,38 +467,39 @@ def test_driver_schedule_invariants(monkeypatch, kind, n, seed, density, cfg, mo
     result = driver(G, cfg)
 
     assert 1 <= len(attempts) <= cfg.max_retries
-    if G.is_complete:
-        first_m = cfg.m or 1 << (n // 2).bit_length() - 1
-    else:
-        first_m = cfg.m or min(64, max(2, crossing._icbrt(n)))
+    first_m = cfg.m or 1 << (n // 2).bit_length() - 1
     assert attempts[0][:3] == [first_m, Fraction(1, 4), cfg.seed]
-    grow_cap = min(n // 2, 128)
     best = 1  # the driver's fallback is a single edge
-    for k, (m, eps, attempt_seed, size) in enumerate(attempts):
+    first = None  # index of the attempt that gave the first family
+    for k, (m, eps, attempt_seed, size, full) in enumerate(attempts):
         assert attempt_seed == cfg.seed + k
-        if k:
-            prev_m, prev_eps, _, prev_size = attempts[k - 1]
+        # A pair of m-clusters yields at most m segments: no hopeless attempt.
+        assert m > best
+        if k and first is None:
+            prev_m, prev_eps, _, prev_size, _ = attempts[k - 1]
             assert eps == (prev_eps if prev_size is not None else min(Fraction(1), 2 * prev_eps))
-            if G.is_complete:
-                assert prev_size is None or prev_size < 2  # stop at the first family
-                assert m == prev_m // 2
-            elif prev_size is None:
-                assert m == max(2, prev_m // 2)
-            elif prev_size >= prev_m and prev_m < grow_cap:
-                assert m == min(grow_cap, 2 * prev_m)  # grow after a full yield
-            else:
-                assert m == prev_m
-        if G.is_complete:
-            # A pair of m-clusters yields at most m segments: no hopeless attempt.
-            assert m > best
+            assert m == prev_m // 2
+        elif k:
+            # After the first family: the same m and eps, fresh nets, and
+            # no net after a pair that spans every edge.
+            assert [m, eps] == attempts[first][:2]
+            assert k - first < crossing._NETS_AT_FAMILY
+            assert not attempts[k - 1][4]
         best = max(best, size or 0)
-    if G.is_complete:
-        # The search ends only at a family, at the attempt cap, or at a hopeless m.
-        assert best >= 2 or len(attempts) == cfg.max_retries or attempts[-1][0] // 2 <= best
+        if first is None and best >= 2:
+            first = k
+    # The search ends at the last net of the family's m, at a pair that spans
+    # every edge, at the attempt cap, or at a hopeless m.
+    last = len(attempts) - 1
+    if first is None:
+        assert len(attempts) == cfg.max_retries or attempts[-1][0] // 2 <= best
     else:
-        # It ends early only when no pair qualifies even at m=2 with eps=1.
-        m, eps, _, size = attempts[-1]
-        assert len(attempts) == cfg.max_retries or (size is None and m <= 2 and eps >= 1)
+        assert (
+            last - first + 1 == crossing._NETS_AT_FAMILY
+            or attempts[-1][4]
+            or len(attempts) == cfg.max_retries
+            or attempts[-1][0] <= best
+        )
     assert len(result) == best
     assert verify_family(result, G) is None
 
