@@ -2,9 +2,11 @@
 
 Every predicate here is decided with unbounded integer arithmetic, so
 results are identical across runs and platforms for identical inputs. The
-one use of floating point is a filter in ``general_position_check`` that is
-exact by construction: it only chooses which anchors the integer scan
-visits.
+family check ``first_unrelated_pair_int64`` computes the same determinants
+in int64, and only within ``INT64_COORD_LIMIT``, where none can overflow.
+The one use of floating point is a filter in ``general_position_check``
+that is exact by construction: it only chooses which anchors the integer
+scan visits.
 """
 
 from __future__ import annotations
@@ -367,9 +369,10 @@ class GeometricGraph:
         return f"GeometricGraph({len(self.vertices)} vertices, {kind})"
 
 
-def _segment_orientations(s1: Segment, s2: Segment, V: PointSet) -> tuple[int, int, int, int] | None:
-    # Orientations of c, d against a->b and of a, b against c->d; None when
-    # the segments share an endpoint.
+def _segment_orientations(s1: Segment, s2: Segment, V: PointSet) -> tuple[bool, bool, bool, bool] | None:
+    # Whether c, d lie left of a->b and a, b left of c->d; None when the
+    # segments share an endpoint. With u = b - a, v = d - c and e = c - a,
+    # the four determinants are u x e, u x e + u x v, e x v and e x v - u x v.
     a, b = s1
     c, d = s2
     if a == b or c == d:
@@ -378,15 +381,19 @@ def _segment_orientations(s1: Segment, s2: Segment, V: PointSet) -> tuple[int, i
         return None
     coords = V.coords
     (ax, ay), (bx, by), (cx, cy), (dx, dy) = coords[a], coords[b], coords[c], coords[d]
-    o1 = _orient_coords(ax, ay, bx, by, cx, cy)
-    o2 = _orient_coords(ax, ay, bx, by, dx, dy)
-    o3 = _orient_coords(cx, cy, dx, dy, ax, ay)
-    o4 = _orient_coords(cx, cy, dx, dy, bx, by)
+    ux, uy = bx - ax, by - ay
+    vx, vy = dx - cx, dy - cy
+    ex, ey = cx - ax, cy - ay
+    w = ux * vy - uy * vx
+    o1 = ux * ey - uy * ex
+    o3 = ex * vy - ey * vx
+    o2 = o1 + w
+    o4 = o3 - w
     if not (o1 and o2 and o3 and o4):
         raise DegenerateInputError(
             f"collinear endpoints among segments {s1} and {s2}"
         )
-    return o1, o2, o3, o4
+    return o1 > 0, o2 > 0, o3 > 0, o4 > 0
 
 
 def segments_cross(s1: Segment, s2: Segment, V: PointSet) -> bool:
@@ -408,6 +415,78 @@ def segments_avoiding(s1: Segment, s2: Segment, V: PointSet) -> bool:
     """
     o = _segment_orientations(s1, s2, V)
     return o is not None and o[0] == o[1] and o[2] == o[3]
+
+
+def first_unrelated_pair(segs: Sequence[Segment], V: PointSet, crossing: bool) -> tuple[int, int] | None:
+    """The first pair (i, j), i < j in row-major order, of segments that do
+    not cross (``crossing``) or do not avoid each other; None when every
+    pair does.
+
+    The scalar reference: one ``segments_cross`` or ``segments_avoiding``
+    call per pair, up to the first that fails, so it raises as they do at a
+    degenerate pair that comes before it.
+    """
+    rel = segments_cross if crossing else segments_avoiding
+    for i in range(len(segs) - 1):
+        for j in range(i + 1, len(segs)):
+            if not rel(segs[i], segs[j], V):
+                return i, j
+    return None
+
+
+# Int64 entries in one row slab of ``first_unrelated_pair_int64``, so that
+# each of its temporaries stays near 64 KB.
+_FAMILY_SLAB = 1 << 13
+
+
+def first_unrelated_pair_int64(segs: Sequence[Segment], V: PointSet, crossing: bool) -> tuple[int, int] | None:
+    """``first_unrelated_pair`` in int64 numpy arithmetic, for ``V`` within
+    the int64 bound (``V.within_int64_bound``); same arguments, same result.
+
+    Rows of the pair matrix go in slabs, each against the segments from the
+    slab's first row on. An entry holds the four determinants of
+    ``_segment_orientations`` for its pair: within the bound u x e, u x v
+    and e x v are at most 2^61 in magnitude and their sums at most 2^62, so
+    none overflows. An entry below the diagonal repeats the pair above it
+    with its determinants swapped, so the first row with a failing entry
+    has its first failing entry after the diagonal. A zero determinant off
+    the diagonal, from a shared endpoint or three collinear endpoints,
+    hands the whole family to ``first_unrelated_pair``: the pair returned,
+    or the error raised, is always the scalar loop's.
+    """
+    f = len(segs)
+    ends = np.array(segs, dtype=np.intp).reshape(f, 2)
+    a = V.xy[ends[:, 0]]
+    ax, ay = a.T
+    ux, uy = (V.xy[ends[:, 1]] - a).T
+    step = max(1, _FAMILY_SLAB // max(f, 1))
+    for i0 in range(0, f, step):
+        i1 = min(f, i0 + step)
+        rx, ry = ux[i0:i1, None], uy[i0:i1, None]
+        cx, cy = ux[i0:], uy[i0:]
+        # Row i, column j: u = b_i - a_i, v = b_j - a_j, e = a_j - a_i.
+        ex = ax[i0:] - ax[i0:i1, None]
+        ey = ay[i0:] - ay[i0:i1, None]
+        w = rx * cy - ry * cx
+        o1 = rx * ey - ry * ex
+        o3 = ex * cy - ey * cx
+        o2 = o1 + w
+        o4 = o3 - w
+        # Each row's own column is its one entry of zero determinants.
+        zero = (o1 == 0) | (o2 == 0) | (o3 == 0) | (o4 == 0)
+        if np.count_nonzero(zero) > i1 - i0:
+            return first_unrelated_pair(segs, V, crossing)
+        # Two nonzero determinants differ in sign iff their xor is negative.
+        split_ab = (o1 ^ o2) < 0
+        split_cd = (o3 ^ o4) < 0
+        bad = ~(split_ab & split_cd) if crossing else split_ab | split_cd
+        diag = np.arange(i1 - i0)
+        bad[diag, diag] = False
+        rows = np.flatnonzero(bad.any(axis=1))
+        if len(rows):
+            r = int(rows[0])
+            return i0 + r, i0 + int(np.argmax(bad[r]))
+    return None
 
 
 def hull_coords(coords: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:

@@ -214,8 +214,10 @@ def _compare_side_int64(side, V: PointSet, hull, cap: int) -> tuple[dict[int, in
     span = max(side) - base + 1
     width = (span + 7) // 8
     cols = idx - base
-    # A row holds k tangent signs, m edge tests and span unpacked bits.
-    step = max(1, _PAIR_SLAB // max(k, m, span // 8))
+    # A row holds k tangent signs, m edge tests and span unpacked bits. At
+    # least 8 rows go in a slab: a large side then pays the per-slab steps
+    # fewer times, for temporaries of 8 rows of k entries.
+    step = max(8, _PAIR_SLAB // max(k, m, span // 8))
     succ: list[int] = []
     iota = 0
     for i0 in range(0, k, step):
@@ -328,6 +330,32 @@ class Chain:
         return len(self.blocks)
 
 
+def _predecessor_masks(items: Sequence[int], later: Sequence[int]) -> list[int]:
+    """Transpose of the successor masks: ``pred[p]`` is the bitmask over
+    positions i of the items with bit ``items[p]`` set in ``later[i]``.
+
+    The masks are unpacked to bits, little-endian, from the lowest multiple
+    of 8 at or below the least item, in slabs of at least 8 rows and about
+    64 KB of bits; the items' columns are gathered and the transposed slab
+    is packed into bytes of each ``pred`` row.
+    """
+    N = len(items)
+    base = min(items) & ~7
+    span = max(items) - base + 1
+    width = (span + 7) // 8
+    cols = np.array(items, dtype=np.intp) - base
+    packed = np.zeros((N, (N + 7) // 8), dtype=np.uint8)
+    step = max(8, (8 * _PAIR_SLAB // span) & ~7)
+    for r0 in range(0, N, step):
+        rows = later[r0 : r0 + step]
+        raw = np.frombuffer(b"".join((s >> base).to_bytes(width, "little") for s in rows), dtype=np.uint8)
+        bits = np.unpackbits(raw.reshape(len(rows), width), axis=1, count=span, bitorder="little")
+        packed[:, r0 // 8 : (r0 + len(rows) + 7) // 8] = np.packbits(bits[:, cols].T, axis=1, bitorder="little")
+    buf = packed.tobytes()
+    w = packed.shape[1]
+    return [int.from_bytes(buf[p * w : (p + 1) * w], "little") for p in range(N)]
+
+
 def interval_chains(elements: Sequence[int], succ: Mapping[int, int], n: int, k: int) -> Chain:
     """Extract k blocks of n elements, blockwise totally ordered.
 
@@ -352,13 +380,7 @@ def interval_chains(elements: Sequence[int], succ: Mapping[int, int], n: int, k:
         raise HypothesisViolatedError(N, n, k, iota)
 
     # pred[i]: bitmask over positions of the elements below items[i].
-    pos = {x: i for i, x in enumerate(items)}
-    pred = [0] * N
-    for i, s in enumerate(later):
-        while s:
-            low = s & -s
-            pred[pos[low.bit_length() - 1]] |= 1 << i
-            s ^= low
+    pred = _predecessor_masks(items, later)
 
     # Keep elements with |I_x| < T where T = slack / (4k), compared exactly.
     inc_count = [N - 1 - later[i].bit_count() - pred[i].bit_count() for i in range(N)]

@@ -29,6 +29,40 @@ def succ_masks(items, less):
     return {x: sum(1 << y for y in items if less(x, y)) for x in items}
 
 
+def chord_family(rng: random.Random, f: int, top: int, crossing: bool, swaps: int = 0, degenerate: bool = False):
+    """f chords among 2f points in convex position, the chords pairwise
+    crossing (``crossing``: chord k joins points k and k + f) or pairwise
+    avoiding (nested: k and 2f - 1 - k); returns (V, segments).
+
+    The points lie on a parabola, with even coordinates at most ``top`` in
+    magnitude and chord endpoints at x = -top and x = top (both rounded down
+    to even); one point off every chord sits at (top, top), so the largest
+    coordinate is exactly ``top``. Each of ``swaps`` exchanges the second
+    endpoints of two random chords, which breaks the relation between them.
+    ``degenerate`` moves one endpoint of a random chord to the midpoint of
+    another, so that pair has three collinear endpoints. The chords come in
+    a random order, and the point set's general position is not checked.
+    """
+    T = top & ~1
+    xs = sorted({-T, T, *(2 * x for x in rng.sample(range(-T // 2 + 1, T // 2), max(0, 2 * f - 2)))})
+    assert len(xs) == 2 * f or f < 1
+    pts = [(x, 2 * (x * x // (2 * T)) - T) for x in xs] + [(top, top)]
+    if crossing:
+        segs = [[k, k + f] for k in range(f)]
+    else:
+        segs = [[k, 2 * f - 1 - k] for k in range(f)]
+    for _ in range(swaps if f >= 2 else 0):
+        i, j = rng.sample(range(f), 2)
+        segs[i][1], segs[j][1] = segs[j][1], segs[i][1]
+    if degenerate and f >= 2:
+        u, v = rng.sample(range(f), 2)
+        (ax, ay), (bx, by) = pts[segs[u][0]], pts[segs[u][1]]
+        pts.append(((ax + bx) // 2, (ay + by) // 2))
+        segs[v][rng.randrange(2)] = len(pts) - 1
+    rng.shuffle(segs)
+    return PointSet(pts, check_general_position=False), [tuple(s) for s in segs]
+
+
 def separated_pair(rng: random.Random, na: int, nb: int, span: int = 100_000, offset: int = 0):
     """Two point clouds in disjoint vertical slabs, jointly in general
     position, with ``offset`` subtracted from every coordinate; returns

@@ -1,10 +1,11 @@
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
-from conftest import block_instance, separated_pair
+from conftest import block_instance, chord_family, separated_pair
 from crossfam import crossing
 from crossfam.cli import generate_points
 from crossfam.crossing import (
@@ -14,12 +15,21 @@ from crossfam.crossing import (
     crossing_family_from_pair,
     find_avoiding_family,
     find_crossing_family,
+    make_family,
     match_avoiding_pair,
     split_pair,
     theory_params,
 )
 from crossfam.errors import EmptyGraphError, HypothesisViolatedError, NotTotalOrderError
-from crossfam.geom import GeometricGraph, Point, PointSet, segments_avoiding, segments_cross
+from crossfam.geom import (
+    INT64_COORD_LIMIT,
+    GeometricGraph,
+    Point,
+    PointSet,
+    first_unrelated_pair,
+    segments_avoiding,
+    segments_cross,
+)
 from crossfam.oracle import verify_family
 from crossfam.poset import build_pair_poset
 
@@ -232,6 +242,63 @@ def test_base_run_matches_reference(mode):
         if len(cells) == len(rows) * len(cols) and r >= 2:
             matched = crossing._rank_matching(rows[:r], cols[:r], mode)
             assert base == sorted((min(e), max(e)) for e in matched)
+
+
+def _spy_kernel(monkeypatch) -> list[int]:
+    """Record the family size of every call make_family makes to the int64
+    kernel."""
+    calls = []
+    kernel = crossing.first_unrelated_pair_int64
+    monkeypatch.setattr(crossing, "first_unrelated_pair_int64",
+                        lambda segs, *rest: calls.append(len(segs)) or kernel(segs, *rest))
+    return calls
+
+
+@pytest.mark.parametrize("mode", list(FamilyMode))
+def test_make_family_takes_int64_kernel_only_within_bound(monkeypatch, mode):
+    # Families of at least _INT64_MIN_FAMILY segments within the int64
+    # bound go to the kernel; smaller families and larger coordinates take
+    # the scalar loop. Either path checks and returns the same family.
+    calls = _spy_kernel(monkeypatch)
+    t = crossing._INT64_MIN_FAMILY
+    for top, f, kernel_calls in ((INT64_COORD_LIMIT, t, [t]), (INT64_COORD_LIMIT, t - 1, []),
+                                 (INT64_COORD_LIMIT + 1, t, [])):
+        V, segs = chord_family(random.Random(f), f, top, mode is FamilyMode.CROSSING)
+        calls.clear()
+        fam = make_family(mode, segs, GeometricGraph.complete(V), V)
+        assert calls == kernel_calls
+        assert fam.segments == tuple(sorted(segs))
+
+
+@pytest.mark.parametrize("mode", list(FamilyMode))
+def test_make_family_kernel_rejects_one_bad_pair(monkeypatch, mode):
+    # One swapped pair of chords in a family well above the threshold: the
+    # kernel path raises at the first failing pair of the sorted family,
+    # with the message the scalar loop gives.
+    calls = _spy_kernel(monkeypatch)
+    f = 3 * crossing._INT64_MIN_FAMILY
+    V, segs = chord_family(random.Random(1), f, INT64_COORD_LIMIT, mode is FamilyMode.CROSSING, swaps=1)
+    srt = sorted(segs)
+    i, j = first_unrelated_pair(srt, V, mode is FamilyMode.CROSSING)
+    message = f"family fails pairwise {mode.value} check at {srt[i]} vs {srt[j]}"
+    with pytest.raises(AssertionError, match=re.escape(message)):
+        make_family(mode, segs, None, V)
+    assert calls == [f]
+
+
+@pytest.mark.parametrize("mode", list(FamilyMode))
+def test_verify_family_is_independent_of_the_kernel(monkeypatch, mode):
+    # With the kernel patched to pass every family, make_family lets a bad
+    # family through; verify_family, which asks the scalar relation about
+    # every pair, still returns its first failing pair.
+    monkeypatch.setattr(crossing, "first_unrelated_pair_int64", lambda *args: None)
+    crossing_mode = mode is FamilyMode.CROSSING
+    V, segs = chord_family(random.Random(2), 3 * crossing._INT64_MIN_FAMILY, INT64_COORD_LIMIT,
+                           crossing_mode, swaps=1)
+    G = GeometricGraph.complete(V)
+    fam = make_family(mode, segs, G, V)
+    i, j = first_unrelated_pair(fam.segments, V, crossing_mode)
+    assert verify_family(fam, G) == (fam.segments[i], fam.segments[j])
 
 
 def test_theory_params_complete():

@@ -1,12 +1,15 @@
 import random
 from math import gcd
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import chord_family
 from crossfam import geom
+from crossfam.crossing import _INT64_MIN_FAMILY
 from crossfam.errors import DegenerateInputError, GeneralPositionError
 from crossfam.formats import parse_graph_file, render_graph_file
 from crossfam.geom import (
@@ -18,6 +21,8 @@ from crossfam.geom import (
     PointSet,
     _orient_coords,
     convex_hull,
+    first_unrelated_pair,
+    first_unrelated_pair_int64,
     general_position_check,
     hull_coords,
     hull_coords_disjoint,
@@ -558,3 +563,67 @@ def test_block_edge_counts_spans_several_slabs():
     cols = [order[: n // 3], order[n // 3 :]]
     assert 1200 * n > 2 * geom._SLAB_BYTES and 8 * 150 * n > geom._SLAB_BYTES
     assert G.block_edge_counts(rows, cols).tolist() == reference_block_edge_counts(G, rows, cols)
+
+
+def _family_outcome(check, *args):
+    """The pair a family check returns, or the class and message it raises."""
+    try:
+        return check(*args)
+    except DegenerateInputError as exc:
+        return type(exc), str(exc)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    f=st.integers(1, 3 * _INT64_MIN_FAMILY),
+    crossing=st.booleans(),
+    top=st.sampled_from([INT64_COORD_LIMIT, INT64_COORD_LIMIT + 1, COORD_LIMIT]),
+    sign=st.sampled_from([1, -1]),
+    swaps=st.sampled_from([0, 0, 1, 3]),
+    degenerate=st.booleans(),
+    slab=st.sampled_from([1, geom._FAMILY_SLAB]),
+)
+@settings(max_examples=300, deadline=None)
+def test_family_kernel_matches_scalar_loop(seed, f, crossing, top, sign, swaps, degenerate, slab):
+    # Families of 1 to 30 chords straddle make_family's int64 threshold.
+    # The largest coordinate sits at the int64 bound, one beyond it (where
+    # only the scalar loop may run) or at COORD_LIMIT. Swapped chords fail
+    # the relation and a moved endpoint makes a degenerate pair, in a random
+    # order, so the degenerate pair comes before the first failing pair or
+    # after it. A slab of 1 entry puts every row in a slab of its own.
+    V, segs = chord_family(random.Random(seed), f, top, crossing, swaps, degenerate)
+    if sign < 0:
+        V = PointSet([(-x, -y) for x, y in V.coords], check_general_position=False)
+    assert max(abs(c) for xy in V.coords for c in xy) == top
+    assert V.within_int64_bound == (top <= INT64_COORD_LIMIT)
+    expect = _family_outcome(first_unrelated_pair, segs, V, crossing)
+    if not (swaps or degenerate):
+        assert expect is None
+    if V.within_int64_bound:
+        with mock.patch.object(geom, "_FAMILY_SLAB", slab):
+            assert _family_outcome(first_unrelated_pair_int64, segs, V, crossing) == expect
+
+
+@pytest.mark.parametrize("crossing", [True, False])
+def test_family_kernel_degenerate_pair_before_and_after_failing_pair(crossing):
+    # Two swapped chords fail the relation; a chord with an endpoint on
+    # another chord's midpoint makes a degenerate pair. With the degenerate
+    # pair first the scalar loop raises; with the failing pair first it
+    # returns that pair. The kernel meets the zero determinant in its slab
+    # and must give the same outcome, whichever comes first.
+    f = 2 * _INT64_MIN_FAMILY
+    V0, segs = chord_family(random.Random(5), f, INT64_COORD_LIMIT, crossing)
+    segs = sorted(segs)
+    (ax, ay), (bx, by) = V0.coords[segs[0][0]], V0.coords[segs[0][1]]
+    V = PointSet([*V0.coords, ((ax + bx) // 2, (ay + by) // 2)], check_general_position=False)
+    moved = (len(V) - 1, segs[1][1])
+    swapped = [(segs[2][0], segs[3][1]), (segs[3][0], segs[2][1])]
+    degenerate_first = [segs[0], moved, *swapped, *segs[4:]]
+    failing_first = [*swapped, segs[0], moved, *segs[4:]]
+    assert _family_outcome(first_unrelated_pair, degenerate_first, V, crossing)[0] is DegenerateInputError
+    assert _family_outcome(first_unrelated_pair, failing_first, V, crossing) == (0, 1)
+    for slab in (1, geom._FAMILY_SLAB):
+        with mock.patch.object(geom, "_FAMILY_SLAB", slab):
+            for segs in (degenerate_first, failing_first):
+                expect = _family_outcome(first_unrelated_pair, segs, V, crossing)
+                assert _family_outcome(first_unrelated_pair_int64, segs, V, crossing) == expect

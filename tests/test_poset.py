@@ -208,8 +208,8 @@ _NO_CAP = 10**9
 def test_int64_kernel_matches_scalar_reference(seed, na, kind, nb, top, sign, slab):
     # Sides of 1..64 points cross the int64 threshold; hulls have one
     # vertex, two, or many. The largest coordinate sits at the int64 bound,
-    # one beyond it, or at COORD_LIMIT. A slab of 1 or 64 entries splits the
-    # rows, so the cap is checked after every row or every few.
+    # one beyond it, or at COORD_LIMIT. A slab of 1 or 64 entries takes the
+    # floor of 8 rows, so the cap is checked after every 8 rows.
     nb = {"point": 1, "segment": 2}.get(kind, nb)
     coords, A, B = _side_and_hull(seed, na, nb, kind, top)
     pts = [(sign * x, sign * y) for x, y in coords]
@@ -401,6 +401,34 @@ def test_interval_chains_random_semiorders(rng):
             for u in chain.blocks[i]:
                 for v in chain.blocks[i + 1]:
                     assert less(u, v)
+
+
+def _reference_predecessor_masks(items, later):
+    """The transpose of the successor masks one bit at a time: bit i of
+    entry p is set when bit items[p] of later[i] is."""
+    pos = {x: i for i, x in enumerate(items)}
+    pred = [0] * len(items)
+    for i, s in enumerate(later):
+        while s:
+            low = s & -s
+            pred[pos[low.bit_length() - 1]] |= 1 << i
+            s ^= low
+    return pred
+
+
+@given(seed=st.integers(0, 2**32 - 1), size=st.integers(1, 90),
+       spread=st.sampled_from([1, 3, 40, 3000]), density=st.sampled_from([0.0, 0.3, 0.9, 1.0]),
+       slab=st.sampled_from([1, 64, poset._PAIR_SLAB]))
+@settings(max_examples=300, deadline=None)
+def test_predecessor_masks_match_bit_loop(seed, size, spread, density, slab):
+    # Labels are packed (spread 1) or scattered up to 3000 * size, and any
+    # bit pattern over them is read. A slab of 1 or 64 entries gives slabs
+    # of 8 rows, so larger sides fill several.
+    rng = random.Random(seed)
+    items = rng.sample(range(spread * size), size)
+    later = [sum(1 << y for y in items if rng.random() < density) for _ in items]
+    with mock.patch.object(poset, "_PAIR_SLAB", slab):
+        assert poset._predecessor_masks(items, later) == _reference_predecessor_masks(items, later)
 
 
 def test_longest_chain_example():
