@@ -12,7 +12,8 @@ underscore, a non-ASCII digit or a bad token) goes through the scalar
 ``split``/``int`` rule, so the accepted grammar, and each error's line and
 message, are those of a line-by-line parse. The range, ``i < j`` and
 duplicate checks run on the index arrays, and ``geom.neighbour_masks`` sets
-the neighbour bits. Extra memory is O(E) plus the n²/8 bytes of the masks.
+the neighbour bits. Extra memory is O(E) plus one slab of about 4 MB plus
+the n²/8 bytes of the masks.
 """
 
 from __future__ import annotations

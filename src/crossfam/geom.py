@@ -221,8 +221,8 @@ def vertex_mask(B: Iterable[int]) -> int:
     return mask
 
 
-_BIT = np.array([1 << i for i in range(8)], dtype=np.uint8)
-# Temporary bytes one slab of ``GeometricGraph.block_edge_counts`` may use.
+# Temporary bytes one slab of ``neighbour_masks`` or
+# ``GeometricGraph.block_edge_counts`` may use.
 _SLAB_BYTES = 1 << 22
 
 
@@ -231,15 +231,31 @@ def neighbour_masks(n: int, a: np.ndarray, b: np.ndarray) -> tuple[int, ...]:
     ``{a[k], b[k]}``, as ``GeometricGraph`` keeps them.
 
     The indices must lie in ``[0, n)`` with ``a[k] != b[k]``; an edge given
-    twice sets the same bits again. The bits are set in bulk in a packed
-    ``n x ceil(n/8)`` byte array, little-endian within each row, so extra
-    memory is O(E) plus the n²/8 bytes the masks take; each row then becomes
-    one Python int.
+    twice sets the same bits again. Rows go in slabs of about
+    ``_SLAB_BYTES`` booleans: each slab's bits are set by fancy indexing and
+    packed, little-endian, into a packed ``n x ceil(n/8)`` byte array, so
+    extra memory is O(E) plus one slab plus the n²/8 bytes the masks take;
+    each row then becomes one Python int. The edge ends are sorted by row
+    only when there is more than one slab.
     """
     width = (n + 7) // 8
-    packed = np.zeros((n, width), dtype=np.uint8)
-    for u, v in ((a, b), (b, a)):
-        np.bitwise_or.at(packed, (u, v >> 3), _BIT[v & 7])
+    rows = max(1, _SLAB_BYTES // max(n, 1))
+    u = np.concatenate((a, b))
+    v = np.concatenate((b, a))
+    if n > rows:
+        order = np.argsort(u)
+        u, v = u[order], v[order]
+    packed = np.empty((n, width), dtype=np.uint8)
+    for r0 in range(0, n, rows):
+        r1 = min(n, r0 + rows)
+        if n > rows:
+            lo, hi = np.searchsorted(u, (r0, r1))
+            su, sv = u[lo:hi] - r0, v[lo:hi]
+        else:
+            su, sv = u, v
+        bits = np.zeros((r1 - r0, n), dtype=bool)
+        bits[su, sv] = True
+        packed[r0:r1] = np.packbits(bits, axis=1, bitorder="little")
     buf = packed.tobytes()
     return tuple(int.from_bytes(buf[i * width : (i + 1) * width], "little") for i in range(n))
 

@@ -24,9 +24,12 @@ its whole side to the scalar loop, which hands the pair to
 a vertex on the line, unless it has already seen vertices on both sides of
 the line: then it returns INCOMPARABLE without reaching that vertex.
 
-``build_pair_poset`` is the one way in to the kernel. Given a cap, it gives
-up as soon as the incomparable pairs exceed it: the pair scan and the split
-reject tangled pairs so, and keep the tables of the pairs they accept.
+Two functions lead into the kernel, through one private path with one set
+of checks. ``build_pair_poset`` builds both sides' tables; given a cap, it
+gives up as soon as the incomparable pairs exceed it, and the split rejects
+tangled pairs so. ``iota_sum_capped`` gives the same count, or the same
+None, without packing successor bits: the pair scan ranks its candidates by
+it and builds the tables of the one pair it keeps.
 
 The chain routines read each order as ``PairPoset`` holds it: every
 element's bitmask of the elements it precedes.
@@ -181,10 +184,11 @@ def _compare_side(side, coords, hull, cap: int) -> tuple[dict[int, int], int] | 
     return dict(zip(side, succ)), iota
 
 
-def _compare_side_int64(side, V: PointSet, hull, cap: int) -> tuple[dict[int, int], int] | None:
+def _compare_side_int64(side, V: PointSet, hull, cap: int, tables: bool = True):
     """``_compare_side`` in int64 numpy arithmetic, for ``V`` within the
     int64 bound (``V.within_int64_bound``); same arguments but ``V`` for
-    ``coords``, same result.
+    ``coords``, same result. With ``tables`` false the successor bits are
+    not packed, and the result is the incomparable count alone, or None.
 
     The side's points go in row slabs. For each point x, the hull edges
     that see x strictly on their right form one run, and its two ends are
@@ -242,7 +246,8 @@ def _compare_side_int64(side, V: PointSet, hull, cap: int) -> tuple[dict[int, in
         s_last = np.subtract(dx, dy, out=dx)
         # Each row's own column is its one pair of zero signs.
         if np.count_nonzero((s_first == 0) | (s_last == 0)) > i1 - i0:
-            return _compare_side(side, V.coords, hull, cap)
+            table = _compare_side(side, V.coords, hull, cap)
+            return table if tables or table is None else table[1]
         left_first = s_first > 0
         left_last = s_last > 0
         # Incomparability does not depend on which end of a pair takes the
@@ -253,11 +258,53 @@ def _compare_side_int64(side, V: PointSet, hull, cap: int) -> tuple[dict[int, in
         iota += count
         if count and iota > cap:
             return None
+        if not tables:
+            continue
         bits = np.zeros((i1 - i0, span), dtype=bool)
         bits[:, cols] = left_first & left_last
         buf = np.packbits(bits, axis=1, bitorder="little").tobytes()
         succ.extend(int.from_bytes(buf[r * width : (r + 1) * width], "little") << base for r in range(i1 - i0))
-    return dict(zip(side, succ)), iota
+    return (dict(zip(side, succ)), iota) if tables else iota
+
+
+def _compare_pair(A, B, V: PointSet, hull_a, hull_b, cap: int | None, tables: bool):
+    """The work of ``build_pair_poset`` (``tables``) or ``iota_sum_capped``:
+    the argument and disjointness checks, then each side against the other
+    side's hull. Returns both sides' ``_compare_side`` results, or with
+    ``tables`` false their incomparable counts; None once the two counts
+    together exceed ``cap``.
+    """
+    a = tuple(A)
+    b = tuple(B)
+    if not a or not b:
+        raise ValueError("both sides must be nonempty")
+    if set(a) & set(b):
+        raise ValueError("sides must be disjoint index sets")
+    if len(a) > SIZE_CAP or len(b) > SIZE_CAP:
+        raise ValueError(f"side exceeds the comparability table cap ({SIZE_CAP})")
+    coords = V.coords
+    if hull_a is None:
+        hull_a = hull_coords(coords[i] for i in a)
+    if hull_b is None:
+        hull_b = hull_coords(coords[i] for i in b)
+    if not hull_coords_disjoint(hull_a, hull_b):
+        raise NotSeparatedError("convex hulls of the two sides intersect")
+    if cap is None:
+        # Fewer than len(a)**2 + len(b)**2 pairs exist, so this cap never binds.
+        cap = len(a) ** 2 + len(b) ** 2
+    sides = []
+    for side, other_hull in ((a, hull_b), (b, hull_a)):
+        if V.within_int64_bound and len(side) >= _INT64_MIN_SIDE:
+            result = _compare_side_int64(side, V, other_hull, cap, tables)
+        else:
+            result = _compare_side(side, coords, other_hull, cap)
+            if result is not None and not tables:
+                result = result[1]
+        if result is None:
+            return None
+        sides.append(result)
+        cap -= result[1] if tables else result
+    return sides
 
 
 def build_pair_poset(A, B, V: PointSet, hull_a=None, hull_b=None, cap: int | None = None) -> PairPoset | None:
@@ -279,45 +326,24 @@ def build_pair_poset(A, B, V: PointSet, hull_a=None, hull_b=None, cap: int | Non
     """
     a = tuple(A)
     b = tuple(B)
-    if not a or not b:
-        raise ValueError("both sides must be nonempty")
-    if set(a) & set(b):
-        raise ValueError("sides must be disjoint index sets")
-    if len(a) > SIZE_CAP or len(b) > SIZE_CAP:
-        raise ValueError(f"side exceeds the comparability table cap ({SIZE_CAP})")
-    coords = V.coords
-    if hull_a is None:
-        hull_a = hull_coords(coords[i] for i in a)
-    if hull_b is None:
-        hull_b = hull_coords(coords[i] for i in b)
-    if not hull_coords_disjoint(hull_a, hull_b):
-        raise NotSeparatedError("convex hulls of the two sides intersect")
-    if cap is None:
-        # Fewer than len(a)**2 + len(b)**2 pairs exist, so this cap never binds.
-        cap = len(a) ** 2 + len(b) ** 2
-    tables = []
-    for side, other_hull in ((a, hull_b), (b, hull_a)):
-        if V.within_int64_bound and len(side) >= _INT64_MIN_SIDE:
-            table = _compare_side_int64(side, V, other_hull, cap)
-        else:
-            table = _compare_side(side, coords, other_hull, cap)
-        if table is None:
-            return None
-        tables.append(table)
-        cap -= table[1]
-    (succ_a, iota_a), (succ_b, iota_b) = tables
+    sides = _compare_pair(a, b, V, hull_a, hull_b, cap, True)
+    if sides is None:
+        return None
+    (succ_a, iota_a), (succ_b, iota_b) = sides
     return PairPoset(a, b, succ_a, succ_b, iota_a, iota_b)
 
 
 def iota_sum_capped(A, B, V: PointSet, cap: int, hull_a=None, hull_b=None) -> int | None:
     """Incomparable-pair count over both sides, or None once it exceeds cap.
 
-    A library wrapper over ``build_pair_poset`` with a cap; no pipeline
-    module calls it. It is kept so that lookups of the pipeline's layers by
-    name, such as the benchmark's tracer, still find it.
+    The count of ``build_pair_poset`` with the same arguments, found by the
+    same checks and the same kernels with the successor bits left unpacked:
+    it is None exactly when that build returns None, and it raises exactly
+    when that build raises. The pair scan ranks candidate pairs by it and
+    builds the tables of the one pair it returns.
     """
-    P = build_pair_poset(A, B, V, hull_a, hull_b, cap)
-    return None if P is None else P.iota_sum
+    sides = _compare_pair(A, B, V, hull_a, hull_b, cap, False)
+    return None if sides is None else sum(sides)
 
 
 @dataclass(frozen=True)

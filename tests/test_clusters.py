@@ -2,9 +2,22 @@ import itertools
 import random
 from fractions import Fraction
 
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from crossfam import clusters
 from crossfam.cli import generate_points
-from crossfam.clusters import _splitter_direction, build_clusters, desk_net_size, find_avoiding_dense_pair
-from crossfam.geom import GeometricGraph, Point, PointSet, hulls_disjoint
+from crossfam.clusters import (
+    ClusterDecomposition,
+    _splitter_direction,
+    build_clusters,
+    cluster_hulls,
+    desk_net_size,
+    find_avoiding_dense_pair,
+)
+from crossfam.errors import DegenerateInputError
+from crossfam.geom import COORD_LIMIT, INT64_COORD_LIMIT, GeometricGraph, Point, PointSet, hull_coords, hulls_disjoint
 from crossfam.poset import build_pair_poset
 from crossfam.zones import Line, build_zone_lines
 
@@ -85,6 +98,152 @@ def test_build_clusters_shared_x_perturbs_direction():
     assert _splitter_direction(V.coords) != (1, 0)
     for c1, c2 in itertools.combinations(D.clusters, 2):
         assert hulls_disjoint([V[i] for i in c1], [V[i] for i in c2])
+
+
+def test_build_clusters_rejects_repeated_point():
+    # The splitter search once looped forever on two points at one spot.
+    V = PointSet([(0, 0), (0, 0), (1, 5), (2, 3)], check_general_position=False)
+    with pytest.raises(DegenerateInputError, match=r"point \(0, 0\) is repeated"):
+        build_clusters(V, [], 2)
+    # A cell too small to chunk is left over whole, as before.
+    assert build_clusters(V, [], 5).leftover == (0, 1, 2, 3)
+
+
+def reference_build_clusters(V, lines, m):
+    """The per-point loop ``build_clusters`` replaced: each point's signs
+    over the lines in Python ints, cells by sign tuple, each cell sorted
+    along its splitter direction."""
+    coords = V.coords
+    cells = {}
+    on_lines = []
+    for idx, (x, y) in enumerate(coords):
+        signs = []
+        on_line = False
+        for l in lines:
+            v = l.a * x + l.b * y + l.c
+            if v == 0:
+                on_line = True
+                break
+            signs.append(1 if v > 0 else -1)
+        if on_line:
+            on_lines.append(idx)
+        else:
+            cells.setdefault(tuple(signs), []).append(idx)
+    found = []
+    leftover = list(on_lines)
+    for signs in sorted(cells):
+        members = cells[signs]
+        if len(members) < m:
+            leftover.extend(members)
+            continue
+        kx, ky = _splitter_direction([coords[i] for i in members])
+        members.sort(key=lambda i: (kx * coords[i][0] + ky * coords[i][1], coords[i]))
+        full = len(members) // m * m
+        found.extend(tuple(members[start : start + m]) for start in range(0, full, m))
+        leftover.extend(members[full:])
+    return ClusterDecomposition(m, tuple(found), tuple(sorted(leftover)), tuple(on_lines))
+
+
+@st.composite
+def arrangements(draw):
+    """Distinct points on a small grid scaled so the largest coordinate is
+    ``top``, so that cells often share an x; lines through two of them, or
+    with coefficients drawn up to past the int64 path's bounds."""
+    top = draw(st.sampled_from([50, INT64_COORD_LIMIT, INT64_COORD_LIMIT + 1, COORD_LIMIT]))
+    grid = draw(st.integers(2, 8))
+    cells = draw(st.lists(st.tuples(st.integers(-grid, grid), st.integers(-grid, grid)),
+                          min_size=2, max_size=40, unique=True))
+    scale = top // grid
+    pts = [Point(x * scale, y * scale) for x, y in cells if (x * scale, y * scale) != (top, -top)]
+    pts.append(Point(top, -top))
+    lines = []
+    for kind in draw(st.lists(st.sampled_from(["through", "coefficients"]), max_size=4)):
+        if kind == "through":
+            p, q = draw(st.lists(st.sampled_from(range(len(pts))), min_size=2, max_size=2, unique=True))
+            lines.append(Line.through(pts[p], pts[q]))
+        else:
+            big = draw(st.sampled_from([3, 2**30, 2**30 + 1]))
+            a, b = draw(st.tuples(st.integers(-big, big), st.integers(-big, big)).filter(lambda ab: ab != (0, 0)))
+            c = draw(st.sampled_from([0, 2**60, -(2**60) - 1, 7 * 2**60])) + draw(st.integers(-big * top, big * top))
+            lines.append(Line(a, b, c))
+    m = draw(st.integers(1, 6))
+    return PointSet(pts, check_general_position=False), lines, m
+
+
+@given(arrangements())
+@settings(max_examples=300, deadline=None)
+@example((PointSet([Point(0, 0), Point(0, 5), Point(1, 2), Point(1, 9), Point(3, 1), Point(2, 7)]), [], 2))
+@example((PointSet([Point(x, 0) for x in range(4)], check_general_position=False), [Line(0, 1, 0)], 1))
+# Lines beyond the net lines' bounds on c, or on a and b: a*x + b*y + c
+# would wrap in int64 at the first point.
+@example((PointSet([Point(2**29, 2**29), Point(2**29 - 1, -(2**29)), Point(-(2**29), 0)]),
+          [Line(2**30, 2**30, 7 * 2**60 + 2**59)], 1))
+@example((PointSet([Point(-(2**29), -(2**29)), Point(1, 0)]), [Line(-(2**33), -(2**33), 0)], 1))
+def test_build_clusters_matches_per_point_loop(case):
+    V, lines, m = case
+    assert build_clusters(V, lines, m) == reference_build_clusters(V, lines, m)
+
+
+@st.composite
+def hull_clusters(draw):
+    """Clusters of one size whose points lie in a cloud, in convex position,
+    on the boundary of a square with collinear points along its sides, or
+    on one line; scaled from a small grid so that the largest coordinate
+    of the set is ``top``."""
+    top = draw(st.sampled_from([INT64_COORD_LIMIT, INT64_COORD_LIMIT + 1, COORD_LIMIT]))
+    k = draw(st.integers(1, 5))
+    size = draw(st.integers(1, 12))
+    grid = 12
+    groups = []
+    for _ in range(k):
+        kind = draw(st.sampled_from(["cloud", "convex", "square", "line"]))
+        t = st.integers(-grid, grid)
+        if kind == "cloud":
+            pts = draw(st.lists(st.tuples(t, t), min_size=size, max_size=size))
+        elif kind == "convex":
+            xs = draw(st.lists(t, min_size=size, max_size=size, unique=True))
+            pts = [(x, x * x // grid - grid) for x in xs]
+        elif kind == "square":
+            inner = st.integers(1 - grid, grid - 1)
+            pts = draw(st.lists(st.tuples(inner, inner), max_size=size // 2))
+            turn = [lambda u: (u, -grid), lambda u: (grid, u), lambda u: (-u, grid), lambda u: (-grid, -u)]
+            side = st.tuples(st.integers(0, 3), t)
+            pts += [turn[s](u) for s, u in draw(st.lists(side, min_size=size - len(pts), max_size=size - len(pts)))]
+        else:
+            a, b = draw(st.tuples(st.integers(-2, 2), st.integers(-2, 2)))
+            pts = [(a * u, b * u) for u in draw(st.lists(st.integers(-5, 5), min_size=size, max_size=size))]
+        groups.append(pts)
+    scale = top // grid
+    coords = [(x * scale, y * scale) for grp in groups for x, y in grp] + [(top, -top)]
+    order = draw(st.permutations(range(k * size)))
+    return PointSet(coords, check_general_position=False), [order[b * size : (b + 1) * size] for b in range(k)]
+
+
+@given(hull_clusters())
+@settings(max_examples=300, deadline=None)
+@example((PointSet([(0, 0)] * 4 + [(INT64_COORD_LIMIT, 0)], check_general_position=False), [[0, 1, 2, 3]]))
+def test_cluster_hulls_match_hull_coords(case):
+    # The octagon prefilter drops only points strictly inside each cluster's
+    # hull, so every hull is that of the whole cluster.
+    V, groups = case
+    assert cluster_hulls(V, groups) == [hull_coords(V.coords[v] for v in grp) for grp in groups]
+
+
+def test_pair_scan_builds_tables_once(monkeypatch):
+    # Candidates are ranked by their count alone; the one pair returned gets
+    # its tables built, and a scan that finds nothing builds none.
+    calls = []
+    build = clusters.build_pair_poset
+    monkeypatch.setattr(clusters, "build_pair_poset", lambda *a, **kw: calls.append(a[:2]) or build(*a, **kw))
+    V = generate_points("random-disk", 90, 3)
+    G = GeometricGraph.complete(V)
+    matching = GeometricGraph.from_edges(V, [(i, i + 1) for i in range(0, 90, 2)])
+    for graph, delta, found in ((G, Fraction(1, 4), True), (matching, Fraction(1, 2), False)):
+        for seed in range(4):
+            calls.clear()
+            pick = find_avoiding_dense_pair(graph, 4, Fraction(1, 4), delta, seed)
+            assert (pick is not None) == found
+            assert calls == ([pick[:2]] if found else [])
 
 
 def test_edge_category_counts(rng):
@@ -174,6 +333,26 @@ def test_find_avoiding_dense_pair_matches_reference():
         assert len(A) == len(B) == m
         assert hulls_disjoint([V[i] for i in A], [V[i] for i in B])
         assert P == build_pair_poset(A, B, V)
+
+
+def test_find_avoiding_dense_pair_ties_keep_the_first_pair():
+    # No untangled pair exists here, and later pairs tie the best count with
+    # no more edges: the first of them must be kept.
+    complete = [(16, 28), (25, 6), (26, 13), (10, 23), (19, 16), (30, 22), (0, 12),
+                (3, 23), (27, 2), (18, 17), (13, 27), (25, 0), (14, 0)]
+    sparse = [(8, 26), (15, 27), (19, 19), (20, 10), (4, 6), (14, 17), (17, 20), (6, 23),
+              (3, 19), (29, 26), (0, 29), (15, 5)]
+    edges = [(0, 1), (0, 2), (0, 4), (0, 6), (0, 8), (0, 9), (0, 10), (1, 4), (1, 6), (1, 7), (1, 9),
+             (2, 4), (2, 6), (2, 7), (2, 8), (2, 10), (2, 11), (3, 4), (3, 5), (3, 8), (3, 9), (4, 6),
+             (4, 9), (4, 11), (5, 6), (5, 8), (5, 10), (5, 11), (6, 8), (6, 9), (6, 11), (7, 8), (7, 9),
+             (7, 10), (7, 11), (8, 10), (9, 10)]
+    for G, seed in (
+        (GeometricGraph.complete(PointSet([Point(*c) for c in complete])), 0),
+        (GeometricGraph.from_edges(PointSet([Point(*c) for c in sparse]), edges), 1),
+    ):
+        A, B, P = find_avoiding_dense_pair(G, 3, Fraction(1), Fraction(1, 4), seed)
+        assert P.iota_sum > 0
+        assert (A, B) == reference_pair(G, 3, Fraction(1), Fraction(1, 4), seed)
 
 
 def test_find_avoiding_dense_pair_no_edges():

@@ -8,11 +8,13 @@ or a ``ParseError`` with the same line number and message, from both.
 from __future__ import annotations
 
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from crossfam import geom
 from crossfam.errors import GeneralPositionError, ParseError
 from crossfam.formats import parse_graph_file, render_graph_file, render_point_file
 from crossfam.geom import GeometricGraph, Point, PointSet
@@ -263,3 +265,22 @@ def test_from_edges_matches_reference(n, edges):
     G = GeometricGraph.from_edges(V, iter(edges))
     assert G._adj == expect
     assert G.edge_count == sum(mask.bit_count() for mask in expect) // 2
+
+
+@given(
+    st.sampled_from(SIZES),
+    st.lists(st.tuples(st.integers(0, 64), st.integers(0, 64)), max_size=60),
+    st.sampled_from((1, 3, 64)),
+)
+@settings(max_examples=200, deadline=None)
+@example(65, [(0, 64), (64, 1), (7, 8), (8, 7)], 64)
+def test_neighbour_masks_in_slabs_match_reference(n, edges, slab_bytes):
+    # With slabs of a few rows, each slab takes its own run of the sorted
+    # edge ends; the parser and from_edges must still build every mask.
+    edges = [(a, b) for a, b in edges if a != b and max(a, b) < n]
+    V = _parabola(n)
+    distinct = sorted({(min(e), max(e)) for e in edges})
+    text = render_point_file(V) + f"edges m={len(distinct)}\n" + "".join(f"{a} {b}\n" for a, b in distinct)
+    with mock.patch.object(geom, "_SLAB_BYTES", slab_bytes):
+        assert GeometricGraph.from_edges(V, edges)._adj == reference_from_edges(V, edges)
+        _assert_same(text)

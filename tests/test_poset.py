@@ -230,6 +230,7 @@ def test_int64_kernel_matches_scalar_reference(seed, na, kind, nb, top, sign, sl
                 assert (expect is None) == (total > max(cap, 0))
                 if V.within_int64_bound:
                     assert _compare_side_int64(side, V, hull, cap) == expect
+                    assert _compare_side_int64(side, V, hull, cap, False) == (None if expect is None else expect[1])
 
         pp = build_pair_poset(A, B, V)
         assert (_less_pairs(pp.a, pp.succ_a), pp.iota_a) == _reference_side(A, V, B)
@@ -239,6 +240,8 @@ def test_int64_kernel_matches_scalar_reference(seed, na, kind, nb, top, sign, sl
             expect = pp if cap is None or total <= max(cap, 0) else None
             assert build_pair_poset(A, B, V, cap=cap) == expect
             assert build_pair_poset(A, B, V, hull_a, hull_b, cap) == expect
+            if cap is not None:
+                assert iota_sum_capped(A, B, V, cap, hull_a, hull_b) == (None if expect is None else total)
 
 
 def test_build_pair_poset_takes_int64_kernel_only_within_bound(monkeypatch):
