@@ -332,7 +332,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "one finds a family (default: the largest power of two <= n/2)")
     r.add_argument("--eps", default=None, help="rational, e.g. 1/4")
     r.add_argument("--delta", default=None, help="rational, e.g. 1/4")
-    r.add_argument("--s", type=int, default=None)
+    r.add_argument("--s", type=int, default=None,
+                   help="depth of the theory recursion (theory mode only; default 1)")
     r.add_argument("--seed", type=int, default=None)
     r.add_argument("--max-retries", type=int, default=RunConfig.max_retries)
     r.add_argument("--svg", default=None)

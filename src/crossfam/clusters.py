@@ -8,7 +8,8 @@ chunked into groups of exactly m along a splitter direction, so any two
 clusters are separated by a line. Points on the lines and partial chunks
 form the leftover set. The scan takes the hulls of all clusters from one
 pass, ranks the dense cluster pairs by their capped incomparable count, and
-builds the comparability tables of the one pair it returns.
+builds the comparability tables of the one pair it returns: after the scan
+for a pair missing edges, while ranking for a complete pair.
 """
 
 from __future__ import annotations
@@ -187,9 +188,10 @@ def find_avoiding_dense_pair(G: GeometricGraph, m: int, eps, delta, seed: int):
     cuts V into clusters over the lines the net determines, and scans the
     cluster pairs. The net's zones are not audited. The edge counts of all
     pairs come from one ``block_edge_counts`` pass and the hulls of all
-    clusters from one ``cluster_hulls`` pass. Each dense pair is ranked by
-    ``iota_sum_capped``, and ``build_pair_poset`` runs once, on the pair
-    returned. Returns (A, B, PairPoset) or None.
+    clusters from one ``cluster_hulls`` pass. A dense pair missing edges is
+    ranked by ``iota_sum_capped``, a complete one by a capped
+    ``build_pair_poset``; the pair returned gets the tables of an uncapped
+    build, built once. Returns (A, B, PairPoset) or None.
     """
     V = G.vertices
     n = len(V)
@@ -214,12 +216,13 @@ def find_avoiding_dense_pair(G: GeometricGraph, m: int, eps, delta, seed: int):
     # Scan pairs in (i, j) order. The least tangled qualifying pair wins,
     # since downstream yield depends directly on the incomparability count;
     # ties go to more edges, as density need only clear delta. Each pair is
-    # ranked by its count alone, which gives up as soon as it exceeds the
-    # relevant budget; only the pair kept gets its tables built.
+    # ranked by its count, which gives up as soon as it exceeds the relevant
+    # budget.
     iota_cap = (eps.numerator * m * m) // eps.denominator
     dense_min = delta.numerator * m * m  # compare against count * delta_den
     delta_den = delta.denominator
     best: tuple[int, int, int, int] | None = None  # (count, iota, i, j)
+    P = None  # the best pair's tables, if built while ranking
     clusters = D.clusters
     k = len(clusters)
     counts = G.block_edge_counts(clusters, clusters).tolist()
@@ -238,11 +241,19 @@ def find_avoiding_dense_pair(G: GeometricGraph, m: int, eps, delta, seed: int):
                     continue
                 # Only a pair with more edges may tie the best's count.
                 cap = min(cap, best[1] - (cnt <= best[0]))
-            iota = iota_sum_capped(clusters[i], clusters[j], V, cap, hulls[i], hulls[j])
+            if cnt == m * m:
+                # An untangled complete pair ends the scan, so a complete
+                # pair gets its tables as it is ranked, kept if it is.
+                pair = build_pair_poset(clusters[i], clusters[j], V, hulls[i], hulls[j], cap)
+                iota = None if pair is None else pair.iota_sum
+            else:
+                pair = None
+                iota = iota_sum_capped(clusters[i], clusters[j], V, cap, hulls[i], hulls[j])
             if iota is not None:
-                best = (cnt, iota, i, j)
+                best, P = (cnt, iota, i, j), pair
     if best is None:
         return None
     _, _, i, j = best
-    P = build_pair_poset(clusters[i], clusters[j], V, hulls[i], hulls[j])
+    if P is None:
+        P = build_pair_poset(clusters[i], clusters[j], V, hulls[i], hulls[j])
     return P.a, P.b, P

@@ -2,10 +2,13 @@
 families from a geometric graph.
 
 The pipeline finds a separated pair of clusters that is dense and nearly
-untangled, splits it into blockwise totally ordered sub-pairs whose edges
-relate across blocks, recurses into the blocks, and unions the results.
-Every returned family is re-verified pairwise with exact predicates before
-it leaves a driver; soundness never depends on the search heuristics.
+untangled. Practical mode returns the base of that pair: a longest run of
+edges between its longest chains, rank-matched. Theory mode runs the paper's
+recursion instead: it splits the pair into blockwise totally ordered
+sub-pairs whose edges relate across blocks, recurses into the blocks, and
+unions the results. Every returned family is re-verified pairwise with
+exact predicates before it leaves a driver; soundness never depends on the
+search heuristics.
 """
 
 from __future__ import annotations
@@ -15,13 +18,12 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations
-from math import comb, isqrt, log
+from math import comb, log
 from typing import Sequence
 
 from .clusters import find_avoiding_dense_pair
 from .errors import (
     EmptyGraphError,
-    HypothesisViolatedError,
     NoEligiblePairsError,
     NotTotalOrderError,
 )
@@ -302,10 +304,10 @@ def _longest_edge_run(G: GeometricGraph, order_a, order_b, mode: FamilyMode) -> 
 
 
 def _base_segments(G: GeometricGraph, A, B, P: PairPoset, mode: FamilyMode) -> list[Segment]:
-    """The direct route of the practical recursion: a longest run of edges
-    between the largest totally ordered sub-pair (the full sides when the
-    pair is untangled, else the longest chains of each side), or a single
-    edge when no run has two."""
+    """The practical family of a pair: a longest run of edges between the
+    largest totally ordered sub-pair (the full sides when the pair is
+    untangled, else the longest chains of each side), or a single edge when
+    no run has two."""
     a_side, b_side = tuple(A), tuple(B)
     if not (len(a_side) == len(b_side) and P.is_zero_avoiding):
         a_side, b_side = longest_chain(P.succ_a), longest_chain(P.succ_b)
@@ -330,59 +332,33 @@ def crossing_family_from_pair(
     P: PairPoset,
     *,
     mode: FamilyMode = FamilyMode.CROSSING,
-    budget: int = 2,
     theory: bool = False,
     levels: Sequence["LevelParams"] | None = None,
 ) -> SegmentFamily | None:
-    """Recursive extraction of a verified family from one separated pair.
+    """A verified family from one separated pair, or None when the pair
+    spans no edges at all. ``P`` is the poset of exactly the pair (A, B).
 
-    Each node's base is a longest run of edges between the pair's ordered
-    chains (one edge in theory mode). At the bottom of the recursion the
-    base is the answer; otherwise the pair is split and the blocks are
-    processed independently, skipping failed blocks outside of theory mode.
-    Returns None when the pair spans no edges at all. ``P`` is the poset of
-    exactly the pair (A, B).
+    Practical mode returns the base: a longest run of edges between the
+    pair's ordered chains (``_base_segments``). Theory mode runs the paper's
+    recursion over the parameter schedule ``levels``, one level per entry:
+    each node is split into a chain of block pairs (``split_pair``) and the
+    blocks recurse; a node at the bottom, or one too small to split, gives
+    one edge. A block the split cannot handle raises.
     """
+    if not theory:
+        segs = _base_segments(G, A, B, P, mode)
+    elif levels is None:
+        raise ValueError("theory recursion requires a parameter schedule")
+    else:
 
-    def rec(a, b, p, depth) -> list[Segment]:
-        base = _first_edge(G, a, b) if theory else _base_segments(G, a, b, p, mode)
-        if depth <= 1 or len(a) < 4 or len(a) != len(b):
-            return base
-        if theory:
-            if levels is None:
-                raise ValueError("theory recursion requires a parameter schedule")
+        def rec(a, b, p, depth) -> list[Segment]:
+            if depth <= 1 or len(a) < 4 or len(a) != len(b):
+                return _first_edge(G, a, b)
             lvl = levels[depth - 1]
-            t, k, msub = lvl.t, lvl.k, lvl.m
-            a2, b2 = a, b
-        else:
-            t = 3
-            quarter = len(a) // (t + 1)
-            if quarter < 1:
-                return base
-            msub = isqrt(quarter)
-            k = quarter // msub
-            trunc = (t + 1) * k * msub
-            a2, b2 = tuple(a)[:trunc], tuple(b)[:trunc]
-        try:
-            parts = split_pair(G, a2, b2, p, t, k, msub, mode=mode, theory=theory)
-        except (HypothesisViolatedError, NoEligiblePairsError):
-            if theory:
-                raise
-            return base
-        out: list[Segment] = []
-        for ai, bi, pi in parts:
-            try:
-                out.extend(rec(ai, bi, pi, depth - 1))
-            except (HypothesisViolatedError, NoEligiblePairsError):
-                if theory:
-                    raise
-        if theory:
-            return out
-        # The split route and the direct matching route are both sound;
-        # keep whichever yields more.
-        return out if len(out) > len(base) else base
+            parts = split_pair(G, a, b, p, lvl.t, lvl.k, lvl.m, mode=mode, theory=True)
+            return [s for ai, bi, pi in parts for s in rec(ai, bi, pi, depth - 1)]
 
-    segs = rec(tuple(A), tuple(B), P, budget)
+        segs = rec(tuple(A), tuple(B), P, len(levels))
     if not segs:
         return None
     return make_family(mode, segs, G, G.vertices)
@@ -518,8 +494,11 @@ def theory_params(n: int, x, s: int) -> ParamSchedule:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Driver configuration. Theory mode follows the exact schedules; the
-    default practical mode picks the cluster size m by itself.
+    """Driver configuration. Theory mode follows the exact schedules, with
+    ``s`` (default 1) the depth of the paper's recursion; ``s`` applies to
+    theory mode only and is rejected elsewhere. The default practical mode
+    picks the cluster size m by itself and returns the base of each pair
+    it tries (``crossing_family_from_pair``).
 
     Practical mode makes at most ``max_retries`` attempts, each with a fresh
     net (seed ``seed + attempt``). The cluster size m starts at ``m``
@@ -536,6 +515,13 @@ class RunConfig:
     s: int | None = None
     seed: int = 0
     max_retries: int = 8
+
+    def __post_init__(self):
+        if self.s is not None:
+            if self.s < 1:
+                raise ValueError(f"s must be at least 1, got {self.s}")
+            if not self.theory:
+                raise ValueError("s applies only to theory mode")
 
 
 def _dense_exponent(n: int, edges: int) -> Fraction:
@@ -563,8 +549,6 @@ def _find_family(G: GeometricGraph, cfg: RunConfig, mode: FamilyMode) -> Segment
         raise ValueError(f"m must be at least 1, got {cfg.m}")
     if cfg.max_retries < 1:
         raise ValueError(f"max_retries must be at least 1, got {cfg.max_retries}")
-    if cfg.s is not None and cfg.s < 1:
-        raise ValueError(f"s must be at least 1, got {cfg.s}")
     n = len(G.vertices)
     if G.edge_count == 0:
         raise EmptyGraphError("graph has no edges")
@@ -581,7 +565,7 @@ def _find_family(G: GeometricGraph, cfg: RunConfig, mode: FamilyMode) -> Segment
         pick = find_avoiding_dense_pair(G, sched.M, sched.eps, search_delta, cfg.seed)
         if pick is not None:
             fam = crossing_family_from_pair(
-                G, pick[0], pick[1], pick[2], mode=mode, budget=s, theory=True, levels=sched.levels
+                G, pick[0], pick[1], pick[2], mode=mode, theory=True, levels=sched.levels
             )
             if fam is not None and len(fam) > len(best):
                 best = fam
@@ -589,7 +573,6 @@ def _find_family(G: GeometricGraph, cfg: RunConfig, mode: FamilyMode) -> Segment
 
     eps = Fraction(cfg.eps) if cfg.eps is not None else Fraction(1, 4)
     delta = Fraction(cfg.delta) if cfg.delta is not None else Fraction(1, 4)
-    budget = cfg.s if cfg.s is not None else 2
 
     # A pair of m-clusters yields at most m segments, and its yield grows
     # with m: search m downwards and stop at the first m that gives a family.
@@ -604,7 +587,7 @@ def _find_family(G: GeometricGraph, cfg: RunConfig, mode: FamilyMode) -> Segment
         pick = find_avoiding_dense_pair(G, m, eps, delta, cfg.seed + attempt)
         if pick is not None:
             A, B, P = pick
-            fam = crossing_family_from_pair(G, A, B, P, mode=mode, budget=budget)
+            fam = crossing_family_from_pair(G, A, B, P, mode=mode)
             if fam is not None and len(fam) > len(best):
                 best = fam
         if len(best) >= 2:

@@ -26,10 +26,11 @@ the line: then it returns INCOMPARABLE without reaching that vertex.
 
 Two functions lead into the kernel, through one private path with one set
 of checks. ``build_pair_poset`` builds both sides' tables; given a cap, it
-gives up as soon as the incomparable pairs exceed it, and the split rejects
-tangled pairs so. ``iota_sum_capped`` gives the same count, or the same
-None, without packing successor bits: the pair scan ranks its candidates by
-it and builds the tables of the one pair it keeps.
+gives up as soon as the incomparable pairs exceed it, and the theory
+recursion's split rejects tangled block pairs so. ``iota_sum_capped`` gives
+the same count, or the same None, without packing successor bits: the pair
+scan ranks its candidates missing edges by it, and its complete candidates
+by a capped build whose tables it keeps.
 
 The chain routines read each order as ``PairPoset`` holds it: every
 element's bitmask of the elements it precedes.
@@ -339,8 +340,8 @@ def iota_sum_capped(A, B, V: PointSet, cap: int, hull_a=None, hull_b=None) -> in
     The count of ``build_pair_poset`` with the same arguments, found by the
     same checks and the same kernels with the successor bits left unpacked:
     it is None exactly when that build returns None, and it raises exactly
-    when that build raises. The pair scan ranks candidate pairs by it and
-    builds the tables of the one pair it returns.
+    when that build raises. The pair scan ranks candidate pairs that miss
+    edges by it and builds the tables of the one pair it returns.
     """
     sides = _compare_pair(A, B, V, hull_a, hull_b, cap, False)
     return None if sides is None else sum(sides)

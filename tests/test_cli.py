@@ -250,6 +250,9 @@ def test_cli_run_rejects_eps_delta_above_two(tmp_path, capsys):
     ):
         assert main(["run", str(graph), option, value, "--out", str(out)]) == 2
         assert f"{option[2:].replace('-', '_')} must be at least 1, got {value}" in capsys.readouterr().err
+    # The recursion depth belongs to theory mode alone.
+    assert main(["run", str(graph), "--s", "2", "--out", str(out)]) == 2
+    assert "s applies only to theory mode" in capsys.readouterr().err
     assert main(["bench", "--sizes", "16", "--trials", "1", "--max-retries", "0"]) == 2
     assert "max_retries must be at least 1" in capsys.readouterr().err
     assert main(["bench", "--sizes", "8", "--trials", "0"]) == 2

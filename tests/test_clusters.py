@@ -230,20 +230,58 @@ def test_cluster_hulls_match_hull_coords(case):
 
 
 def test_pair_scan_builds_tables_once(monkeypatch):
-    # Candidates are ranked by their count alone; the one pair returned gets
-    # its tables built, and a scan that finds nothing builds none.
-    calls = []
-    build = clusters.build_pair_poset
-    monkeypatch.setattr(clusters, "build_pair_poset", lambda *a, **kw: calls.append(a[:2]) or build(*a, **kw))
+    # A dense pair missing edges is ranked by its count alone, and the one
+    # pair returned then gets its tables built. A complete pair gets its
+    # tables as it is ranked, and the scan keeps those of the pair it
+    # returns. So the kernel goes over no pair twice, except a returned
+    # pair that misses edges, and a scan that finds nothing builds none.
+    counted, built = [], []
+    count, build = clusters.iota_sum_capped, clusters.build_pair_poset
+    monkeypatch.setattr(clusters, "iota_sum_capped", lambda *a, **kw: counted.append(a[:2]) or count(*a, **kw))
+    monkeypatch.setattr(clusters, "build_pair_poset", lambda *a, **kw: built.append(a[:2]) or build(*a, **kw))
+
+    def disk_graph(n, density):
+        V = generate_points("random-disk", n, 3)
+        edge_rng = random.Random(3)
+        pairs = itertools.combinations(range(n), 2)
+        return GeometricGraph.from_edges(V, [e for e in pairs if edge_rng.random() < density])
+
     V = generate_points("random-disk", 90, 3)
-    G = GeometricGraph.complete(V)
-    matching = GeometricGraph.from_edges(V, [(i, i + 1) for i in range(0, 90, 2)])
-    for graph, delta, found in ((G, Fraction(1, 4), True), (matching, Fraction(1, 2), False)):
+    cases = [
+        (GeometricGraph.complete(V), 4, Fraction(1, 4), True),
+        (disk_graph(90, 0.9), 4, Fraction(1, 4), True),
+        (disk_graph(90, 0.5), 4, Fraction(1, 4), True),
+        # At m = 5, nets 0 and 3 find a complete pair first and return a
+        # less tangled pair that misses edges.
+        (disk_graph(60, 0.9), 5, Fraction(1, 4), True),
+        (GeometricGraph.from_edges(V, [(i, i + 1) for i in range(0, 90, 2)]), 4, Fraction(1, 2), False),
+    ]
+    kept_complete = kept_missing = 0
+    for graph, m, delta, found in cases:
+        V = graph.vertices
         for seed in range(4):
-            calls.clear()
-            pick = find_avoiding_dense_pair(graph, 4, Fraction(1, 4), delta, seed)
+            counted.clear()
+            built.clear()
+            pick = find_avoiding_dense_pair(graph, m, Fraction(1, 4), delta, seed)
             assert (pick is not None) == found
-            assert calls == ([pick[:2]] if found else [])
+            if not found:
+                assert counted == built == []
+                continue
+            A, B, P_ = pick
+            assert P_ == build(A, B, V)
+            complete = {p for p in counted + built if graph.block_edge_counts([p[0]], [p[1]])[0, 0] == m * m}
+            assert complete.isdisjoint(counted)
+            assert set(built) - {(A, B)} <= complete
+            assert len(built) == len(set(built)) and (A, B) in built
+            assert len(counted) == len(set(counted))
+            if (A, B) in complete:
+                assert (A, B) not in counted
+                kept_complete += 1
+            else:
+                assert built[-1] == (A, B)
+                kept_missing += 1
+    # Both kinds of returned pair occur.
+    assert kept_complete and kept_missing
 
 
 def test_edge_category_counts(rng):
@@ -316,6 +354,9 @@ def test_find_avoiding_dense_pair_matches_reference():
         ("grid-jitter", 64, 11, None, 3, Fraction(1, 4), Fraction(1, 4), 6),
         ("grid-jitter", 110, 12, 0.5, 4, Fraction(1, 2), Fraction(1, 4), 7),
         ("grid-jitter", 90, 13, 0.5, 2, Fraction(1, 8), Fraction(1, 2), 8),
+        # A complete pair is the best until a less tangled pair that misses
+        # edges replaces it.
+        ("random-disk", 60, 3, 0.9, 5, Fraction(1, 4), Fraction(1, 4), 0),
     ]
     for kind, n, point_seed, density, m, eps, delta, seed in cases:
         V = generate_points(kind, n, point_seed)

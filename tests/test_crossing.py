@@ -154,7 +154,7 @@ def test_family_from_pair_zero_avoiding(rng):
     V, A, B = block_instance(rng, t=1, k=1, m=3)
     G = GeometricGraph.complete(V)
     P_ = build_pair_poset(A, B, V)
-    fam = crossing_family_from_pair(G, A, B, P_, mode=FamilyMode.CROSSING, budget=2)
+    fam = crossing_family_from_pair(G, A, B, P_, mode=FamilyMode.CROSSING)
     assert fam is not None and len(fam) == 6
     assert verify_family(fam, G) is None
 
@@ -175,13 +175,19 @@ def test_family_from_pair_no_edges():
 
 
 def test_family_from_pair_two_level(rng):
+    # A pair shaped for a two-level split (t=3, k=2, blocks of 3): practical
+    # mode returns the base, which on an untangled complete pair is the
+    # full side rank-matched, more than any split of it could yield.
     V, A, B = block_instance(rng, t=3, k=2, m=3)
     G = GeometricGraph.complete(V)
     P_ = build_pair_poset(A, B, V)
-    fam = crossing_family_from_pair(G, A, B, P_, mode=FamilyMode.CROSSING, budget=2)
-    assert fam is not None
-    assert len(fam) >= 6
-    assert verify_family(fam, G) is None
+    assert P_.is_zero_avoiding
+    for mode in FamilyMode:
+        fam = crossing_family_from_pair(G, A, B, P_, mode=mode)
+        assert fam is not None
+        assert len(fam) == len(A) == 24
+        assert fam.segments == match_avoiding_pair(A, B, V, mode=mode).segments
+        assert verify_family(fam, G) is None
 
 
 def _longest_run_reference(cells, mode):
@@ -390,6 +396,19 @@ def test_find_family_theory_mode_small_instance():
     assert verify_family(fam, G) is None
 
 
+def test_run_config_s_is_theory_only():
+    # s is the depth of the theory recursion; practical mode has no use for
+    # it, so a practical RunConfig with s is refused. The range check on s
+    # comes first in either mode.
+    assert RunConfig(theory=True, s=2).s == 2
+    assert RunConfig().s is None
+    with pytest.raises(ValueError, match="s applies only to theory mode"):
+        RunConfig(s=2)
+    for theory in (False, True):
+        with pytest.raises(ValueError, match="s must be at least 1, got 0"):
+            RunConfig(theory=theory, s=0)
+
+
 def test_find_family_theory_mode_dense_graph(rng):
     V = generate_points("random-disk", 24, seed=13)
     edges = [
@@ -412,7 +431,7 @@ def test_theory_recursion_meets_guarantee(rng):
     sched = theory_params(len(V), None, 2)
     assert (sched.levels[1].t, sched.levels[1].k, sched.levels[1].m) == (8, 8, 9)
     fam = crossing_family_from_pair(
-        G, A, B, P_, mode=FamilyMode.CROSSING, budget=2, theory=True, levels=sched.levels
+        G, A, B, P_, mode=FamilyMode.CROSSING, theory=True, levels=sched.levels
     )
     assert fam is not None
     assert len(fam) >= sched.K == 8
@@ -578,3 +597,17 @@ def test_driver_families_pinned(kind, n, seed, density, mode, expected):
     segments = driver(G, RunConfig(seed=seed)).segments
     assert len(segments) >= EARLIER_SCHEDULE_SIZES[kind, n, seed]
     assert segments == expected
+
+
+@pytest.mark.parametrize("kind,n,seed,density,mode,expected", PINNED_FAMILIES)
+def test_driver_families_pinned_without_split(monkeypatch, kind, n, seed, density, mode, expected):
+    # Practical mode returns the base of each pair it tries: the paper's
+    # split and its interval chains belong to the theory recursion alone.
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the split ran in practical mode")
+
+    monkeypatch.setattr(crossing, "split_pair", unreachable)
+    monkeypatch.setattr(crossing, "interval_chains", unreachable)
+    G = _pinned_graph(kind, n, seed, density)
+    driver = find_crossing_family if mode is FamilyMode.CROSSING else find_avoiding_family
+    assert driver(G, RunConfig(seed=seed)).segments == expected
