@@ -13,8 +13,6 @@ from .crossing import (
     find_avoiding_family,
     find_crossing_family,
     match_avoiding_pair,
-    split_pair,
-    theory_params,
 )
 from .clusters import build_clusters, find_avoiding_dense_pair
 from .geom import (
@@ -34,6 +32,7 @@ from .geom import (
 )
 from .oracle import max_family_bruteforce, verify_family
 from .poset import Chain, Cmp, PairPoset, build_pair_poset, interval_chains, less_under, longest_chain
+from .theory import split_pair, theory_params
 from .zones import (
     Line,
     ZoneLineSet,

@@ -18,6 +18,7 @@ from . import __version__
 from .crossing import (
     FamilyMode,
     RunConfig,
+    SegmentFamily,
     find_avoiding_family,
     find_crossing_family,
 )
@@ -221,8 +222,6 @@ def cmd_verify(args) -> int:
         if not (0 <= a < n and 0 <= b < n):
             print(f"segment ({a}, {b}) out of range for {n} vertices", file=sys.stderr)
             return 2
-    from .crossing import SegmentFamily
-
     mode = FamilyMode.CROSSING if r.mode == "crossing" else FamilyMode.AVOIDING
     fam = SegmentFamily(mode, r.segments, False, G)
     witness = verify_family(fam, G)

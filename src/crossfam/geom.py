@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from enum import IntEnum
+from enum import Enum, IntEnum
 from math import gcd
 from typing import Iterable, Iterator
 
@@ -431,6 +431,20 @@ def segments_avoiding(s1: Segment, s2: Segment, V: PointSet) -> bool:
     """
     o = _segment_orientations(s1, s2, V)
     return o is not None and o[0] == o[1] and o[2] == o[3]
+
+
+class FamilyMode(Enum):
+    CROSSING = "crossing"
+    AVOIDING = "avoiding"
+
+
+def _relation(mode: FamilyMode):
+    return segments_cross if mode is FamilyMode.CROSSING else segments_avoiding
+
+
+def _first_edge(G: GeometricGraph, A, B) -> list[Segment]:
+    e = next(G.edges_between(sorted(A), sorted(B)), None)
+    return [] if e is None else [e]
 
 
 def first_unrelated_pair(segs: Sequence[Segment], V: PointSet, crossing: bool) -> tuple[int, int] | None:

@@ -6,9 +6,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .crossing import FamilyMode, SegmentFamily, _relation, make_family
+from .crossing import SegmentFamily, make_family
 from .errors import TooLargeError
-from .geom import GeometricGraph, Segment
+from .geom import FamilyMode, GeometricGraph, Segment, _relation
 
 DEFAULT_NODE_LIMIT = 120
 

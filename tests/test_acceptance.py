@@ -13,11 +13,8 @@ from crossfam.cli import generate_points, main, run_bench
 from crossfam.crossing import (
     FamilyMode,
     RunConfig,
-    check_incomparability_localized,
     find_avoiding_family,
     find_crossing_family,
-    split_pair,
-    theory_params,
 )
 from crossfam.formats import render_graph_file, strip_timing
 from crossfam.geom import (
@@ -28,6 +25,7 @@ from crossfam.geom import (
 )
 from crossfam.oracle import max_family_bruteforce, verify_family
 from crossfam.poset import build_pair_poset, interval_chains
+from crossfam.theory import check_incomparability_localized, split_pair, theory_params
 from crossfam.zones import audit_zone_lines, verify_zone_property
 
 

@@ -253,6 +253,12 @@ def test_cli_run_rejects_eps_delta_above_two(tmp_path, capsys):
     # The recursion depth belongs to theory mode alone.
     assert main(["run", str(graph), "--s", "2", "--out", str(out)]) == 2
     assert "s applies only to theory mode" in capsys.readouterr().err
+    # m, eps and delta belong to practical mode alone.
+    for options in (
+        ["--m", "16", "--eps", "1/8", "--delta", "1/2"], ["--m", "16"], ["--eps", "1/8"], ["--delta", "1/2"],
+    ):
+        assert main(["run", str(graph), "--theory", *options, "--out", str(out)]) == 2
+        assert "m, eps and delta apply only to practical mode" in capsys.readouterr().err
     assert main(["bench", "--sizes", "16", "--trials", "1", "--max-retries", "0"]) == 2
     assert "max_retries must be at least 1" in capsys.readouterr().err
     assert main(["bench", "--sizes", "8", "--trials", "0"]) == 2

@@ -6,19 +6,16 @@ from fractions import Fraction
 import pytest
 
 from conftest import block_instance, chord_family, separated_pair
-from crossfam import crossing
+from crossfam import crossing, theory
 from crossfam.cli import generate_points
 from crossfam.crossing import (
     FamilyMode,
     RunConfig,
-    ScheduleMode,
     crossing_family_from_pair,
     find_avoiding_family,
     find_crossing_family,
     make_family,
     match_avoiding_pair,
-    split_pair,
-    theory_params,
 )
 from crossfam.errors import EmptyGraphError, HypothesisViolatedError, NotTotalOrderError
 from crossfam.geom import (
@@ -26,12 +23,14 @@ from crossfam.geom import (
     GeometricGraph,
     Point,
     PointSet,
+    _first_edge,
     first_unrelated_pair,
     segments_avoiding,
     segments_cross,
 )
 from crossfam.oracle import verify_family
 from crossfam.poset import build_pair_poset
+from crossfam.theory import ScheduleMode, recursion_segments, split_pair, theory_params
 
 
 def P(*coords):
@@ -54,16 +53,11 @@ def test_match_avoiding_example():
 
 
 def test_side_counts_read_masks(rng):
-    # Ranks and the theory split's incomparable count are popcounts of the
-    # successor masks, restricted to the side; they agree with pair queries
-    # on prefixes of the poset's sides, as the recursion passes them.
+    # Ranks are popcounts of the successor masks, restricted to the side;
+    # they agree with pair queries.
     for _ in range(40):
         V, A, B = separated_pair(rng, rng.randint(2, 12), rng.randint(2, 6))
         pp = build_pair_poset(A, B, V)
-        side = A[: rng.randint(1, len(A))]
-        pairs = list(itertools.combinations(side, 2))
-        incomparable = sum(1 for u, v in pairs if not pp.less_in_a(u, v) and not pp.less_in_a(v, u))
-        assert crossing._restricted_iota(side, pp.succ_a) == incomparable
         chain = [pp.a[0]]
         for v in pp.a[1:]:
             if all(pp.less_in_a(u, v) or pp.less_in_a(v, u) for u in chain):
@@ -148,6 +142,9 @@ def test_split_pair_size_check(rng):
         split_pair(G, A, B, P_, 3, 2, 2)
     with pytest.raises(ValueError):
         split_pair(G, A, B, P_, 2, 2, 2, theory=True)
+    # P must be the poset of exactly the sides given.
+    with pytest.raises(ValueError, match="poset of exactly the pair"):
+        split_pair(G, A, B, build_pair_poset(A[::-1], B, V), 3, 1, 2)
 
 
 def test_family_from_pair_zero_avoiding(rng):
@@ -244,7 +241,7 @@ def test_base_run_matches_reference(mode):
             assert len(base) == len(run)
             assert crossing.make_family(mode, base, G, V).segments == tuple(base)
         else:
-            assert base == crossing._first_edge(G, A, B)
+            assert base == _first_edge(G, A, B)
         if len(cells) == len(rows) * len(cols) and r >= 2:
             matched = crossing._rank_matching(rows[:r], cols[:r], mode)
             assert base == sorted((min(e), max(e)) for e in matched)
@@ -409,6 +406,16 @@ def test_run_config_s_is_theory_only():
             RunConfig(theory=theory, s=0)
 
 
+def test_theory_mode_refuses_practical_options():
+    # m, eps and delta steer the practical search; the theory driver reads
+    # its schedule instead, so it refuses them rather than ignore them.
+    G = GeometricGraph.complete(generate_points("random-disk", 30, seed=2))
+    for option in ({"m": 16}, {"eps": Fraction(1, 8)}, {"delta": Fraction(1, 2)}):
+        for driver in (find_crossing_family, find_avoiding_family):
+            with pytest.raises(ValueError, match="m, eps and delta apply only to practical mode"):
+                driver(G, RunConfig(theory=True, **option))
+
+
 def test_find_family_theory_mode_dense_graph(rng):
     V = generate_points("random-disk", 24, seed=13)
     edges = [
@@ -430,10 +437,8 @@ def test_theory_recursion_meets_guarantee(rng):
     assert P_.is_zero_avoiding
     sched = theory_params(len(V), None, 2)
     assert (sched.levels[1].t, sched.levels[1].k, sched.levels[1].m) == (8, 8, 9)
-    fam = crossing_family_from_pair(
-        G, A, B, P_, mode=FamilyMode.CROSSING, theory=True, levels=sched.levels
-    )
-    assert fam is not None
+    segs = recursion_segments(G, A, B, P_, sched.levels, FamilyMode.CROSSING)
+    fam = make_family(FamilyMode.CROSSING, segs, G, V)
     assert len(fam) >= sched.K == 8
     assert verify_family(fam, G) is None
 
@@ -606,8 +611,8 @@ def test_driver_families_pinned_without_split(monkeypatch, kind, n, seed, densit
     def unreachable(*args, **kwargs):
         raise AssertionError("the split ran in practical mode")
 
-    monkeypatch.setattr(crossing, "split_pair", unreachable)
-    monkeypatch.setattr(crossing, "interval_chains", unreachable)
+    monkeypatch.setattr(theory, "split_pair", unreachable)
+    monkeypatch.setattr(theory, "interval_chains", unreachable)
     G = _pinned_graph(kind, n, seed, density)
     driver = find_crossing_family if mode is FamilyMode.CROSSING else find_avoiding_family
     assert driver(G, RunConfig(seed=seed)).segments == expected

@@ -10,11 +10,11 @@ from hypothesis import strategies as st
 
 from conftest import fixup_general_position, separated_pair, succ_masks
 from crossfam import poset
-from crossfam.crossing import FamilyMode, _grid_successors
 from crossfam.errors import DegenerateInputError, HypothesisViolatedError, NotSeparatedError
 from crossfam.geom import (
     COORD_LIMIT,
     INT64_COORD_LIMIT,
+    FamilyMode,
     Point,
     PointSet,
     convex_hull,
@@ -34,6 +34,7 @@ from crossfam.poset import (
     less_under,
     longest_chain,
 )
+from crossfam.theory import _grid_successors
 
 
 def P(*coords):
