@@ -186,9 +186,11 @@ def find_avoiding_dense_pair(G: GeometricGraph, m: int, eps, delta, seed: int):
 
     Samples a net of ``desk_net_size(n, m)`` points with the given seed,
     cuts V into clusters over the lines the net determines, and scans the
-    cluster pairs. The net's zones are not audited. The edge counts of all
-    pairs come from one ``block_edge_counts`` pass and the hulls of all
-    clusters from one ``cluster_hulls`` pass. A dense pair missing edges is
+    cluster pairs; when the net would leave fewer than 2m points off its
+    lines, it returns None before sampling. The net's zones are not
+    audited. The edge counts of all pairs come from one
+    ``block_edge_counts`` pass and the hulls of all clusters from one
+    ``cluster_hulls`` pass. A dense pair missing edges is
     ranked by ``iota_sum_capped``, a complete one by a capped
     ``build_pair_poset``; the pair returned gets the tables of an uncapped
     build, built once. Returns (A, B, PairPoset) or None.
@@ -208,7 +210,12 @@ def find_avoiding_dense_pair(G: GeometricGraph, m: int, eps, delta, seed: int):
         # The paper's zone budget eps*delta/2 is a share of V, so it cannot
         # exceed 1; the small net sampled here is never audited against it.
         raise ValueError(f"eps*delta must be at most 2, got {eps * delta}")
-    zls = build_zone_lines(V, desk_net_size(n, m), seed)
+    net_size = desk_net_size(n, m)
+    if n - min(n, net_size) < 2 * m:
+        # Every net point lies on a line through it and another net point,
+        # so fewer than 2m points are left for clusters.
+        return None
+    zls = build_zone_lines(V, net_size, seed)
     D = build_clusters(V, zls.lines, m)
     if len(D.clusters) < 2:
         return None

@@ -385,16 +385,19 @@ class GeometricGraph:
         return f"GeometricGraph({len(self.vertices)} vertices, {kind})"
 
 
-def _segment_orientations(s1: Segment, s2: Segment, V: PointSet) -> tuple[bool, bool, bool, bool] | None:
-    # Whether c, d lie left of a->b and a, b left of c->d; None when the
-    # segments share an endpoint. With u = b - a, v = d - c and e = c - a,
-    # the four determinants are u x e, u x e + u x v, e x v and e x v - u x v.
+def _segment_relation(s1: Segment, s2: Segment, V: PointSet, crossing: bool) -> bool:
+    # Whether the segments cross (``crossing``) or avoid each other: c, d
+    # on opposite sides of a->b and a, b of c->d, or each pair on one side.
+    # Segments sharing an endpoint do neither. With u = b - a, v = d - c
+    # and e = c - a, the four determinants are u x e, u x e + u x v, e x v
+    # and e x v - u x v; two nonzero ints have opposite signs exactly when
+    # their xor is negative.
     a, b = s1
     c, d = s2
     if a == b or c == d:
         raise ValueError("degenerate segment")
-    if a in (c, d) or b in (c, d):
-        return None
+    if a == c or a == d or b == c or b == d:
+        return False
     coords = V.coords
     (ax, ay), (bx, by), (cx, cy), (dx, dy) = coords[a], coords[b], coords[c], coords[d]
     ux, uy = bx - ax, by - ay
@@ -409,7 +412,9 @@ def _segment_orientations(s1: Segment, s2: Segment, V: PointSet) -> tuple[bool, 
         raise DegenerateInputError(
             f"collinear endpoints among segments {s1} and {s2}"
         )
-    return o1 > 0, o2 > 0, o3 > 0, o4 > 0
+    if crossing:
+        return (o1 ^ o2) < 0 and (o3 ^ o4) < 0
+    return (o1 ^ o2) >= 0 and (o3 ^ o4) >= 0
 
 
 def segments_cross(s1: Segment, s2: Segment, V: PointSet) -> bool:
@@ -419,8 +424,7 @@ def segments_cross(s1: Segment, s2: Segment, V: PointSet) -> bool:
     any three of the four endpoints are collinear, since the answer would
     then depend on a convention rather than on general position.
     """
-    o = _segment_orientations(s1, s2, V)
-    return o is not None and o[0] != o[1] and o[2] != o[3]
+    return _segment_relation(s1, s2, V, True)
 
 
 def segments_avoiding(s1: Segment, s2: Segment, V: PointSet) -> bool:
@@ -429,8 +433,7 @@ def segments_avoiding(s1: Segment, s2: Segment, V: PointSet) -> bool:
     This is strictly stronger than disjointness. Segments sharing an endpoint
     are never avoiding. Degenerate (collinear) inputs raise, as for crossing.
     """
-    o = _segment_orientations(s1, s2, V)
-    return o is not None and o[0] == o[1] and o[2] == o[3]
+    return _segment_relation(s1, s2, V, False)
 
 
 class FamilyMode(Enum):
@@ -475,7 +478,7 @@ def first_unrelated_pair_int64(segs: Sequence[Segment], V: PointSet, crossing: b
 
     Rows of the pair matrix go in slabs, each against the segments from the
     slab's first row on. An entry holds the four determinants of
-    ``_segment_orientations`` for its pair: within the bound u x e, u x v
+    ``_segment_relation`` for its pair: within the bound u x e, u x v
     and e x v are at most 2^61 in magnitude and their sums at most 2^62, so
     none overflows. An entry below the diagonal repeats the pair above it
     with its determinants swapped, so the first row with a failing entry

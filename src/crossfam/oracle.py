@@ -156,12 +156,12 @@ def verify_family(F: SegmentFamily, G: GeometricGraph):
             return seg, seg
         if not G.has_edge(a, b):
             return seg, seg
+    # The relation is False for segments sharing an endpoint, so such a
+    # pair is reported as any other unrelated pair.
     segs = F.segments
     for i in range(len(segs) - 1):
+        s = segs[i]
         for j in range(i + 1, len(segs)):
-            s, t = segs[i], segs[j]
-            if s[0] in t or s[1] in t:
-                return s, t
-            if not rel(s, t, V):
-                return s, t
+            if not rel(s, segs[j], V):
+                return s, segs[j]
     return None

@@ -9,20 +9,39 @@ Comparability is decided by a two-tangent test. Every point x of A lies
 outside conv(B), because the sets are separated, so B is seen from x inside
 a wedge narrower than a half-turn, bounded by two tangent vertices of the
 hull. All of B lies strictly on one side of a line through x exactly when
-both tangent vertices do. One scan of the hull per x finds its tangents;
-each pair (x, y) then costs two orientation signs instead of one per hull
-vertex. The test has two implementations with one result. The reference,
-``_compare_side``, is a scalar loop on Python ints, exact over the whole
-coordinate range. ``_compare_side_int64`` runs it in int64 numpy arrays in
-row slabs, and ``build_pair_poset`` sends it every side of at least
-``_INT64_MIN_SIDE`` points whose point set lies within
-``geom.INT64_COORD_LIMIT``, where no orientation sign can overflow; smaller
-sides and larger coordinates take the scalar loop. A tangent vertex on the
-line x -> y happens only off general position; the int64 kernel then hands
-its whole side to the scalar loop, which hands the pair to
-``_classify_pair``. That scans the hull in order. It raises when it reaches
-a vertex on the line, unless it has already seen vertices on both sides of
-the line: then it returns INCOMPARABLE without reaching that vertex.
+both tangent vertices do. The reference, ``_compare_side``, is a scalar loop
+on Python ints, exact over the whole coordinate range: one scan of the hull
+per x finds its tangents, and each pair (x, y) then costs two orientation
+signs. A tangent vertex on the line x -> y, a zero sign, happens only off
+general position; the loop then hands the pair to ``_classify_pair``. That
+scans the hull in order. It raises when it reaches a vertex on the line,
+unless it has already seen vertices on both sides of the line: then it
+returns INCOMPARABLE without reaching that vertex.
+
+Under B the order on A is the intersection of two linear orders, which
+``_compare_side_int64`` finds by sorting. Rank the points x of A by the
+counterclockwise angle of the direction from x to its first tangent vertex,
+and apart by the angle to its last. Then x precedes y exactly when x comes
+first in both rankings, and x, y are incomparable exactly when the rankings
+disagree. Why: move the viewpoint from x to y along their line. The
+direction to every hull vertex left of the line turns counterclockwise, and
+to every vertex right of it clockwise. If all of B is on the left, both
+tangent angles grow; on the right, both shrink. If B is on both sides, the
+line meets the hull ahead of both points or behind both (the hulls of A and
+B are disjoint), so one tangent stays on each side of the line, and one
+angle grows while the other shrinks. All these directions point from A to
+B, so they lie in one open half-plane, and within ``geom.INT64_COORD_LIMIT``
+an int64 cross product, at most 2^61, orders any two of them exactly; a
+float64 key that grows with the angle sorts them, and the cross product of
+every pair of neighbours checks the sort. A tangent vertex on a line through two points of A is a supporting
+line of the hull through both, so it gives them parallel tangent directions
+of the same kind: an exact tie between neighbours. A tie, or a negative
+cross product from a float misorder, hands the whole side to
+``_compare_side``, so a degenerate input raises, or gives up at a cap,
+exactly as the scalar loop does. ``build_pair_poset`` sends the kernel
+every side of at least ``_INT64_MIN_SIDE`` points whose point set lies
+within the int64 bound; smaller sides and larger coordinates take the
+scalar loop.
 
 Two functions lead into the kernel, through one private path with one set
 of checks. ``build_pair_poset`` builds both sides' tables; given a cap, it
@@ -52,13 +71,14 @@ from .geom import Point, PointSet, _orient_coords, convex_hull, hull_coords, hul
 SIZE_CAP = 4096
 
 # Sides smaller than this are compared by the scalar loop. Measured on a
-# 2-vCPU x86-64 machine with numpy 2.4: the int64 kernel costs about 100 us
-# a call on small sides and ties the scalar loop at about 16 points on a
-# full table; at 24 it takes about half the scalar time on a full table,
-# and still wins when a cap stops the scalar loop halfway.
+# shared 2-vCPU x86-64 machine with numpy 2.4, on random sides against
+# hulls of about 10 vertices: the int64 kernel costs about 55 us a call on
+# small sides and ties the scalar loop at about 16 points on a full table;
+# at 24 it takes about half the scalar time on a full table, and still wins
+# when a cap stops the scalar loop halfway.
 _INT64_MIN_SIDE = 24
-# Int64 entries in one row slab of the int64 kernel, so that each of its
-# temporaries stays near 64 KB.
+# Entries in one row slab of the int64 kernel: int64 tangent tests, so that
+# each of their temporaries stays near 64 KB, or boolean rank comparisons.
 _PAIR_SLAB = 1 << 13
 
 
@@ -185,87 +205,136 @@ def _compare_side(side, coords, hull, cap: int) -> tuple[dict[int, int], int] | 
     return dict(zip(side, succ)), iota
 
 
+def _pseudo_angle(dot, cross):
+    """A float64 key that grows with the angle from a direction c to v,
+    over the open interval from -pi to pi, given c . v and c x v.
+
+    1 - dot / (|dot| + |cross|) grows from 0 to 2 as the angle's size
+    grows from 0 to pi, and the sign of cross gives it the angle's sign.
+    It takes only arithmetic the pipeline runs elsewhere, where an
+    ``arctan2`` would map more of numpy's code into memory.
+    """
+    return np.sign(cross) * (1 - dot / (np.abs(dot) + np.abs(cross)))
+
+
+def _tangent_orders(tx, ty):
+    """Both rows of directions (tx, ty) in counterclockwise order: the
+    first row's column indices, sorted, then the second's; or None unless
+    both orders are strict and exact.
+
+    All directions must lie in one open half-plane, with coordinates of
+    at most 2^30, so that every cross or dot product below is at most 2^61
+    in magnitude, and the sum of two at most 2^62. Then the angle from the
+    first direction c to any other lies strictly between -pi and pi, and
+    it grows with the counterclockwise order. The ``_pseudo_angle`` of
+    that angle, from the exact int64 cross and dot products with c and
+    raised by 8 (more than its range) on the second row, sorts both rows
+    in one argsort; then the int64 cross product of every pair of
+    neighbours in a row must be positive. Zero is an exact tie, negative a
+    float misorder.
+    """
+    k = tx.shape[1]
+    cx, cy = tx[0, 0], ty[0, 0]
+    key = _pseudo_angle(cx * tx + cy * ty, cx * ty - cy * tx)
+    key[1] += 8
+    # Stable, as ``clusters.build_clusters``' lexsort is, for the same
+    # reason as ``_pseudo_angle``.
+    order = key.argsort(axis=None, kind="stable")
+    ox = tx.ravel()[order]
+    oy = ty.ravel()[order]
+    cross = ox[:-1] * oy[1:] - oy[:-1] * ox[1:]
+    # Entry k - 1 pairs the last of one row with the first of the other.
+    cross[k - 1 : k] = 1
+    if np.count_nonzero(cross <= 0):
+        return None
+    order[k:] -= k
+    return order
+
+
 def _compare_side_int64(side, V: PointSet, hull, cap: int, tables: bool = True):
     """``_compare_side`` in int64 numpy arithmetic, for ``V`` within the
-    int64 bound (``V.within_int64_bound``); same arguments but ``V`` for
-    ``coords``, same result. With ``tables`` false the successor bits are
-    not packed, and the result is the incomparable count alone, or None.
+    int64 bound (``V.within_int64_bound``) and a side whose hull is disjoint
+    from ``hull``; same arguments but ``V`` for ``coords``, same result.
+    With ``tables`` false the successor bits are not packed, and the result
+    is the incomparable count alone, or None.
 
-    The side's points go in row slabs. For each point x, the hull edges
-    that see x strictly on their right form one run, and its two ends are
-    x's tangent vertices: every hull vertex lies in the wedge they span
-    from x, or on its rays. Each row then takes the two tangent signs
-    against every point y of the side. Both positive means x is LESS than
-    y, from x's row alone; the incomparable pairs of the rows so far are
-    counted for y after x, so the count matches the scalar loop's at the
-    same row, and None is returned once it exceeds ``cap``. A zero sign, a
-    tangent vertex on a line through two points of the side, hands the
-    whole side to ``_compare_side``, so a degenerate input raises, or gives
-    up at the cap, exactly as the scalar loop does.
+    The side's tangent vertices are found in row slabs: for each point x,
+    the hull edges that see x strictly on their right form one run, and
+    its two ends are x's tangent vertices. ``_tangent_orders`` sorts the
+    directions from the side to its first tangents, and apart to its last;
+    x is LESS than y exactly when x comes first in both orders, and the
+    pair is incomparable when the orders disagree. Row slabs of
+    ``_PAIR_SLAB`` rank comparisons then go through the side in the first
+    order. After each slab the incomparable pairs with an end in the rows
+    so far are known, so None is returned once they exceed ``cap``, never
+    for a count of 0; and the slab's successor bits are packed. An exact
+    tie or a float misorder hands the whole side to ``_compare_side``, so
+    a degenerate input raises, or gives up at the cap, exactly as the
+    scalar loop does.
     """
     k = len(side)
     idx = np.array(side, dtype=np.intp)
-    xs, ys = V.xy[idx].T
+    xy = V.xy[idx]
     H = np.array(hull + hull[:1], dtype=np.int64)
     hx, hy = H[:-1, 0], H[:-1, 1]
     m = len(hx)
-    # Edge e runs from hull vertex e to e + 1; x is strictly right of it
-    # when ex * y - ey * x < ec.
+    # Edge e runs from hull vertex e to e + 1; (x, y) is strictly right of
+    # it when ex * y - ey * x < ec.
     ex, ey = (H[1:] - H[:-1]).T
     ec = ex * hy - ey * hx
-    # Successor bits are set at bit positions v - base of a row, packed
-    # little-endian as ``neighbour_masks`` does, then shifted by base.
-    base = min(side) & ~7
-    span = max(side) - base + 1
-    width = (span + 7) // 8
-    cols = idx - base
-    # A row holds k tangent signs, m edge tests and span unpacked bits. At
-    # least 8 rows go in a slab: a large side then pays the per-slab steps
-    # fewer times, for temporaries of 8 rows of k entries.
-    step = max(8, _PAIR_SLAB // max(k, m, span // 8))
-    succ: list[int] = []
-    iota = 0
+    tangents = np.empty((2, k), dtype=np.intp)
+    step = max(8, _PAIR_SLAB // m)
     for i0 in range(0, k, step):
-        i1 = min(k, i0 + step)
-        px, py = xs[i0:i1, None], ys[i0:i1, None]
-        seen = ex * py - ey * px < ec
+        seen = ex * xy[i0 : i0 + step, 1:] - ey * xy[i0 : i0 + step, :1] < ec
         # Columns -1 .. m of the edges' cyclic order, to find where runs
         # start and end. With no edge seeing x (a hull of one point, or a
         # segment hull on x's line), vertex 0 and its successor are
         # tangents all the same.
         ring = np.concatenate((seen[:, -1:], seen, seen[:, :1]), axis=1)
-        first = np.argmax(seen > ring[:, :-2], axis=1)
-        last = (np.argmax(seen > ring[:, 2:], axis=1) + 1) % m
-        # The tangent signs dx * ty - dy * tx of every pair, in place to
-        # keep four slab-sized int64 arrays alive at most.
-        dx = xs - px
-        dy = ys - py
-        s_first = dx * (hy[first, None] - py)
-        s_first -= dy * (hx[first, None] - px)
-        dx *= hy[last, None] - py
-        dy *= hx[last, None] - px
-        s_last = np.subtract(dx, dy, out=dx)
-        # Each row's own column is its one pair of zero signs.
-        if np.count_nonzero((s_first == 0) | (s_last == 0)) > i1 - i0:
-            table = _compare_side(side, V.coords, hull, cap)
-            return table if tables or table is None else table[1]
-        left_first = s_first > 0
-        left_last = s_last > 0
-        # Incomparability does not depend on which end of a pair takes the
-        # tangents, so the slab's own square block is symmetric and half
-        # of it lies after the diagonal.
-        tangled = left_first != left_last
-        count = np.count_nonzero(tangled[:, i1:]) + np.count_nonzero(tangled[:, i0:i1]) // 2
-        iota += count
-        if count and iota > cap:
+        tangents[0, i0 : i0 + step] = np.argmax(seen > ring[:, :-2], axis=1)
+        tangents[1, i0 : i0 + step] = (np.argmax(seen > ring[:, 2:], axis=1) + 1) % m
+    order = _tangent_orders(hx[tangents] - xy[:, 0], hy[tangents] - xy[:, 1])
+    if order is None:
+        table = _compare_side(side, V.coords, hull, cap)
+        return table if tables or table is None else table[1]
+    # Row r is the side's r-th point in the first order, and p[r] its
+    # place in the last order; it is LESS than the points after it in the
+    # first order that also come after it in the last.
+    rows = order[:k]
+    p = np.empty(k, dtype=np.intp)
+    p[order[k:]] = np.arange(k)
+    p = p[rows]
+    # Successor bits are set at bit positions v - base of a row, packed
+    # little-endian as ``neighbour_masks`` does, then shifted by base.
+    base = min(side) & ~7
+    span = max(side) - base + 1
+    width = (span + 7) // 8
+    cols = idx[rows] - base
+    # A row holds up to k rank comparisons and span unpacked bits. At least
+    # 8 rows, or the whole side, go in a slab: a large side then pays the
+    # per-slab steps fewer times, for temporaries of 8 rows of k entries.
+    step = min(k, max(8, _PAIR_SLAB // max(k, span // 8)))
+    diagonal = np.arange(step)
+    above = diagonal[:, None] < diagonal
+    packed = np.empty((k, width), dtype=np.uint8) if tables else None
+    less = 0
+    for i0 in range(0, k, step):
+        i1 = min(k, i0 + step)
+        after = p[i0:i1, None] < p[i0:]
+        after[:, : i1 - i0] &= above[: i1 - i0, : i1 - i0]
+        less += np.count_nonzero(after)
+        iota = comb(k, 2) - comb(k - i1, 2) - less
+        if iota > max(cap, 0):
             return None
-        if not tables:
-            continue
-        bits = np.zeros((i1 - i0, span), dtype=bool)
-        bits[:, cols] = left_first & left_last
-        buf = np.packbits(bits, axis=1, bitorder="little").tobytes()
-        succ.extend(int.from_bytes(buf[r * width : (r + 1) * width], "little") << base for r in range(i1 - i0))
-    return (dict(zip(side, succ)), iota) if tables else iota
+        if tables:
+            bits = np.zeros((i1 - i0, span), dtype=bool)
+            bits[:, cols[i0:]] = after
+            packed[rows[i0:i1]] = np.packbits(bits, axis=1, bitorder="little")
+    if not tables:
+        return iota
+    buf = packed.tobytes()
+    succ = [int.from_bytes(buf[r * width : (r + 1) * width], "little") << base for r in range(k)]
+    return dict(zip(side, succ)), iota
 
 
 def _compare_pair(A, B, V: PointSet, hull_a, hull_b, cap: int | None, tables: bool):

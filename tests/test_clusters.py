@@ -419,6 +419,40 @@ def test_find_avoiding_dense_pair_too_few_points():
     assert find_avoiding_dense_pair(G, 3, Fraction(1, 2), Fraction(1, 4), 0) is None
 
 
+def test_find_avoiding_dense_pair_skips_nets_that_leave_too_few_points(monkeypatch):
+    # Net points lie on their own lines, so a net that leaves fewer than 2m
+    # points off them cannot cut two clusters. At (256, 128) and (512, 256),
+    # the first attempt's m on random-disk and convex inputs, the search
+    # returns None before sampling the net; the argument checks still run.
+    for n, m in ((256, 128), (512, 256), (40, 20)):
+        assert n - desk_net_size(n, m) < 2 * m
+        V = generate_points("random-disk", n, seed=n)
+        for seed in range(3):
+            lines = build_zone_lines(V, desk_net_size(n, m), seed).lines
+            assert len(build_clusters(V, lines, m).clusters) < 2
+        G = GeometricGraph.complete(V)
+
+        def refuse(*args):
+            raise AssertionError("build_zone_lines called")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(clusters, "build_zone_lines", refuse)
+            assert find_avoiding_dense_pair(G, m, Fraction(1, 4), Fraction(1, 4), 0) is None
+            with pytest.raises(ValueError, match="delta must be at most 1"):
+                find_avoiding_dense_pair(G, m, Fraction(1, 4), Fraction(2), 0)
+            with pytest.raises(ValueError, match="eps\\*delta must be at most 2"):
+                find_avoiding_dense_pair(G, m, Fraction(4), Fraction(1), 0)
+    # One m lower, the net leaves exactly 2m points, and it is sampled.
+    n, m = 40, 19
+    assert n - desk_net_size(n, m) >= 2 * m
+    G = GeometricGraph.complete(generate_points("random-disk", n, seed=n))
+    calls = []
+    real = clusters.build_zone_lines
+    monkeypatch.setattr(clusters, "build_zone_lines", lambda *a: calls.append(a) or real(*a))
+    find_avoiding_dense_pair(G, m, Fraction(1, 4), Fraction(1, 4), 0)
+    assert len(calls) == 1
+
+
 def test_find_pair_deterministic():
     V = generate_points("random-disk", 60, seed=33)
     G = GeometricGraph.complete(V)

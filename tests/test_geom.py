@@ -79,6 +79,62 @@ def test_segments_avoiding_examples():
     assert not segments_avoiding((0, 1), (2, 3), V3)
 
 
+def _old_orientations(s1, s2, V):
+    # The four side tests as the relations once computed them, one tuple
+    # per pair; None for a shared endpoint.
+    a, b = s1
+    c, d = s2
+    if a == b or c == d:
+        raise ValueError("degenerate segment")
+    if a in (c, d) or b in (c, d):
+        return None
+    (ax, ay), (bx, by), (cx, cy), (dx, dy) = V.coords[a], V.coords[b], V.coords[c], V.coords[d]
+    ux, uy = bx - ax, by - ay
+    vx, vy = dx - cx, dy - cy
+    ex, ey = cx - ax, cy - ay
+    w = ux * vy - uy * vx
+    o1 = ux * ey - uy * ex
+    o3 = ex * vy - ey * vx
+    o2 = o1 + w
+    o4 = o3 - w
+    if not (o1 and o2 and o3 and o4):
+        raise DegenerateInputError(f"collinear endpoints among segments {s1} and {s2}")
+    return o1 > 0, o2 > 0, o3 > 0, o4 > 0
+
+
+def _old_relation(crossing):
+    def rel(s1, s2, V):
+        o = _old_orientations(s1, s2, V)
+        if crossing:
+            return o is not None and o[0] != o[1] and o[2] != o[3]
+        return o is not None and o[0] == o[1] and o[2] == o[3]
+
+    return rel
+
+
+def _verdict(rel, *args):
+    try:
+        return rel(*args)
+    except (ValueError, DegenerateInputError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("top", [3, 1_000, COORD_LIMIT])
+def test_segment_relations_match_side_tests(top):
+    # Shared endpoints, degenerate segments and collinear endpoints included:
+    # on a 4 x 4 grid, collinear triples are common. Each relation gives the
+    # value, or raises the exception type and message, of the four side
+    # tests it replaced.
+    rng = random.Random(top)
+    for _ in range(3000):
+        pts = [(rng.randint(-top, top), rng.randint(-top, top)) for _ in range(4)]
+        V = PointSet(P(*pts), check_general_position=False)
+        s1 = (rng.randrange(4), rng.randrange(4))
+        s2 = (rng.randrange(4), rng.randrange(4))
+        for new, old in ((segments_cross, _old_relation(True)), (segments_avoiding, _old_relation(False))):
+            assert _verdict(new, s1, s2, V) == _verdict(old, s1, s2, V)
+
+
 def test_cross_avoid_symmetric_and_exclusive(rng):
     for _ in range(200):
         coords = set()

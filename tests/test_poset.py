@@ -2,19 +2,24 @@ import heapq
 import itertools
 import random
 import tracemalloc
+from fractions import Fraction
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import fixup_general_position, separated_pair, succ_masks
 from crossfam import poset
+from crossfam.cli import generate_points
+from crossfam.clusters import find_avoiding_dense_pair
 from crossfam.errors import DegenerateInputError, HypothesisViolatedError, NotSeparatedError
 from crossfam.geom import (
     COORD_LIMIT,
     INT64_COORD_LIMIT,
     FamilyMode,
+    GeometricGraph,
     Point,
     PointSet,
     convex_hull,
@@ -321,6 +326,105 @@ def test_build_pair_poset_tangent_vertex_on_line():
     assert build_pair_poset(A[::-1], B, V, cap=0) is None
     with pytest.raises(DegenerateInputError):
         build_pair_poset(A[::-1], B, V)
+
+
+def _angle_cmp(c, a, b):
+    """-1, 0 or 1 as the angle from c to a, in (-pi, pi], is below, at or
+    above the angle from c to b: exact, on Python ints."""
+
+    def side(v):  # 0 below zero, 1 at zero, 2 above; pi counts as above
+        cross = c[0] * v[1] - c[1] * v[0]
+        dot = c[0] * v[0] + c[1] * v[1]
+        return 1 if cross == 0 and dot > 0 else (0 if cross < 0 else 2)
+
+    sa, sb = side(a), side(b)
+    if sa != sb:
+        return -1 if sa < sb else 1
+    turn = a[0] * b[1] - a[1] * b[0]
+    return 0 if sa == 1 or turn == 0 else (-1 if turn > 0 else 1)
+
+
+def test_pseudo_angle_orders_by_angle():
+    # The key grows with the angle from c over (-pi, pi), quadrant
+    # boundaries and the axes included; the kernel sorts by it.
+    rng = random.Random(3)
+    for top in (3, 1000, 2**30):
+        c = (rng.randint(-top, top) or 1, rng.randint(-top, top))
+        vs = [(rng.randint(-top, top), rng.randint(-top, top)) for _ in range(300)]
+        vs += [(c[0], c[1]), (-c[1], c[0]), (c[1], -c[0]), (c[0] + c[1], c[1] - c[0])]
+        vs = [v for v in vs if v != (0, 0) and _angle_cmp(c, v, (-c[0], -c[1])) < 0]
+        tx = np.array([[v[0] for v in vs]], dtype=np.int64)
+        ty = np.array([[v[1] for v in vs]], dtype=np.int64)
+        key = poset._pseudo_angle(c[0] * tx + c[1] * ty, c[0] * ty - c[1] * tx)[0].tolist()
+        for i, j in itertools.combinations(range(len(vs)), 2):
+            expect = _angle_cmp(c, vs[i], vs[j])
+            if expect:
+                assert (key[i] > key[j]) - (key[i] < key[j]) == expect
+
+
+def _refuse_scalar(*args):
+    raise AssertionError("the int64 kernel fell back to _compare_side")
+
+
+@pytest.mark.parametrize("kind, n, k", [("random-disk", 256, 64), ("grid-jitter", 768, 128), ("convex", 512, 128)])
+def test_int64_kernel_needs_no_fallback_on_workload_sides(monkeypatch, kind, n, k):
+    # The two tangent orders of sides drawn like the benchmark's inputs are
+    # strict and their float keys exact, so the kernel never hands a side
+    # to the scalar loop: a silent fallback would keep every result and
+    # lose the speed. The sides are the k leftmost and k rightmost points
+    # and, on random-disk points, the m = k clusters that the pair scan
+    # cuts for the complete graph.
+    for seed in (1, 2, 3):
+        V = generate_points(kind, n, seed)
+        assert V.within_int64_bound
+        by_x = sorted(range(n), key=lambda i: V.coords[i])
+        A, B = tuple(by_x[:k]), tuple(by_x[-k:])
+        hull_a = hull_coords(V.coords[i] for i in A)
+        hull_b = hull_coords(V.coords[i] for i in B)
+        expect = [_compare_side(A, V.coords, hull_b, _NO_CAP), _compare_side(B, V.coords, hull_a, _NO_CAP)]
+        with monkeypatch.context() as patch:
+            patch.setattr(poset, "_compare_side", _refuse_scalar)
+            pp = build_pair_poset(A, B, V)
+            assert iota_sum_capped(A, B, V, _NO_CAP) == pp.iota_sum
+            if kind == "random-disk":
+                assert find_avoiding_dense_pair(GeometricGraph.complete(V), k, 1, Fraction(1, 2), seed) is not None
+        assert [(pp.succ_a, pp.iota_a), (pp.succ_b, pp.iota_b)] == expect
+
+
+def test_int64_kernel_fallbacks_match_scalar(monkeypatch):
+    # An exact tie (a tangent vertex on a line through two points of the
+    # side) and a float misorder (forced by negating the angle key) each
+    # hand the side to _compare_side; the outcome, a table, a count, None
+    # at the cap or DegenerateInputError, is the scalar loop's.
+    calls = []
+    scalar = poset._compare_side
+    monkeypatch.setattr(poset, "_compare_side", lambda *args: calls.append(1) or scalar(*args))
+    extra = [(-40 - 7 * i, 5 + (-1) ** i * (2 * i + 1)) for i in range(poset._INT64_MIN_SIDE)]
+    tie = PointSet(P((0, 0), (1, 0), *extra, (5, 0), (5, 10), (6, 5)), check_general_position=False)
+    tie_side = tuple(range(len(extra) + 2))[::-1]
+    tie_hull = hull_coords(tie.coords[i] for i in range(len(tie_side), len(tie)))
+    coords, A, B = _side_and_hull(5, 40, 12, "cloud", 2**20)
+    plain = PointSet(coords)
+    plain_hull = hull_coords(plain.coords[i] for i in B)
+    pseudo_angle = poset._pseudo_angle
+    for V, side, hull, misorder in ((tie, tie_side, tie_hull, False), (plain, A, plain_hull, True)):
+        full = _outcome(scalar, side, V.coords, hull, _NO_CAP)
+        total = 0 if full is DegenerateInputError else full[1]
+        for cap in (0, total - 1, total, _NO_CAP):
+            expect = _outcome(scalar, side, V.coords, hull, cap)
+            with monkeypatch.context() as patch:
+                if misorder:
+                    patch.setattr(poset, "_pseudo_angle", lambda dot, cross: -pseudo_angle(dot, cross))
+                calls.clear()
+                assert _outcome(_compare_side_int64, side, V, hull, cap) == expect
+                assert len(calls) == 1
+                count = _outcome(_compare_side_int64, side, V, hull, cap, False)
+                assert count == (expect[1] if isinstance(expect, tuple) else expect)
+        if misorder:
+            # Unpatched, the same side takes no fallback and agrees.
+            calls.clear()
+            assert _compare_side_int64(side, V, hull, _NO_CAP) == full
+            assert calls == []
 
 
 def test_crossing_guarantee(rng):
