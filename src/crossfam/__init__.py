@@ -23,7 +23,6 @@ from .geom import (
     Segment,
     convex_hull,
     general_position_check,
-    hulls_disjoint,
     line_meets_hull,
     orientation,
     segments_avoiding,
@@ -31,13 +30,13 @@ from .geom import (
     vertex_mask,
 )
 from .oracle import max_family_bruteforce, verify_family
-from .poset import Chain, Cmp, PairPoset, build_pair_poset, interval_chains, less_under, longest_chain
+from .poset import Chain, Cmp, PairPoset, build_pair_poset, interval_chains, longest_chain
 from .theory import split_pair, theory_params
-from .zones import (
-    Line,
-    ZoneLineSet,
+from .zones import Line, ZoneLineSet, build_zone_lines
+from .audit import (
     audit_zone_lines,
-    build_zone_lines,
+    hulls_disjoint,
+    less_under,
     verify_zone_property,
     zone_point_count,
 )

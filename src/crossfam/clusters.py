@@ -2,10 +2,10 @@
 search for a separated pair of clusters that is both dense and untangled.
 
 The pair search samples a net (``zones.build_zone_lines``) and cuts V over
-the lines it determines. Points are grouped by their open cell (sign vector
-over the lines, found for every point in one numpy pass); each cell is
-chunked into groups of exactly m along a splitter direction, so any two
-clusters are separated by a line. Points on the lines and partial chunks
+the lines it determines. Points are grouped by their open cell (their sign
+vector over the lines, from ``zones.line_signs``); each cell is chunked
+into groups of exactly m along a splitter direction, so any two clusters
+are separated by a line. Points on the lines and partial chunks
 form the leftover set. The scan takes the hulls of all clusters from one
 pass, ranks the dense cluster pairs by their capped incomparable count, and
 builds the comparability tables of the one pair it returns: after the scan
@@ -25,7 +25,7 @@ import numpy as np
 from .errors import DegenerateInputError
 from .geom import GeometricGraph, PointSet, hull_coords
 from .poset import build_pair_poset, iota_sum_capped
-from .zones import Line, build_zone_lines
+from .zones import Line, build_zone_lines, line_signs
 
 
 @dataclass(frozen=True)
@@ -55,28 +55,6 @@ def _splitter_direction(coords: list[tuple[int, int]]) -> tuple[int, int]:
         k += 1
 
 
-# Net lines through two points within the int64 bound have |a|, |b| at most
-# 2^30 and |c| at most 2^60, so a*x + b*y + c is at most 2^61 in magnitude.
-_LINE_AB_LIMIT = 2**30
-_LINE_C_LIMIT = 2**60
-
-
-def _line_signs(V: PointSet, lines: Sequence[Line]) -> np.ndarray:
-    """The sign of ``a*x + b*y + c`` for every point of V (rows) and line
-    (columns): in one int64 pass when V is within the int64 bound
-    and every line's coefficients are within the net lines' bounds, else in
-    Python ints."""
-    n = len(V)
-    if V.within_int64_bound and all(
-        abs(l.a) <= _LINE_AB_LIMIT and abs(l.b) <= _LINE_AB_LIMIT and abs(l.c) <= _LINE_C_LIMIT for l in lines
-    ):
-        a, b, c = np.array([(l.a, l.b, l.c) for l in lines], dtype=np.int64).reshape(-1, 3).T
-        xs, ys = V.xy[:, :1], V.xy[:, 1:]
-        return np.sign(xs * a + ys * b + c)
-    rows = [[(v > 0) - (v < 0) for v in (l.a * x + l.b * y + l.c for l in lines)] for x, y in V.coords]
-    return np.array(rows, dtype=np.int64).reshape(n, len(lines))
-
-
 def build_clusters(V: PointSet, lines: Sequence[Line], m: int) -> ClusterDecomposition:
     """Group points by open cell of the arrangement of ``lines`` and chunk
     each cell into clusters of m.
@@ -91,7 +69,7 @@ def build_clusters(V: PointSet, lines: Sequence[Line], m: int) -> ClusterDecompo
     if m < 1:
         raise ValueError("m must be positive")
     coords = V.coords
-    signs = _line_signs(V, lines)
+    signs = line_signs(V, lines)
     off = (signs != 0).all(axis=1)
     on_lines = np.flatnonzero(~off).tolist()
     # One stable lexsort groups the cells in sign order, each by (x, y).

@@ -578,19 +578,6 @@ def hull_coords_disjoint(ha, hb) -> bool:
     )
 
 
-def hulls_disjoint(A, B) -> bool:
-    """True iff the convex hulls of the two point collections are disjoint
-    as closed sets.
-
-    See ``hull_coords_disjoint``, which this wraps.
-    """
-    ca = [(p.x, p.y) for p in map(_as_point, A)]
-    cb = [(p.x, p.y) for p in map(_as_point, B)]
-    if not ca or not cb:
-        raise ValueError("hulls_disjoint requires nonempty inputs")
-    return hull_coords_disjoint(hull_coords(ca), hull_coords(cb))
-
-
 def line_meets_hull(x: Point, y: Point, B) -> bool:
     """True iff the infinite line through x and y meets the convex hull of B."""
     x = _as_point(x)

@@ -34,11 +34,7 @@ def build_relation_graph(
     n = len(nodes)
     adj = [0] * n
     for i in range(n - 1):
-        a, b = nodes[i]
         for j in range(i + 1, n):
-            c, d = nodes[j]
-            if a in (c, d) or b in (c, d):
-                continue
             if rel(nodes[i], nodes[j], V):
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i

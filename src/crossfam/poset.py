@@ -65,7 +65,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import DegenerateInputError, HypothesisViolatedError, NotSeparatedError
-from .geom import Point, PointSet, _orient_coords, convex_hull, hull_coords, hull_coords_disjoint, vertex_mask
+from .geom import PointSet, _orient_coords, hull_coords, hull_coords_disjoint, vertex_mask
 
 # Comparability tables are materialized in O(m^2); keep inputs cluster-sized.
 SIZE_CAP = 4096
@@ -110,16 +110,6 @@ def _classify_pair(xc, yc, hull_coords) -> Cmp:
         if pos and neg:
             return Cmp.INCOMPARABLE
     return Cmp.LESS if pos else Cmp.GREATER
-
-
-def less_under(x: Point, y: Point, B) -> Cmp:
-    """Compare x against y relative to the point collection B."""
-    if x == y:
-        raise ValueError("less_under requires distinct points")
-    hull = convex_hull(list(B))
-    if not hull:
-        raise ValueError("B must be nonempty")
-    return _classify_pair((x.x, x.y), (y.x, y.y), [(p.x, p.y) for p in hull])
 
 
 @dataclass(frozen=True)

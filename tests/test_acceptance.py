@@ -9,6 +9,7 @@ import random
 from fractions import Fraction
 
 from conftest import block_instance, separated_pair, succ_masks
+from crossfam.audit import audit_zone_lines, verify_zone_property
 from crossfam.cli import generate_points, main, run_bench
 from crossfam.crossing import (
     FamilyMode,
@@ -26,7 +27,6 @@ from crossfam.geom import (
 from crossfam.oracle import max_family_bruteforce, verify_family
 from crossfam.poset import build_pair_poset, interval_chains
 from crossfam.theory import check_incomparability_localized, split_pair, theory_params
-from crossfam.zones import audit_zone_lines, verify_zone_property
 
 
 def _report(name: str):

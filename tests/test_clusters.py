@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from crossfam import clusters
+from crossfam.audit import hulls_disjoint
 from crossfam.cli import generate_points
 from crossfam.clusters import (
     ClusterDecomposition,
@@ -17,7 +18,7 @@ from crossfam.clusters import (
     find_avoiding_dense_pair,
 )
 from crossfam.errors import DegenerateInputError
-from crossfam.geom import COORD_LIMIT, INT64_COORD_LIMIT, GeometricGraph, Point, PointSet, hull_coords, hulls_disjoint
+from crossfam.geom import COORD_LIMIT, INT64_COORD_LIMIT, GeometricGraph, Point, PointSet, hull_coords
 from crossfam.poset import build_pair_poset
 from crossfam.zones import Line, build_zone_lines
 

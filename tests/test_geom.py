@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import chord_family
 from crossfam import geom
+from crossfam.audit import hulls_disjoint
 from crossfam.crossing import _INT64_MIN_FAMILY
 from crossfam.errors import DegenerateInputError, GeneralPositionError
 from crossfam.formats import parse_graph_file, render_graph_file
@@ -26,7 +27,6 @@ from crossfam.geom import (
     general_position_check,
     hull_coords,
     hull_coords_disjoint,
-    hulls_disjoint,
     line_meets_hull,
     orientation,
     segments_avoiding,

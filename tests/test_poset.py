@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import fixup_general_position, separated_pair, succ_masks
 from crossfam import poset
+from crossfam.audit import less_under
 from crossfam.cli import generate_points
 from crossfam.clusters import find_avoiding_dense_pair
 from crossfam.errors import DegenerateInputError, HypothesisViolatedError, NotSeparatedError
@@ -36,7 +37,6 @@ from crossfam.poset import (
     build_pair_poset,
     interval_chains,
     iota_sum_capped,
-    less_under,
     longest_chain,
 )
 from crossfam.theory import _grid_successors

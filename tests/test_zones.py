@@ -1,28 +1,30 @@
+import ast
 import math
 import random
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import crossfam
 from conftest import zone_count_walk
-from crossfam import zones
+from crossfam import audit, zones
+from crossfam.audit import (
+    _ZoneAudit,
+    audit_zone_lines,
+    net_sample_size,
+    verify_zone_property,
+    zone_point_count,
+)
 from crossfam.cli import generate_points
 from crossfam.clusters import desk_net_size
 from crossfam.crossing import RunConfig, find_avoiding_family, find_crossing_family
 from crossfam.errors import ZoneVerificationError
 from crossfam.geom import GeometricGraph, Point, PointSet
 from crossfam.oracle import verify_family
-from crossfam.zones import (
-    Line,
-    _ZoneAudit,
-    audit_zone_lines,
-    build_zone_lines,
-    lines_through,
-    net_sample_size,
-    verify_zone_property,
-    zone_point_count,
-)
+from crossfam.zones import Line, build_zone_lines, lines_through
 
 
 def test_line_normalization():
@@ -200,7 +202,7 @@ def test_drivers_never_audit(monkeypatch):
     def no_audit(*args, **kwargs):
         raise AssertionError("a driver built the zone audit")
 
-    monkeypatch.setattr(zones, "_ZoneAudit", no_audit)
+    monkeypatch.setattr(audit, "_ZoneAudit", no_audit)
     for kind, n, seed in (("random-disk", 40, 1), ("convex", 24, 2), ("grid-jitter", 60, 3)):
         V = generate_points(kind, n, seed)
         edge_rng = random.Random(seed)
@@ -244,3 +246,124 @@ def test_line_count_within_formula_bound():
         if inv > 1:
             bound = (40 * inv * math.log(inv) + 1) ** 2 / 2 + 1
             assert len(zls.lines) <= bound
+
+
+def _assert_counts_exact(aud, lines, V):
+    # The audit's count of every candidate through two points of V equals
+    # the exact count and the interval-sampling walk.
+    triples = {(l.a, l.b, l.c) for l in lines}
+    checked = 0
+    for i in range(len(V) - 1):
+        for j in range(i + 1, len(V)):
+            ell = Line.through(V[i], V[j])
+            if (ell.a, ell.b, ell.c) in triples:
+                continue
+            assert aud.count(V[i], V[j]) == zone_point_count(lines, ell, V) == zone_count_walk(lines, ell, V)
+            checked += 1
+    assert checked
+
+
+def test_audit_int64_line_bound():
+    # Points within the int64 bound, against lines just within and just past
+    # the line-coefficient bounds: past them the audit must take the exact
+    # path, since a*x + b*y + c would wrap for the larger lines here.
+    V = generate_points("random-disk", 12, seed=5, coord_range=2**29)
+    assert V.within_int64_bound
+    net = list(build_zone_lines(V, 3, 0).lines)
+    ab, c = 2**30, 2**60
+    within = [Line(ab, 3, 7), Line(5, -ab, 11), Line(1, 1, c), Line(3, -1, -c)]
+    past = [Line(ab + 1, 3, 7), Line(5, -ab - 1, 11), Line(1, 1, c + 1), Line(1, 1, -c - 1)]
+    wrapping = [Line(2**34 + 1, 3, 7), Line(5, -(2**35) - 3, 11)]
+    cases = [(net + within, True), (wrapping, False)] + [(net + [l], False) for l in past]
+    for lines, fast in cases:
+        aud = _ZoneAudit(V, lines)
+        assert aud.fast == fast, lines
+        _assert_counts_exact(aud, lines, V)
+    # The first over-budget candidate in (i, j) order, counted exactly.
+    eps = Fraction(1, 2)
+    expected = None
+    for i in range(len(V) - 1):
+        for j in range(i + 1, len(V)):
+            ell = Line.through(V[i], V[j])
+            count = zone_point_count(wrapping, ell, V)
+            if expected is None and 2 * count > len(V):
+                expected = (ell, count)
+    assert expected is not None
+    assert verify_zone_property(wrapping, V, eps) == expected
+
+
+def test_audit_ranks_tied_crossings_exactly(monkeypatch):
+    # A candidate through a net point crosses every net line through that
+    # point at one parameter, so the float order has runs of exact ties
+    # that only the exact re-ranking can group.
+    group_ids = _ZoneAudit._group_ids
+    tied = []
+
+    def recording(An, Bn):
+        gids = group_ids(An, Bn)
+        tied.append(len(set(gids.tolist())) < len(gids))
+        return gids
+
+    monkeypatch.setattr(_ZoneAudit, "_group_ids", staticmethod(recording))
+    for seed in (3, 4):
+        V = generate_points("random-disk", 20, seed=seed, coord_range=2000)
+        zls = build_zone_lines(V, 4, 0)
+        aud = _ZoneAudit(V, zls.lines)
+        assert aud.fast
+        _assert_counts_exact(aud, zls.lines, V)
+    assert any(tied)
+
+
+def test_group_ids_exact_on_near_ties():
+    # -A/B: 1/2 three ways, and 1 - 1/2^52 < 1 - 1/(2^52 + 1), which are
+    # within float error of each other; ranks follow the exact values.
+    big = 2**52
+    A = np.array([-1, -2, 3, -(big - 1), -big, -3], dtype=np.int64)
+    B = np.array([2, 4, -6, big, big + 1, 1], dtype=np.int64)
+    g = _ZoneAudit._group_ids(A, B).tolist()
+    assert g[0] == g[1] == g[2] < g[3] < g[4] < g[5]
+
+
+# Names that only the audit, or the tests, use; and the pipeline's one
+# line-sign kernel and its int64 line bound, which the audit shares.
+_AUDIT_NAMES = {"NET_CONSTANT", "net_sample_size", "_as_lines", "zone_point_count", "_ZoneAudit",
+                "verify_zone_property", "audit_zone_lines", "less_under", "hulls_disjoint"}
+_ZONES_NAMES = {"line_signs", "lines_within_int64_bound", "_LINE_AB_LIMIT", "_LINE_C_LIMIT"}
+
+
+def _top_level_names(tree):
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    return names
+
+
+def _imports_audit(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            modules = [base] + [f"{base}.{a.name}" for a in node.names]
+        else:
+            continue
+        if any("audit" in m.split(".") for m in modules):
+            return True
+    return False
+
+
+def test_only_the_package_root_imports_the_audit():
+    package = Path(crossfam.__file__).parent
+    defined = {}
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        if path.stem not in ("__init__", "audit"):
+            assert not _imports_audit(tree), f"{path.stem} imports the audit"
+        for name in _top_level_names(tree) & (_AUDIT_NAMES | _ZONES_NAMES):
+            defined.setdefault(name, []).append(path.stem)
+    assert defined == {**{n: ["audit"] for n in _AUDIT_NAMES}, **{n: ["zones"] for n in _ZONES_NAMES}}
+    assert not _AUDIT_NAMES & set(vars(zones))
+    assert all(hasattr(crossfam, name) for name in crossfam.__all__)
