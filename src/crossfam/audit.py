@@ -278,11 +278,13 @@ def verify_zone_property(L, V: PointSet, eps):
     lines = _as_lines(L)
     eps = Fraction(eps)
     n = len(V)
-    triples = {(l.a, l.b, l.c) for l in lines}
+    # Line.through normalizes, so the arrangement's lines are compared in
+    # normal form too, as zone_point_count compares them.
+    own = {l.normalized() for l in lines}
     audit: _ZoneAudit | None = None
     for i, j in combinations(range(n), 2):
         ell = Line.through(V[i], V[j])
-        if (ell.a, ell.b, ell.c) in triples:
+        if ell in own:
             continue
         if not lines:
             count = n

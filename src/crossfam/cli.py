@@ -143,12 +143,14 @@ def _run_config(args, seed: int) -> RunConfig:
         delta=_rational(args.delta, "delta"),
         s=args.s,
         seed=seed,
-        max_retries=args.max_retries,
+        max_retries=RunConfig.max_retries if args.max_retries is None else args.max_retries,
     )
 
 
 def _result_params(cfg: RunConfig) -> tuple[tuple[str, str], ...]:
-    out = [("theory", "1" if cfg.theory else "0"), ("retries", str(cfg.max_retries))]
+    out = [("theory", "1" if cfg.theory else "0")]
+    if not cfg.theory:
+        out.append(("retries", str(cfg.max_retries)))
     if cfg.m is not None:
         out.append(("m", str(cfg.m)))
     if cfg.eps is not None:
@@ -191,6 +193,9 @@ def run_family(G: GeometricGraph, mode: str, cfg: RunConfig):
 
 
 def cmd_run(args) -> int:
+    if args.theory and args.max_retries is not None:
+        # Theory mode makes one search at its schedule's cluster size.
+        raise ValueError("max_retries applies only to practical mode")
     seed = _seed_default(args)
     G = parse_graph_file(_read(args.input))
     cfg = _run_config(args, seed)
@@ -334,7 +339,8 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--s", type=int, default=None,
                    help="depth of the theory recursion (theory mode only; default 1)")
     r.add_argument("--seed", type=int, default=None)
-    r.add_argument("--max-retries", type=int, default=RunConfig.max_retries)
+    r.add_argument("--max-retries", type=int, default=None,
+                   help=f"attempts of practical mode (default {RunConfig.max_retries})")
     r.add_argument("--svg", default=None)
     r.add_argument("--out", default=None)
     r.set_defaults(func=cmd_run)

@@ -7,9 +7,11 @@ vector over the lines, from ``zones.line_signs``); each cell is chunked
 into groups of exactly m along a splitter direction, so any two clusters
 are separated by a line. Points on the lines and partial chunks
 form the leftover set. The scan takes the hulls of all clusters from one
-pass, ranks the dense cluster pairs by their capped incomparable count, and
-builds the comparability tables of the one pair it returns: after the scan
-for a pair missing edges, while ranking for a complete pair.
+pass and ranks the dense cluster pairs by their capped incomparable count.
+Clusters that take the int64 kernel are ranked in batches
+(``poset.rank_pairs``), from hull arrays built once per net, and the
+comparability tables of the one pair returned are packed once, from the
+orders kept for it; other pairs are ranked one at a time.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegenerateInputError
-from .geom import GeometricGraph, PointSet, hull_coords
-from .poset import build_pair_poset, iota_sum_capped
+from .geom import GeometricGraph, PointSet, hull_coords, hull_coords_disjoint
+from .poset import RankedPair, build_pair_poset, hull_edges, iota_sum_capped, rank_pairs, takes_int64_kernel
 from .zones import Line, build_zone_lines, line_signs
 
 
@@ -159,6 +161,24 @@ def desk_net_size(n: int, m: int) -> int:
     return max(2, isqrt(isqrt(8 * max(n, 1) // max(m, 1))))
 
 
+class DensePair(tuple):
+    """``(A, B, P)``: the pair that ``find_avoiding_dense_pair`` returns and
+    its ``PairPoset``, with ``edges``, the number of graph edges between A
+    and B that the scan counted."""
+
+    edges: int
+
+    def __new__(cls, A, B, P, edges: int):
+        pair = super().__new__(cls, (A, B, P))
+        pair.edges = edges
+        return pair
+
+
+# Points of all sides in one ``rank_pairs`` batch of the pair scan: its
+# arrays of a few int64 entries per point then stay near 64 KB each.
+_BATCH_POINTS = 1 << 12
+
+
 def find_avoiding_dense_pair(G: GeometricGraph, m: int, eps, delta, seed: int):
     """Find two separated m-clusters forming a dense, untangled pair.
 
@@ -168,10 +188,15 @@ def find_avoiding_dense_pair(G: GeometricGraph, m: int, eps, delta, seed: int):
     lines, it returns None before sampling. The net's zones are not
     audited. The edge counts of all pairs come from one
     ``block_edge_counts`` pass and the hulls of all clusters from one
-    ``cluster_hulls`` pass. A dense pair missing edges is
-    ranked by ``iota_sum_capped``, a complete one by a capped
-    ``build_pair_poset``; the pair returned gets the tables of an uncapped
-    build, built once. Returns (A, B, PairPoset) or None.
+    ``cluster_hulls`` pass.
+
+    Clusters that take the int64 kernel are ranked in batches
+    (``rank_pairs``) from hull arrays built once per net; a batch ends at
+    the next complete pair, since only a complete untangled pair ends the
+    scan, or at ``_BATCH_POINTS``, and the scan applies its caps to the
+    exact counts. Other pairs are ranked as they are reached, a complete
+    one by a capped ``build_pair_poset``, any other by ``iota_sum_capped``.
+    The pair returned gets its tables once. Returns a ``DensePair`` or None.
     """
     V = G.vertices
     n = len(V)
@@ -198,47 +223,68 @@ def find_avoiding_dense_pair(G: GeometricGraph, m: int, eps, delta, seed: int):
     if len(D.clusters) < 2:
         return None
 
-    # Scan pairs in (i, j) order. The least tangled qualifying pair wins,
-    # since downstream yield depends directly on the incomparability count;
-    # ties go to more edges, as density need only clear delta. Each pair is
-    # ranked by its count, which gives up as soon as it exceeds the relevant
-    # budget.
+    # Scan the dense pairs in (i, j) order. The least tangled qualifying
+    # pair wins, since downstream yield depends directly on the
+    # incomparability count; ties go to more edges, as density need only
+    # clear delta. Each pair is ranked by its count, which gives up as soon
+    # as it exceeds the relevant budget.
     iota_cap = (eps.numerator * m * m) // eps.denominator
     dense_min = delta.numerator * m * m  # compare against count * delta_den
     delta_den = delta.denominator
-    best: tuple[int, int, int, int] | None = None  # (count, iota, i, j)
-    P = None  # the best pair's tables, if built while ranking
+    complete = m * m
     clusters = D.clusters
-    k = len(clusters)
-    counts = G.block_edge_counts(clusters, clusters).tolist()
     hulls = cluster_hulls(V, clusters)
-    for i in range(k - 1):
-        if best is not None and best[:2] == (m * m, 0):
+    dense = [
+        (i, j, cnt)
+        for i, row in enumerate(G.block_edge_counts(clusters, clusters).tolist())
+        for j, cnt in enumerate(row[i + 1 :], i + 1)
+        if cnt * delta_den >= dense_min
+    ]
+    batched = takes_int64_kernel(V, m)
+    edges = hull_edges(hulls) if batched else None
+    ranked: dict[int, RankedPair | None] = {}  # a batch's pairs by place in dense
+    end = 0  # the pairs before this place have been batched or passed over
+    best: tuple[int, int, int, int] | None = None  # (count, iota, i, j)
+    kept = None  # the best pair's RankedPair or tables, if it has them
+    for t, (i, j, cnt) in enumerate(dense):
+        if best is not None and best[:2] == (complete, 0):
             break  # no pair can rank above a complete untangled one
-        row = counts[i]
-        for j in range(i + 1, k):
-            cnt = row[j]
-            if cnt * delta_den < dense_min:
+        cap = iota_cap
+        if best is not None:
+            if cnt <= best[0] and best[1] == 0:
                 continue
-            cap = iota_cap
-            if best is not None:
-                if cnt <= best[0] and best[1] == 0:
-                    continue
-                # Only a pair with more edges may tie the best's count.
-                cap = min(cap, best[1] - (cnt <= best[0]))
-            if cnt == m * m:
-                # An untangled complete pair ends the scan, so a complete
-                # pair gets its tables as it is ranked, kept if it is.
-                pair = build_pair_poset(clusters[i], clusters[j], V, hulls[i], hulls[j], cap)
-                iota = None if pair is None else pair.iota_sum
-            else:
-                pair = None
-                iota = iota_sum_capped(clusters[i], clusters[j], V, cap, hulls[i], hulls[j])
-            if iota is not None:
-                best, P = (cnt, iota, i, j), pair
+            # Only a pair with more edges may tie the best's count.
+            cap = min(cap, best[1] - (cnt <= best[0]))
+        if batched and t >= end:
+            # The pairs this test passes now pass it until the scan ends.
+            batch = []
+            for end in range(t, len(dense)):
+                bi, bj, bcnt = dense[end]
+                if not (best is not None and bcnt <= best[0] and best[1] == 0) and hull_coords_disjoint(
+                    hulls[bi], hulls[bj]
+                ):
+                    batch.append(end)
+                if bcnt == complete or len(batch) * 2 * m >= _BATCH_POINTS:
+                    break
+            end += 1
+            ranked = dict(zip(batch, rank_pairs(V, clusters, edges, [dense[u][:2] for u in batch])))
+        pair = ranked.pop(t, None)
+        if pair is not None:
+            iota = pair.iota_sum if pair.iota_sum <= max(cap, 0) else None
+        elif cnt == complete:
+            # An untangled complete pair ends the scan, so a complete pair
+            # gets its tables as it is ranked, kept if it is.
+            pair = build_pair_poset(clusters[i], clusters[j], V, hulls[i], hulls[j], cap)
+            iota = None if pair is None else pair.iota_sum
+        else:
+            iota = iota_sum_capped(clusters[i], clusters[j], V, cap, hulls[i], hulls[j])
+        if iota is not None:
+            best, kept = (cnt, iota, i, j), pair
     if best is None:
         return None
-    _, _, i, j = best
-    if P is None:
-        P = build_pair_poset(clusters[i], clusters[j], V, hulls[i], hulls[j])
-    return P.a, P.b, P
+    cnt, _, i, j = best
+    if isinstance(kept, RankedPair):
+        P = kept.poset()
+    else:
+        P = kept or build_pair_poset(clusters[i], clusters[j], V, hulls[i], hulls[j])
+    return DensePair(P.a, P.b, P, cnt)

@@ -265,7 +265,7 @@ def _find_family(G: GeometricGraph, cfg: RunConfig, mode: FamilyMode) -> Segment
                 best = fam
         if len(best) >= 2:
             nets += 1
-            full = pick is not None and G.block_edge_counts([A], [B])[0, 0] == len(A) * len(B)
+            full = pick is not None and pick.edges == len(A) * len(B)
             if full or nets == _NETS_AT_FAMILY:
                 return best
             continue

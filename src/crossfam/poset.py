@@ -19,37 +19,37 @@ unless it has already seen vertices on both sides of the line: then it
 returns INCOMPARABLE without reaching that vertex.
 
 Under B the order on A is the intersection of two linear orders, which
-``_compare_side_int64`` finds by sorting. Rank the points x of A by the
-counterclockwise angle of the direction from x to its first tangent vertex,
-and apart by the angle to its last. Then x precedes y exactly when x comes
-first in both rankings, and x, y are incomparable exactly when the rankings
-disagree. Why: move the viewpoint from x to y along their line. The
-direction to every hull vertex left of the line turns counterclockwise, and
-to every vertex right of it clockwise. If all of B is on the left, both
-tangent angles grow; on the right, both shrink. If B is on both sides, the
-line meets the hull ahead of both points or behind both (the hulls of A and
-B are disjoint), so one tangent stays on each side of the line, and one
-angle grows while the other shrinks. All these directions point from A to
-B, so they lie in one open half-plane, and within ``geom.INT64_COORD_LIMIT``
-an int64 cross product, at most 2^61, orders any two of them exactly; a
-float64 key that grows with the angle sorts them, and the cross product of
-every pair of neighbours checks the sort. A tangent vertex on a line through two points of A is a supporting
-line of the hull through both, so it gives them parallel tangent directions
-of the same kind: an exact tie between neighbours. A tie, or a negative
-cross product from a float misorder, hands the whole side to
-``_compare_side``, so a degenerate input raises, or gives up at a cap,
-exactly as the scalar loop does. ``build_pair_poset`` sends the kernel
-every side of at least ``_INT64_MIN_SIDE`` points whose point set lies
-within the int64 bound; smaller sides and larger coordinates take the
-scalar loop.
+the int64 kernel, ``_rank_int64``, finds by sorting. Rank the points x of
+A by the counterclockwise angle of the direction from x to its first
+tangent vertex, and apart by the angle to its last. Then x precedes y
+exactly when x comes first in both rankings, and x, y are incomparable
+exactly when the rankings disagree. Why: move the viewpoint from x to y
+along their line. The direction to every hull vertex left of the line
+turns counterclockwise, and to every vertex right of it clockwise. If all
+of B is on the left, both tangent angles grow; on the right, both shrink.
+If B is on both sides, the line meets the hull ahead of both points or
+behind both (the hulls of A and B are disjoint), so one tangent stays on
+each side of the line, and one angle grows while the other shrinks. All
+these directions point from A to B, so they lie in one open half-plane,
+and within ``geom.INT64_COORD_LIMIT`` an int64 cross product, at most
+2^61, orders any two of them exactly; a float64 key that grows with the
+angle sorts them, and the cross product of every pair of neighbours
+checks the sort. A tangent vertex on a line through two points of A is a
+supporting line of the hull through both, so it gives them parallel
+tangent directions of the same kind: an exact tie between neighbours. A
+tie, or a negative cross product from a float misorder, hands the whole
+side to ``_compare_side``, so a degenerate input raises, or gives up at a
+cap, exactly as the scalar loop does.
 
-Two functions lead into the kernel, through one private path with one set
-of checks. ``build_pair_poset`` builds both sides' tables; given a cap, it
-gives up as soon as the incomparable pairs exceed it, and the theory
-recursion's split rejects tangled block pairs so. ``iota_sum_capped`` gives
-the same count, or the same None, without packing successor bits: the pair
-scan ranks its candidates missing edges by it, and its complete candidates
-by a capped build whose tables it keeps.
+The kernel takes a batch of problems, each a side against the padded
+edge arrays of a hull (``hull_edges``); ``_successors`` packs one side's
+tables from its two orders. Sides of at least ``_INT64_MIN_SIDE`` points
+within the int64 bound take it (``takes_int64_kernel``), others the
+scalar loop. ``_compare_side_int64`` is its one-problem case;
+``build_pair_poset`` and ``iota_sum_capped`` (the second leaves the tables
+unpacked) share one path, ``_compare_pair``, which sends two sides of one
+length as one batch; ``rank_pairs`` ranks many cluster pairs in one batch
+for the pair scan and keeps each pair's orders in a ``RankedPair``.
 
 The chain routines read each order as ``PairPoset`` holds it: every
 element's bitmask of the elements it precedes.
@@ -207,95 +207,109 @@ def _pseudo_angle(dot, cross):
     return np.sign(cross) * (1 - dot / (np.abs(dot) + np.abs(cross)))
 
 
-def _tangent_orders(tx, ty):
-    """Both rows of directions (tx, ty) in counterclockwise order: the
-    first row's column indices, sorted, then the second's; or None unless
-    both orders are strict and exact.
+def hull_edges(hulls) -> np.ndarray:
+    """Vertex rows vx, vy and edge rows ex, ey, ec of counterclockwise
+    hulls, one block per hull, w + 1 columns for the widest hull's w: (x, y)
+    is strictly right of edge e when ex * y - ey * x < ec. Columns past a
+    hull's own repeat its vertex 0 and edge 0, so a cyclic run of edges
+    seeing a point still ends where it did, and starts there or at the
+    first repeat, which stands for vertex 0."""
+    sizes = np.array([len(h) for h in hulls])
+    H = np.array([c for h in hulls for c in h], dtype=np.int64)
+    col = np.arange(sizes.max() + 1)
+    own = col < sizes[:, None]
+    first = (np.cumsum(sizes) - sizes)[:, None]
+    S = H[first + np.where(own, col, 0)]
+    E = H[first + np.where(own, col + 1, 1) % sizes[:, None]] - S
+    vx, vy, ex, ey = S[..., 0], S[..., 1], E[..., 0], E[..., 1]
+    return np.stack((vx, vy, ex, ey, ex * vy - ey * vx), axis=1)
 
-    All directions must lie in one open half-plane, with coordinates of
-    at most 2^30, so that every cross or dot product below is at most 2^61
-    in magnitude, and the sum of two at most 2^62. Then the angle from the
-    first direction c to any other lies strictly between -pi and pi, and
-    it grows with the counterclockwise order. The ``_pseudo_angle`` of
-    that angle, from the exact int64 cross and dot products with c and
-    raised by 8 (more than its range) on the second row, sorts both rows
-    in one argsort; then the int64 cross product of every pair of
-    neighbours in a row must be positive. Zero is an exact tie, negative a
-    float misorder.
+
+def _rank_int64(V: PointSet, sides: np.ndarray, edges: np.ndarray):
+    """Row q of ``sides`` (vertex indices of ``V``, all rows of one length
+    k) against hull q of ``edges``, disjoint from it: returns (rows, p,
+    iota), where ``rows[q]`` lists side q's positions by the angle to their
+    first tangent, ``p[q, r]`` is row r's place by the angle to its last,
+    and ``iota[q]`` counts the pairs the two orders disagree on, or is -1
+    when the sort met a tie or a misorder.
+
+    A point's tangents end the cyclic run of hull edges that see it on
+    their right. Angles are taken from the direction c of a problem's
+    first tangent: coordinates of at most 2^30 keep every cross or dot
+    product within 2^61, and ``_pseudo_angle`` (raised by 8 for the last
+    tangents) sorts both orders in one stable argsort, checked by the int64
+    cross product of neighbours. Temporaries go in slabs of about
+    ``_PAIR_SLAB`` entries.
     """
-    k = tx.shape[1]
-    cx, cy = tx[0, 0], ty[0, 0]
+    Q, k = sides.shape
+    w = edges.shape[2]
+    vx, vy, ex, ey, ec = (edges[:, r] for r in range(5))
+    x = V.xy[sides, 0]
+    y = V.xy[sides, 1]
+    tangents = np.empty((Q, 2, k), dtype=np.intp)
+    step = max(8, _PAIR_SLAB // (w - 1))
+    qs, rs = max(1, step // k), min(k, step)
+    for q0 in range(0, Q, qs):
+        q = slice(q0, q0 + qs)
+        for r0 in range(0, k, rs):
+            r = slice(r0, r0 + rs)
+            seen = ex[q, None] * y[q, r, None] - ey[q, None] * x[q, r, None] < ec[q, None]
+            # Each point's edges in cyclic order, with one more column on
+            # each side, to find where runs start and end. With no edge
+            # seeing x (a hull of one point, or a segment hull on x's line),
+            # vertex 0 and its successor are tangents all the same.
+            ring = np.concatenate((seen[..., -1:], seen, seen[..., :1]), axis=2)
+            tangents[q, 0, r] = np.argmax(seen > ring[..., :-2], axis=2)
+            tangents[q, 1, r] = np.argmax(seen > ring[..., 2:], axis=2) + 1
+    # Rows of the batch's arrays go one after another in the flat indices
+    # below: problem q starts at q * w, q * 2k or q * k.
+    first = np.arange(Q)[:, None]
+    tangents += first[:, None] * w
+    tx = (vx.ravel()[tangents] - x[:, None]).reshape(Q, 2 * k)
+    ty = (vy.ravel()[tangents] - y[:, None]).reshape(Q, 2 * k)
+    cx, cy = tx[:, :1], ty[:, :1]
     key = _pseudo_angle(cx * tx + cy * ty, cx * ty - cy * tx)
-    key[1] += 8
+    key[:, k:] += 8
     # Stable, as ``clusters.build_clusters``' lexsort is, for the same
     # reason as ``_pseudo_angle``.
-    order = key.argsort(axis=None, kind="stable")
-    ox = tx.ravel()[order]
-    oy = ty.ravel()[order]
-    cross = ox[:-1] * oy[1:] - oy[:-1] * ox[1:]
-    # Entry k - 1 pairs the last of one row with the first of the other.
-    cross[k - 1 : k] = 1
-    if np.count_nonzero(cross <= 0):
-        return None
-    order[k:] -= k
-    return order
+    order = key.argsort(axis=1, kind="stable")
+    flat = order + first * (2 * k)
+    ox = tx.ravel()[flat]
+    oy = ty.ravel()[flat]
+    cross = ox[:, :-1] * oy[:, 1:] - oy[:, :-1] * ox[:, 1:]
+    # Column k - 1 pairs the last of one order with the first of the other.
+    cross[:, k - 1] = 1
+    exact = (cross > 0).all(axis=1).tolist()
+    rows = order[:, :k]
+    place = np.empty(Q * k, dtype=np.intp)
+    place[flat[:, k:] - first * k - k] = np.arange(k)
+    p = place[rows + first * k]
+    # Row r of a problem is LESS than the rows after it that also come
+    # after it in the last order; every other pair is incomparable. A slab
+    # of rows from r0 compares them with the rows from r0 on. It takes one
+    # problem: broadcast over more, the comparison would go through
+    # numpy's 64 KB buffers once for each operand.
+    step = min(k, max(8, _PAIR_SLAB // k))
+    diagonal = np.arange(step)
+    above = diagonal[:, None] < diagonal
+    iota = []
+    for q in range(Q):
+        less = 0
+        for r0 in range(0, k, step):
+            r1 = min(k, r0 + step)
+            after = p[q, r0:r1, None] < p[q, r0:]
+            after[:, : r1 - r0] &= above[: r1 - r0, : r1 - r0]
+            less += np.count_nonzero(after)
+        iota.append(comb(k, 2) - less if exact[q] else -1)
+    return rows, p, iota
 
 
-def _compare_side_int64(side, V: PointSet, hull, cap: int, tables: bool = True):
-    """``_compare_side`` in int64 numpy arithmetic, for ``V`` within the
-    int64 bound (``V.within_int64_bound``) and a side whose hull is disjoint
-    from ``hull``; same arguments but ``V`` for ``coords``, same result.
-    With ``tables`` false the successor bits are not packed, and the result
-    is the incomparable count alone, or None.
-
-    The side's tangent vertices are found in row slabs: for each point x,
-    the hull edges that see x strictly on their right form one run, and
-    its two ends are x's tangent vertices. ``_tangent_orders`` sorts the
-    directions from the side to its first tangents, and apart to its last;
-    x is LESS than y exactly when x comes first in both orders, and the
-    pair is incomparable when the orders disagree. Row slabs of
-    ``_PAIR_SLAB`` rank comparisons then go through the side in the first
-    order. After each slab the incomparable pairs with an end in the rows
-    so far are known, so None is returned once they exceed ``cap``, never
-    for a count of 0; and the slab's successor bits are packed. An exact
-    tie or a float misorder hands the whole side to ``_compare_side``, so
-    a degenerate input raises, or gives up at the cap, exactly as the
-    scalar loop does.
-    """
+def _successors(side, rows, p) -> dict[int, int]:
+    """The successor bitmasks of ``side`` from its ``_rank_int64`` orders,
+    set and packed little-endian (as ``neighbour_masks`` does) in row slabs
+    of about ``_PAIR_SLAB`` entries."""
     k = len(side)
     idx = np.array(side, dtype=np.intp)
-    xy = V.xy[idx]
-    H = np.array(hull + hull[:1], dtype=np.int64)
-    hx, hy = H[:-1, 0], H[:-1, 1]
-    m = len(hx)
-    # Edge e runs from hull vertex e to e + 1; (x, y) is strictly right of
-    # it when ex * y - ey * x < ec.
-    ex, ey = (H[1:] - H[:-1]).T
-    ec = ex * hy - ey * hx
-    tangents = np.empty((2, k), dtype=np.intp)
-    step = max(8, _PAIR_SLAB // m)
-    for i0 in range(0, k, step):
-        seen = ex * xy[i0 : i0 + step, 1:] - ey * xy[i0 : i0 + step, :1] < ec
-        # Columns -1 .. m of the edges' cyclic order, to find where runs
-        # start and end. With no edge seeing x (a hull of one point, or a
-        # segment hull on x's line), vertex 0 and its successor are
-        # tangents all the same.
-        ring = np.concatenate((seen[:, -1:], seen, seen[:, :1]), axis=1)
-        tangents[0, i0 : i0 + step] = np.argmax(seen > ring[:, :-2], axis=1)
-        tangents[1, i0 : i0 + step] = (np.argmax(seen > ring[:, 2:], axis=1) + 1) % m
-    order = _tangent_orders(hx[tangents] - xy[:, 0], hy[tangents] - xy[:, 1])
-    if order is None:
-        table = _compare_side(side, V.coords, hull, cap)
-        return table if tables or table is None else table[1]
-    # Row r is the side's r-th point in the first order, and p[r] its
-    # place in the last order; it is LESS than the points after it in the
-    # first order that also come after it in the last.
-    rows = order[:k]
-    p = np.empty(k, dtype=np.intp)
-    p[order[k:]] = np.arange(k)
-    p = p[rows]
-    # Successor bits are set at bit positions v - base of a row, packed
-    # little-endian as ``neighbour_masks`` does, then shifted by base.
     base = min(side) & ~7
     span = max(side) - base + 1
     width = (span + 7) // 8
@@ -306,33 +320,92 @@ def _compare_side_int64(side, V: PointSet, hull, cap: int, tables: bool = True):
     step = min(k, max(8, _PAIR_SLAB // max(k, span // 8)))
     diagonal = np.arange(step)
     above = diagonal[:, None] < diagonal
-    packed = np.empty((k, width), dtype=np.uint8) if tables else None
-    less = 0
+    packed = np.empty((k, width), dtype=np.uint8)
     for i0 in range(0, k, step):
         i1 = min(k, i0 + step)
         after = p[i0:i1, None] < p[i0:]
         after[:, : i1 - i0] &= above[: i1 - i0, : i1 - i0]
-        less += np.count_nonzero(after)
-        iota = comb(k, 2) - comb(k - i1, 2) - less
-        if iota > max(cap, 0):
-            return None
-        if tables:
-            bits = np.zeros((i1 - i0, span), dtype=bool)
-            bits[:, cols[i0:]] = after
-            packed[rows[i0:i1]] = np.packbits(bits, axis=1, bitorder="little")
-    if not tables:
-        return iota
+        bits = np.zeros((i1 - i0, span), dtype=bool)
+        bits[:, cols[i0:]] = after
+        packed[rows[i0:i1]] = np.packbits(bits, axis=1, bitorder="little")
     buf = packed.tobytes()
     succ = [int.from_bytes(buf[r * width : (r + 1) * width], "little") << base for r in range(k)]
-    return dict(zip(side, succ)), iota
+    return dict(zip(side, succ))
+
+
+def _side_result(side, V: PointSet, hull, cap: int, tables: bool, rank):
+    """``_compare_side``'s result for one side, or its count alone without
+    ``tables``, from its ``_rank_int64`` problem ``rank``; from
+    ``_compare_side`` itself when ``rank`` is None or marks a tie."""
+    if rank is None or rank[2] < 0:
+        table = _compare_side(side, V.coords, hull, cap)
+        return table if tables or table is None else table[1]
+    rows, p, iota = rank
+    if iota > max(cap, 0):
+        return None
+    return (_successors(side, rows, p), iota) if tables else iota
+
+
+def takes_int64_kernel(V: PointSet, k: int) -> bool:
+    """Whether sides of k points of ``V`` go to the int64 kernel: at least
+    ``_INT64_MIN_SIDE`` of them, within the int64 bound."""
+    return V.within_int64_bound and k >= _INT64_MIN_SIDE
+
+
+@dataclass(frozen=True)
+class RankedPair:
+    """A pair of sides with their ``_rank_int64`` problems (rows, p, iota),
+    each against the other's hull."""
+
+    a: tuple[int, ...]
+    b: tuple[int, ...]
+    rank_a: tuple
+    rank_b: tuple
+
+    @property
+    def iota_sum(self) -> int:
+        return self.rank_a[2] + self.rank_b[2]
+
+    def poset(self) -> PairPoset:
+        """The ``PairPoset`` that ``build_pair_poset`` gives the pair."""
+        (rows_a, p_a, iota_a), (rows_b, p_b, iota_b) = self.rank_a, self.rank_b
+        return PairPoset(
+            self.a, self.b, _successors(self.a, rows_a, p_a), _successors(self.b, rows_b, p_b), iota_a, iota_b
+        )
+
+
+def rank_pairs(V: PointSet, sides, edges: np.ndarray, pairs) -> list[RankedPair | None]:
+    """Each pair (i, j) of ``pairs`` in one ``_rank_int64`` batch, side i
+    against hull j of ``edges`` and side j against hull i: a
+    ``RankedPair``, or None where a sort met a tie or a misorder. The sides
+    must have one length, take the kernel and be separated; the caller
+    bounds the batch, whose arrays hold a few entries per point."""
+    if not pairs:
+        return []
+    problems = np.array(pairs, dtype=np.intp)
+    rows, p, iota = _rank_int64(
+        V, np.array([sides[h] for h in problems.ravel()], dtype=np.intp), edges[problems[:, ::-1].ravel()]
+    )
+    ranks = list(zip(rows, p, iota))
+    return [
+        RankedPair(sides[i], sides[j], ranks[2 * t], ranks[2 * t + 1]) if min(iota[2 * t : 2 * t + 2]) >= 0 else None
+        for t, (i, j) in enumerate(pairs)
+    ]
+
+
+def _compare_side_int64(side, V: PointSet, hull, cap: int, tables: bool = True):
+    """``_compare_side`` by the int64 kernel, for ``V`` within the int64
+    bound; same arguments but ``V`` for ``coords``, same result, or the
+    count alone without ``tables``."""
+    rows, p, iota = _rank_int64(V, np.array([side], dtype=np.intp), hull_edges([hull]))
+    return _side_result(side, V, hull, cap, tables, (rows[0], p[0], iota[0]))
 
 
 def _compare_pair(A, B, V: PointSet, hull_a, hull_b, cap: int | None, tables: bool):
     """The work of ``build_pair_poset`` (``tables``) or ``iota_sum_capped``:
-    the argument and disjointness checks, then each side against the other
-    side's hull. Returns both sides' ``_compare_side`` results, or with
-    ``tables`` false their incomparable counts; None once the two counts
-    together exceed ``cap``.
+    the checks, then each side against the other's hull, two sides of one
+    length in one batch. Returns both sides' ``_compare_side`` results (or
+    counts), or None once the counts together exceed ``cap``.
     """
     a = tuple(A)
     b = tuple(B)
@@ -352,14 +425,19 @@ def _compare_pair(A, B, V: PointSet, hull_a, hull_b, cap: int | None, tables: bo
     if cap is None:
         # Fewer than len(a)**2 + len(b)**2 pairs exist, so this cap never binds.
         cap = len(a) ** 2 + len(b) ** 2
+    kernel = [takes_int64_kernel(V, len(side)) for side in (a, b)]
+    ranks = None
+    if all(kernel) and len(a) == len(b):
+        rows, p, iota = _rank_int64(V, np.array((a, b), dtype=np.intp), hull_edges((hull_b, hull_a)))
+        ranks = [(rows[q], p[q], iota[q]) for q in range(2)]
     sides = []
-    for side, other_hull in ((a, hull_b), (b, hull_a)):
-        if V.within_int64_bound and len(side) >= _INT64_MIN_SIDE:
+    for q, (side, other_hull) in enumerate(((a, hull_b), (b, hull_a))):
+        if ranks is not None:
+            result = _side_result(side, V, other_hull, cap, tables, ranks[q])
+        elif kernel[q]:
             result = _compare_side_int64(side, V, other_hull, cap, tables)
         else:
-            result = _compare_side(side, coords, other_hull, cap)
-            if result is not None and not tables:
-                result = result[1]
+            result = _side_result(side, V, other_hull, cap, tables, None)
         if result is None:
             return None
         sides.append(result)

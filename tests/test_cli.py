@@ -338,6 +338,29 @@ def test_cli_run_determinism(tmp_path):
     assert outs[0] == outs[1]
 
 
+def test_cli_theory_refuses_max_retries(tmp_path, capsys):
+    # Theory mode makes one search and never reads the attempt cap, so the
+    # option is refused there, as m, eps and delta are, and its result file
+    # names no cap. Practical mode keeps the default of RunConfig and writes
+    # the same file whether the default is given or not.
+    graph = tmp_path / "g.txt"
+    graph.write_text(render_graph_file(GeometricGraph.complete(generate_points("random-disk", 40, seed=8))))
+    out = tmp_path / "r.txt"
+    for value in ("3", str(RunConfig.max_retries)):
+        assert main(["run", str(graph), "--theory", "--max-retries", value, "--out", str(out)]) == 2
+        assert "max_retries applies only to practical mode" in capsys.readouterr().err
+        assert not out.exists()
+    assert main(["run", str(graph), "--theory", "--seed", "3", "--out", str(out)]) == 0
+    assert parse_result_file(out.read_text()).params == (("theory", "1"),)
+    texts = []
+    for options in ([], ["--max-retries", str(RunConfig.max_retries)]):
+        assert main(["run", str(graph), "--seed", "3", *options, "--out", str(out)]) == 0
+        texts.append(strip_timing(out.read_text()))
+    assert texts[0] == texts[1]
+    assert parse_result_file(out.read_text()).params == (("retries", str(RunConfig.max_retries)), ("theory", "0"))
+    assert _run_config(build_parser().parse_args(["run", "g.txt"]), 0) == RunConfig()
+
+
 def test_run_bench_shape():
     rows, slope = run_bench([16, 24], trials=2, seed=0, mode="crossing")
     assert len(rows) == 4

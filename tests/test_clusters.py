@@ -1,12 +1,13 @@
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from crossfam import clusters
+from crossfam import clusters, poset
 from crossfam.audit import hulls_disjoint
 from crossfam.cli import generate_points
 from crossfam.clusters import (
@@ -17,9 +18,9 @@ from crossfam.clusters import (
     desk_net_size,
     find_avoiding_dense_pair,
 )
-from crossfam.errors import DegenerateInputError
+from crossfam.errors import DegenerateInputError, NotSeparatedError
 from crossfam.geom import COORD_LIMIT, INT64_COORD_LIMIT, GeometricGraph, Point, PointSet, hull_coords
-from crossfam.poset import build_pair_poset
+from crossfam.poset import build_pair_poset, iota_sum_capped
 from crossfam.zones import Line, build_zone_lines
 
 
@@ -231,58 +232,202 @@ def test_cluster_hulls_match_hull_coords(case):
 
 
 def test_pair_scan_builds_tables_once(monkeypatch):
-    # A dense pair missing edges is ranked by its count alone, and the one
-    # pair returned then gets its tables built. A complete pair gets its
-    # tables as it is ranked, and the scan keeps those of the pair it
-    # returns. So the kernel goes over no pair twice, except a returned
-    # pair that misses edges, and a scan that finds nothing builds none.
-    counted, built = [], []
-    count, build = clusters.iota_sum_capped, clusters.build_pair_poset
-    monkeypatch.setattr(clusters, "iota_sum_capped", lambda *a, **kw: counted.append(a[:2]) or count(*a, **kw))
-    monkeypatch.setattr(clusters, "build_pair_poset", lambda *a, **kw: built.append(a[:2]) or build(*a, **kw))
+    # Clusters that take the int64 kernel are ranked in batches, each pair
+    # once: no side goes through the kernel twice against one hull. The
+    # tables are packed once, for the pair returned, from the orders kept
+    # for it, and a scan that finds nothing packs none. On these inputs in
+    # general position no pair takes a per-pair path.
+    problems, packed = [], []
+    rank, pack = poset._rank_int64, poset._successors
 
-    def disk_graph(n, density):
-        V = generate_points("random-disk", n, 3)
-        edge_rng = random.Random(3)
-        pairs = itertools.combinations(range(n), 2)
-        return GeometricGraph.from_edges(V, [e for e in pairs if edge_rng.random() < density])
+    def ranked(V, sides, edges):
+        problems.extend(zip(map(tuple, sides.tolist()), map(bytes, edges)))
+        return rank(V, sides, edges)
 
-    V = generate_points("random-disk", 90, 3)
+    def refuse(*args, **kwargs):
+        raise AssertionError("a pair took the per-pair path")
+
+    monkeypatch.setattr(poset, "_rank_int64", ranked)
+    monkeypatch.setattr(poset, "_successors", lambda side, *rest: packed.append(side) or pack(side, *rest))
+    monkeypatch.setattr(clusters, "iota_sum_capped", refuse)
+    monkeypatch.setattr(clusters, "build_pair_poset", refuse)
+
+    V = generate_points("random-disk", 240, 3)
+    pairs = list(itertools.combinations(range(len(V)), 2))
+    edge_rng = random.Random(3)
     cases = [
-        (GeometricGraph.complete(V), 4, Fraction(1, 4), True),
-        (disk_graph(90, 0.9), 4, Fraction(1, 4), True),
-        (disk_graph(90, 0.5), 4, Fraction(1, 4), True),
-        # At m = 5, nets 0 and 3 find a complete pair first and return a
-        # less tangled pair that misses edges.
-        (disk_graph(60, 0.9), 5, Fraction(1, 4), True),
-        (GeometricGraph.from_edges(V, [(i, i + 1) for i in range(0, 90, 2)]), 4, Fraction(1, 2), False),
+        (GeometricGraph.complete(V), Fraction(1, 4), True),
+        (GeometricGraph.from_edges(V, [e for e in pairs if edge_rng.random() < 0.9]), Fraction(1, 4), True),
+        (GeometricGraph.from_edges(V, [e for e in pairs if edge_rng.random() < 0.5]), Fraction(1, 4), True),
+        (GeometricGraph.from_edges(V, [(i, i + 1) for i in range(0, 240, 2)]), Fraction(1, 2), False),
     ]
     kept_complete = kept_missing = 0
-    for graph, m, delta, found in cases:
-        V = graph.vertices
-        for seed in range(4):
-            counted.clear()
-            built.clear()
-            pick = find_avoiding_dense_pair(graph, m, Fraction(1, 4), delta, seed)
+    for graph, delta, found in cases:
+        for seed in range(3):
+            problems.clear()
+            packed.clear()
+            pick = find_avoiding_dense_pair(graph, 24, Fraction(1, 4), delta, seed)
             assert (pick is not None) == found
+            assert len(problems) == len(set(problems))
             if not found:
-                assert counted == built == []
+                assert packed == [] and problems == []
                 continue
             A, B, P_ = pick
-            assert P_ == build(A, B, V)
-            complete = {p for p in counted + built if graph.block_edge_counts([p[0]], [p[1]])[0, 0] == m * m}
-            assert complete.isdisjoint(counted)
-            assert set(built) - {(A, B)} <= complete
-            assert len(built) == len(set(built)) and (A, B) in built
-            assert len(counted) == len(set(counted))
-            if (A, B) in complete:
-                assert (A, B) not in counted
+            assert packed == [A, B]
+            assert {A, B} <= {side for side, _ in problems}
+            assert P_ == build_pair_poset(A, B, V)
+            assert pick.edges == graph.block_edge_counts([A], [B])[0, 0]
+            if pick.edges == 24 * 24:
                 kept_complete += 1
             else:
-                assert built[-1] == (A, B)
                 kept_missing += 1
     # Both kinds of returned pair occur.
     assert kept_complete and kept_missing
+
+
+def reference_scan(G, m, eps, delta, seed):
+    """The pair scan as a sequential loop: every dense pair in (i, j) order
+    is ranked as it is reached, by a capped ``build_pair_poset`` when it is
+    complete and by ``iota_sum_capped`` when it misses edges, with the caps
+    and skip rules of ``find_avoiding_dense_pair``; the pair returned gets
+    the tables of an uncapped build."""
+    V = G.vertices
+    n = len(V)
+    eps, delta = Fraction(eps), Fraction(delta)
+    if n < 2 * m or n - min(n, desk_net_size(n, m)) < 2 * m:
+        return None
+    D = build_clusters(V, build_zone_lines(V, desk_net_size(n, m), seed).lines, m)
+    if len(D.clusters) < 2:
+        return None
+    iota_cap = (eps.numerator * m * m) // eps.denominator
+    dense_min = delta.numerator * m * m
+    best = P = None
+    cl = D.clusters
+    counts = G.block_edge_counts(cl, cl).tolist()
+    hulls = cluster_hulls(V, cl)
+    for i in range(len(cl) - 1):
+        if best is not None and best[:2] == (m * m, 0):
+            break
+        for j in range(i + 1, len(cl)):
+            cnt = counts[i][j]
+            if cnt * delta.denominator < dense_min:
+                continue
+            cap = iota_cap
+            if best is not None:
+                if cnt <= best[0] and best[1] == 0:
+                    continue
+                cap = min(cap, best[1] - (cnt <= best[0]))
+            if cnt == m * m:
+                pair = build_pair_poset(cl[i], cl[j], V, hulls[i], hulls[j], cap)
+                iota = None if pair is None else pair.iota_sum
+            else:
+                pair = None
+                iota = iota_sum_capped(cl[i], cl[j], V, cap, hulls[i], hulls[j])
+            if iota is not None:
+                best, P = (cnt, iota, i, j), pair
+    if best is None:
+        return None
+    _, _, i, j = best
+    if P is None:
+        P = build_pair_poset(cl[i], cl[j], V, hulls[i], hulls[j])
+    return P.a, P.b, P
+
+
+def _scan_outcome(scan, *args):
+    """A scan's pair, or the type and message of the error it raises."""
+    try:
+        pick = scan(*args)
+    except (DegenerateInputError, NotSeparatedError) as e:
+        return type(e), str(e)
+    return None if pick is None else tuple(pick)
+
+
+def _random_graph(V, density, seed):
+    if density is None:
+        return GeometricGraph.complete(V)
+    edge_rng = random.Random(seed)
+    return GeometricGraph.from_edges(V, [e for e in itertools.combinations(range(len(V)), 2) if edge_rng.random() < density])
+
+
+def test_batched_scan_matches_sequential_reference(monkeypatch):
+    # The batched scan returns the pair the sequential scan returns, with
+    # the same tables, on complete, dense and sparse graphs. On points of a
+    # small grid, with the kernel threshold lowered so that small clusters
+    # are batched, exact ties abound: those pairs go the per-pair way, and
+    # a degenerate input raises the same error, at the same pair, as the
+    # sequential scan, or the scan gives up at a cap before reaching it.
+    ranked = []
+    rank = clusters.rank_pairs
+
+    def spy(*args):
+        ranks = rank(*args)
+        ranked.extend(ranks)
+        return ranks
+
+    monkeypatch.setattr(clusters, "rank_pairs", spy)
+    cases = []
+    for kind, n, m in (("random-disk", 200, 24), ("grid-jitter", 240, 24), ("convex", 200, 32), ("random-disk", 300, 32)):
+        V = generate_points(kind, n, n + m)
+        for density, eps, delta in (
+            (None, Fraction(1, 2), Fraction(1, 4)),
+            (None, Fraction(1, 64), Fraction(1, 4)),
+            (0.9, Fraction(1, 2), Fraction(1, 4)),
+            (0.5, Fraction(1, 2), Fraction(1, 4)),
+            (0.2, Fraction(1, 4), Fraction(1, 8)),
+        ):
+            cases.append((_random_graph(V, density, n), m, eps, delta, poset._INT64_MIN_SIDE))
+    for seed in range(8):
+        rng = random.Random(seed)
+        grid = rng.sample([(x, y) for x in range(10) for y in range(10)], 60)
+        V = PointSet(grid, check_general_position=False)
+        G = _random_graph(V, rng.choice([None, 0.9, 0.5]), seed)
+        cases.append((G, rng.choice([3, 4, 5]), Fraction(1, 2), Fraction(1, 4), 1))
+    outcomes = {"pair": 0, "raise": 0, "none": 0}
+    for G, m, eps, delta, threshold in cases:
+        with monkeypatch.context() as patch:
+            patch.setattr(poset, "_INT64_MIN_SIDE", threshold)
+            for seed in range(2):
+                args = (G, m, eps, delta, seed)
+                expect = _scan_outcome(reference_scan, *args)
+                assert _scan_outcome(find_avoiding_dense_pair, *args) == expect
+                outcomes["none" if expect is None else "raise" if isinstance(expect[0], type) else "pair"] += 1
+    # Every kind of outcome occurs, the batches ranked pairs, and some
+    # pairs were handed to the per-pair path.
+    assert min(outcomes.values()) > 0
+    assert any(r is not None for r in ranked) and None in ranked
+
+
+def test_pair_scan_memory_is_sliced(monkeypatch):
+    # A long run of dense pairs that miss edges, 2048 points in clusters of
+    # 32, goes to the kernel in batches of about _BATCH_POINTS points: each
+    # batch peaks far below what one batch of the whole run would take
+    # (about 18 MB of traced allocations).
+    n, m = 2048, 32
+    V = generate_points("random-disk", n, 5)
+    # Complete but for the pairs whose indices sum to a multiple of 10.
+    residue = [sum(1 << j for j in range(r, n, 10)) for r in range(10)]
+    full = (1 << n) - 1
+    G = GeometricGraph(V, tuple(full & ~residue[-i % 10] & ~(1 << i) for i in range(n)))
+    assert not G.is_complete
+    peaks = []
+    rank = clusters.rank_pairs
+
+    def measured(*args):
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        ranks = rank(*args)
+        peaks.append(tracemalloc.get_traced_memory()[1] - before)
+        return ranks
+
+    monkeypatch.setattr(clusters, "rank_pairs", measured)
+    tracemalloc.start()
+    try:
+        pick = find_avoiding_dense_pair(G, m, Fraction(1, 2), Fraction(1, 4), 0)
+    finally:
+        tracemalloc.stop()
+    assert pick is not None
+    assert len(peaks) >= 10
+    assert max(peaks) < 3 * 2**19
 
 
 def test_edge_category_counts(rng):

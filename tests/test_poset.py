@@ -427,6 +427,91 @@ def test_int64_kernel_fallbacks_match_scalar(monkeypatch):
             assert calls == []
 
 
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(1, 40),
+    extra=st.integers(0, 24),
+    kind=st.sampled_from(["point", "segment", "cloud", "arc"]),
+    nb=st.integers(3, 48),
+    top=st.sampled_from([INT64_COORD_LIMIT, INT64_COORD_LIMIT + 1, COORD_LIMIT]),
+    sign=st.sampled_from([1, -1]),
+    slab=st.sampled_from([1, 64, poset._PAIR_SLAB]),
+)
+@settings(max_examples=200, deadline=None)
+def test_batched_kernel_matches_scalar(seed, k, extra, kind, nb, top, sign, slab):
+    # One batch holds several problems of k points: samples of a side A
+    # against the hull of B and, when B is large enough, samples of B
+    # against the hull of A, so hulls of different widths share the padded
+    # edge arrays. Each problem's count, its tables and its outcome at each
+    # cap are those of the scalar loop, and of the same problem ranked
+    # alone; a pair of one sample from each side is ranked by rank_pairs as
+    # build_pair_poset builds it. Beyond the int64 bound no side takes the
+    # kernel, and build_pair_poset gives the scalar loop's tables.
+    nb = {"point": 1, "segment": 2}.get(kind, nb)
+    coords, A, B = _side_and_hull(seed, k + extra, nb, kind, top)
+    pts = [(sign * x, sign * y) for x, y in coords]
+    assume(general_position_check(pts) is None)
+    V = PointSet(pts)
+    assert V.within_int64_bound == (top <= INT64_COORD_LIMIT)
+    hull_a = hull_coords(V.coords[i] for i in A)
+    hull_b = hull_coords(V.coords[i] for i in B)
+    rng = random.Random(seed)
+    problems = [(tuple(rng.sample(A, k)), hull_b) for _ in range(3)]
+    if len(B) >= k:
+        problems.append((tuple(rng.sample(B, k)), hull_a))
+    pair = (problems[0][0], problems[-1][0]) if len(B) >= k else None
+    if not V.within_int64_bound:
+        assert not poset.takes_int64_kernel(V, max(k, poset._INT64_MIN_SIDE))
+        if pair is not None:
+            pp = build_pair_poset(*pair, V)
+            assert (pp.succ_a, pp.iota_a) == _compare_side(pair[0], V.coords, hull_coords(V.coords[i] for i in pair[1]), _NO_CAP)
+        return
+
+    with mock.patch.object(poset, "_PAIR_SLAB", slab):
+        edges = poset.hull_edges([hull for _, hull in problems])
+        rows, p, iota = poset._rank_int64(V, np.array([side for side, _ in problems]), edges)
+        for q, (side, hull) in enumerate(problems):
+            alone = poset._rank_int64(V, np.array([side]), poset.hull_edges([hull]))
+            assert iota[q] == alone[2][0]
+            rank = (rows[q], p[q], int(iota[q]))
+            total = _compare_side(side, V.coords, hull, _NO_CAP)[1]
+            if iota[q] >= 0:
+                assert iota[q] == total
+                assert (rows[q] == alone[0][0]).all() and (p[q] == alone[1][0]).all()
+            for cap in (0, total - 1, total, _NO_CAP):
+                expect = _compare_side(side, V.coords, hull, cap)
+                assert poset._side_result(side, V, hull, cap, True, rank) == expect
+                assert poset._side_result(side, V, hull, cap, False, rank) == (None if expect is None else expect[1])
+        if pair is not None:
+            sides = list(pair)
+            ranked = poset.rank_pairs(V, sides, poset.hull_edges([hull_coords(V.coords[i] for i in s) for s in sides]), [(0, 1)])
+            with mock.patch.object(poset, "_INT64_MIN_SIDE", 1):
+                pp = build_pair_poset(*pair, V)
+            if ranked[0] is not None:
+                assert ranked[0].iota_sum == pp.iota_sum
+                assert ranked[0].poset() == pp
+            else:
+                assert min(iota[0], iota[-1]) < 0
+
+
+def test_batched_kernel_tie_falls_back_alone():
+    # A problem whose side holds an exact tie (a tangent vertex on the line
+    # through two of its points) is marked for the scalar loop, which
+    # raises on it, or gives up at a cap of 0 before reaching the pair; the
+    # other problems of its batch keep their counts.
+    extra = [(-40 - 7 * i, 5 + (-1) ** i * (2 * i + 1)) for i in range(poset._INT64_MIN_SIDE)]
+    V = PointSet(P((0, 0), (1, 0), *extra, (5, 0), (5, 10), (6, 5), (-31, 90)), check_general_position=False)
+    tie = tuple(range(len(extra) + 2))[::-1]
+    plain = tie[:-1] + (len(V) - 1,)
+    hull = hull_coords(V.coords[i] for i in range(len(tie), len(V) - 1))
+    other = hull_coords(V.coords[i] for i in (len(tie), len(tie) + 1))
+    rows, p, iota = poset._rank_int64(V, np.array([plain, tie, plain]), poset.hull_edges([other, hull, other]))
+    assert iota[1] == -1 and iota[0] == iota[2] == _compare_side(plain, V.coords, other, _NO_CAP)[1]
+    assert poset._side_result(tie, V, hull, 0, True, (rows[1], p[1], -1)) is None
+    with pytest.raises(DegenerateInputError):
+        poset._side_result(tie, V, hull, _NO_CAP, False, (rows[1], p[1], -1))
+
+
 def test_crossing_guarantee(rng):
     for _ in range(25):
         V, A, B = separated_pair(rng, rng.randint(2, 8), rng.randint(2, 8))

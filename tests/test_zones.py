@@ -120,6 +120,20 @@ def test_verify_zone_property_empty_arrangement():
     assert line == Line.through(V[0], V[1])
 
 
+def test_verify_zone_property_normalizes_arrangement_lines():
+    # y = 0 passes through two points; given as Line(0, 2, 0) or
+    # Line(0, -3, 0) it is the same line as the candidate through them, so
+    # that candidate is skipped and the witness is the one the normalized
+    # arrangement gives.
+    V = PointSet([(0, 0), (4, 0), (1, 3), (3, 5), (2, -3)], check_general_position=False)
+    normal = [Line(0, 1, 0), Line(1, 0, -2)]
+    expect = verify_zone_property(normal, V, Fraction(1, 5))
+    assert expect == (Line(3, -1, 0), 2)
+    for lines in ([Line(0, 2, 0), Line(1, 0, -2)], [Line(0, -3, 0), Line(-2, 0, 4)]):
+        assert verify_zone_property(lines, V, Fraction(1, 5)) == expect
+        assert zone_point_count(lines, Line(0, 1, 0), V) == 0
+
+
 def test_fast_audit_matches_reference(rng):
     checked = 0
     for trial in range(20):
