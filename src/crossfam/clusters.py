@@ -9,9 +9,9 @@ are separated by a line. Points on the lines and partial chunks
 form the leftover set. The scan takes the hulls of all clusters from one
 pass and ranks the dense cluster pairs by their capped incomparable count.
 Clusters that take the int64 kernel are ranked in batches
-(``poset.rank_pairs``), from hull arrays built once per net, and the
-comparability tables of the one pair returned are packed once, from the
-orders kept for it; other pairs are ranked one at a time.
+(``poset.rank_pairs``), from hull arrays built once per net, and each
+pair is then counted from the orders kept for it, whose tables are packed
+only for the pair returned; other pairs are ranked one at a time.
 """
 
 from __future__ import annotations
@@ -191,12 +191,15 @@ def find_avoiding_dense_pair(G: GeometricGraph, m: int, eps, delta, seed: int):
     ``cluster_hulls`` pass.
 
     Clusters that take the int64 kernel are ranked in batches
-    (``rank_pairs``) from hull arrays built once per net; a batch ends at
-    the next complete pair, since only a complete untangled pair ends the
-    scan, or at ``_BATCH_POINTS``, and the scan applies its caps to the
-    exact counts. Other pairs are ranked as they are reached, a complete
-    one by a capped ``build_pair_poset``, any other by ``iota_sum_capped``.
-    The pair returned gets its tables once. Returns a ``DensePair`` or None.
+    (``rank_pairs``) from hull arrays built once per net, for its first
+    batch; a batch ends at the next complete pair, since only a complete
+    untangled pair ends the scan, or at ``_BATCH_POINTS``, and the scan
+    ranks each pair as it is reached, with the caps of a sequential scan:
+    from the orders of its batch by its count, after a complete pair's
+    tables are tried at cap 0 (an untangled complete pair is returned); on
+    its own, a complete pair by a capped ``build_pair_poset``, any other by
+    ``iota_sum_capped``. The pair returned gets its tables once. Returns a
+    ``DensePair`` or None.
     """
     V = G.vertices
     n = len(V)
@@ -241,7 +244,7 @@ def find_avoiding_dense_pair(G: GeometricGraph, m: int, eps, delta, seed: int):
         if cnt * delta_den >= dense_min
     ]
     batched = takes_int64_kernel(V, m)
-    edges = hull_edges(hulls) if batched else None
+    edges = None  # every cluster's hull arrays, built for the first batch
     ranked: dict[int, RankedPair | None] = {}  # a batch's pairs by place in dense
     end = 0  # the pairs before this place have been batched or passed over
     best: tuple[int, int, int, int] | None = None  # (count, iota, i, j)
@@ -267,17 +270,22 @@ def find_avoiding_dense_pair(G: GeometricGraph, m: int, eps, delta, seed: int):
                 if bcnt == complete or len(batch) * 2 * m >= _BATCH_POINTS:
                     break
             end += 1
+            if edges is None:
+                edges = hull_edges(hulls)
             ranked = dict(zip(batch, rank_pairs(V, clusters, edges, [dense[u][:2] for u in batch])))
-        pair = ranked.pop(t, None)
-        if pair is not None:
-            iota = pair.iota_sum if pair.iota_sum <= max(cap, 0) else None
+        ranks = ranked.pop(t, None)
+        if ranks is not None:
+            # Tables at cap 0 are those of an untangled complete pair, which
+            # ends the scan; any other pair is ranked by its count.
+            pair = ranks.poset(0) if cnt == complete else None
+            pair, iota = (pair, 0) if pair is not None else (ranks, ranks.iota_sum_capped(cap))
         elif cnt == complete:
             # An untangled complete pair ends the scan, so a complete pair
             # gets its tables as it is ranked, kept if it is.
             pair = build_pair_poset(clusters[i], clusters[j], V, hulls[i], hulls[j], cap)
             iota = None if pair is None else pair.iota_sum
         else:
-            iota = iota_sum_capped(clusters[i], clusters[j], V, cap, hulls[i], hulls[j])
+            pair, iota = None, iota_sum_capped(clusters[i], clusters[j], V, cap, hulls[i], hulls[j])
         if iota is not None:
             best, kept = (cnt, iota, i, j), pair
     if best is None:

@@ -42,14 +42,16 @@ side to ``_compare_side``, so a degenerate input raises, or gives up at a
 cap, exactly as the scalar loop does.
 
 The kernel takes a batch of problems, each a side against the padded
-edge arrays of a hull (``hull_edges``); ``_successors`` packs one side's
-tables from its two orders. Sides of at least ``_INT64_MIN_SIDE`` points
-within the int64 bound take it (``takes_int64_kernel``), others the
-scalar loop. ``_compare_side_int64`` is its one-problem case;
+edge arrays of a hull (``hull_edges``), and returns both orders of each;
+``_side_tables`` then counts one side's incomparable pairs in row slabs,
+giving up at a cap, and packs its tables. Sides of at least
+``_INT64_MIN_SIDE`` and at most ``SIZE_CAP`` points within the int64
+bound take it (``takes_int64_kernel``), others the scalar loop.
+``_compare_side_int64`` is its one-problem case, which
 ``build_pair_poset`` and ``iota_sum_capped`` (the second leaves the tables
-unpacked) share one path, ``_compare_pair``, which sends two sides of one
-length as one batch; ``rank_pairs`` ranks many cluster pairs in one batch
-for the pair scan and keeps each pair's orders in a ``RankedPair``.
+unpacked) call for each side; ``rank_pairs`` ranks many cluster pairs in
+one batch for the pair scan and keeps each pair's orders in a
+``RankedPair``, which gives the pair what those two give it.
 
 The chain routines read each order as ``PairPoset`` holds it: every
 element's bitmask of the elements it precedes.
@@ -59,6 +61,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 from math import comb
 from typing import Mapping, Sequence
 
@@ -214,24 +217,29 @@ def hull_edges(hulls) -> np.ndarray:
     hull's own repeat its vertex 0 and edge 0, so a cyclic run of edges
     seeing a point still ends where it did, and starts there or at the
     first repeat, which stands for vertex 0."""
-    sizes = np.array([len(h) for h in hulls])
-    H = np.array([c for h in hulls for c in h], dtype=np.int64)
-    col = np.arange(sizes.max() + 1)
-    own = col < sizes[:, None]
-    first = (np.cumsum(sizes) - sizes)[:, None]
-    S = H[first + np.where(own, col, 0)]
-    E = H[first + np.where(own, col + 1, 1) % sizes[:, None]] - S
-    vx, vy, ex, ey = S[..., 0], S[..., 1], E[..., 0], E[..., 1]
-    return np.stack((vx, vy, ex, ey, ex * vy - ey * vx), axis=1)
+    sizes = [len(h) for h in hulls]
+    Q, w = len(hulls), max(sizes) + 1
+    # Each hull's vertices, then its vertex 0 up to column w.
+    S = np.fromiter(
+        chain.from_iterable(chain.from_iterable(h + h[:1] * (w + 1 - len(h)) for h in hulls)),
+        dtype=np.int64,
+        count=2 * Q * (w + 1),
+    ).reshape(Q, w + 1, 2).transpose(0, 2, 1)
+    out = np.empty((Q, 5, w), dtype=np.int64)
+    out[:, :2] = S[..., :-1]
+    edges = S[..., 1:] - S[..., :-1]
+    out[:, 2:4] = np.where(np.arange(w) < np.array(sizes)[:, None, None], edges, edges[..., :1])
+    vx, vy, ex, ey = out[:, 0], out[:, 1], out[:, 2], out[:, 3]
+    out[:, 4] = ex * vy - ey * vx
+    return out
 
 
 def _rank_int64(V: PointSet, sides: np.ndarray, edges: np.ndarray):
     """Row q of ``sides`` (vertex indices of ``V``, all rows of one length
     k) against hull q of ``edges``, disjoint from it: returns (rows, p,
-    iota), where ``rows[q]`` lists side q's positions by the angle to their
-    first tangent, ``p[q, r]`` is row r's place by the angle to its last,
-    and ``iota[q]`` counts the pairs the two orders disagree on, or is -1
-    when the sort met a tie or a misorder.
+    exact), where ``rows[q]`` lists side q's positions by the angle to
+    their first tangent, ``p[q, r]`` is row r's place by the angle to its
+    last, and ``exact[q]`` is false when the sort met a tie or a misorder.
 
     A point's tangents end the cyclic run of hull edges that see it on
     their right. Angles are taken from the direction c of a problem's
@@ -283,112 +291,128 @@ def _rank_int64(V: PointSet, sides: np.ndarray, edges: np.ndarray):
     rows = order[:, :k]
     place = np.empty(Q * k, dtype=np.intp)
     place[flat[:, k:] - first * k - k] = np.arange(k)
-    p = place[rows + first * k]
-    # Row r of a problem is LESS than the rows after it that also come
-    # after it in the last order; every other pair is incomparable. A slab
-    # of rows from r0 compares them with the rows from r0 on. It takes one
-    # problem: broadcast over more, the comparison would go through
-    # numpy's 64 KB buffers once for each operand.
-    step = min(k, max(8, _PAIR_SLAB // k))
-    diagonal = np.arange(step)
-    above = diagonal[:, None] < diagonal
-    iota = []
-    for q in range(Q):
-        less = 0
-        for r0 in range(0, k, step):
-            r1 = min(k, r0 + step)
-            after = p[q, r0:r1, None] < p[q, r0:]
-            after[:, : r1 - r0] &= above[: r1 - r0, : r1 - r0]
-            less += np.count_nonzero(after)
-        iota.append(comb(k, 2) - less if exact[q] else -1)
-    return rows, p, iota
+    return rows, place[rows + first * k], exact
 
 
-def _successors(side, rows, p) -> dict[int, int]:
-    """The successor bitmasks of ``side`` from its ``_rank_int64`` orders,
-    set and packed little-endian (as ``neighbour_masks`` does) in row slabs
-    of about ``_PAIR_SLAB`` entries."""
+def _side_tables(side, rows, p, cap: int, tables: bool):
+    """``_compare_side``'s result for ``side`` from its ``_rank_int64``
+    orders ``rows`` and ``p``, or without ``tables`` its count alone.
+
+    Row r is LESS than the rows after it that also come after it in the
+    last order; every other pair is incomparable. Row slabs of about
+    ``_PAIR_SLAB`` rank comparisons go through the side. After each slab
+    the incomparable pairs with an end in the rows so far are known, so
+    None is returned once they exceed ``cap``, never for a count of 0;
+    with ``tables`` the slab's successor bits are set at bit positions
+    v - base of a row, packed little-endian as ``neighbour_masks`` does,
+    then shifted by base.
+    """
     k = len(side)
-    idx = np.array(side, dtype=np.intp)
-    base = min(side) & ~7
-    span = max(side) - base + 1
-    width = (span + 7) // 8
-    cols = idx[rows] - base
+    span = 0
+    if tables:
+        base = min(side) & ~7
+        span = max(side) - base + 1
+        width = (span + 7) // 8
+        cols = np.array(side, dtype=np.intp)[rows] - base
+        packed = np.empty((k, width), dtype=np.uint8)
     # A row holds up to k rank comparisons and span unpacked bits. At least
     # 8 rows, or the whole side, go in a slab: a large side then pays the
     # per-slab steps fewer times, for temporaries of 8 rows of k entries.
     step = min(k, max(8, _PAIR_SLAB // max(k, span // 8)))
     diagonal = np.arange(step)
     above = diagonal[:, None] < diagonal
-    packed = np.empty((k, width), dtype=np.uint8)
+    less = 0
     for i0 in range(0, k, step):
         i1 = min(k, i0 + step)
         after = p[i0:i1, None] < p[i0:]
         after[:, : i1 - i0] &= above[: i1 - i0, : i1 - i0]
-        bits = np.zeros((i1 - i0, span), dtype=bool)
-        bits[:, cols[i0:]] = after
-        packed[rows[i0:i1]] = np.packbits(bits, axis=1, bitorder="little")
+        less += np.count_nonzero(after)
+        iota = comb(k, 2) - comb(k - i1, 2) - less
+        if iota > max(cap, 0):
+            return None
+        if tables:
+            bits = np.zeros((i1 - i0, span), dtype=bool)
+            bits[:, cols[i0:]] = after
+            packed[rows[i0:i1]] = np.packbits(bits, axis=1, bitorder="little")
+    if not tables:
+        return iota
     buf = packed.tobytes()
     succ = [int.from_bytes(buf[r * width : (r + 1) * width], "little") << base for r in range(k)]
-    return dict(zip(side, succ))
-
-
-def _side_result(side, V: PointSet, hull, cap: int, tables: bool, rank):
-    """``_compare_side``'s result for one side, or its count alone without
-    ``tables``, from its ``_rank_int64`` problem ``rank``; from
-    ``_compare_side`` itself when ``rank`` is None or marks a tie."""
-    if rank is None or rank[2] < 0:
-        table = _compare_side(side, V.coords, hull, cap)
-        return table if tables or table is None else table[1]
-    rows, p, iota = rank
-    if iota > max(cap, 0):
-        return None
-    return (_successors(side, rows, p), iota) if tables else iota
+    return dict(zip(side, succ)), iota
 
 
 def takes_int64_kernel(V: PointSet, k: int) -> bool:
     """Whether sides of k points of ``V`` go to the int64 kernel: at least
-    ``_INT64_MIN_SIDE`` of them, within the int64 bound."""
-    return V.within_int64_bound and k >= _INT64_MIN_SIDE
+    ``_INT64_MIN_SIDE`` and at most ``SIZE_CAP`` of them, within the int64
+    bound."""
+    return V.within_int64_bound and _INT64_MIN_SIDE <= k <= SIZE_CAP
+
+
+def _within_cap(compare, cap: int, tables: bool):
+    """``compare(q, cap)`` for side q = 0, then 1, each given what side 0
+    left of ``cap``: both sides' ``_compare_side`` results, or with
+    ``tables`` false their counts; None as soon as one is None."""
+    sides = []
+    for q in range(2):
+        result = compare(q, cap)
+        if result is None:
+            return None
+        sides.append(result)
+        cap -= result[1] if tables else result
+    return sides
+
+
+def _pair_poset(a, b, sides) -> PairPoset | None:
+    """The ``PairPoset`` of two sides' ``_compare_side`` results, if any."""
+    if sides is None:
+        return None
+    (succ_a, iota_a), (succ_b, iota_b) = sides
+    return PairPoset(a, b, succ_a, succ_b, iota_a, iota_b)
 
 
 @dataclass(frozen=True)
 class RankedPair:
-    """A pair of sides with their ``_rank_int64`` problems (rows, p, iota),
-    each against the other's hull."""
+    """A separated pair of sides with the ``_rank_int64`` orders (rows, p)
+    of each side against the other's hull. ``poset`` and
+    ``iota_sum_capped`` give what ``build_pair_poset`` and
+    ``iota_sum_capped`` give the pair, with the same caps, from the
+    orders."""
 
     a: tuple[int, ...]
     b: tuple[int, ...]
     rank_a: tuple
     rank_b: tuple
 
-    @property
-    def iota_sum(self) -> int:
-        return self.rank_a[2] + self.rank_b[2]
+    def _compare(self, cap: int | None, tables: bool):
+        if cap is None:
+            cap = len(self.a) ** 2 + len(self.b) ** 2
+        sides = ((self.a, self.rank_a), (self.b, self.rank_b))
+        return _within_cap(lambda q, cap: _side_tables(sides[q][0], *sides[q][1], cap, tables), cap, tables)
 
-    def poset(self) -> PairPoset:
-        """The ``PairPoset`` that ``build_pair_poset`` gives the pair."""
-        (rows_a, p_a, iota_a), (rows_b, p_b, iota_b) = self.rank_a, self.rank_b
-        return PairPoset(
-            self.a, self.b, _successors(self.a, rows_a, p_a), _successors(self.b, rows_b, p_b), iota_a, iota_b
-        )
+    def poset(self, cap: int | None = None) -> PairPoset | None:
+        return _pair_poset(self.a, self.b, self._compare(cap, True))
+
+    def iota_sum_capped(self, cap: int) -> int | None:
+        sides = self._compare(cap, False)
+        return None if sides is None else sum(sides)
 
 
 def rank_pairs(V: PointSet, sides, edges: np.ndarray, pairs) -> list[RankedPair | None]:
     """Each pair (i, j) of ``pairs`` in one ``_rank_int64`` batch, side i
     against hull j of ``edges`` and side j against hull i: a
-    ``RankedPair``, or None where a sort met a tie or a misorder. The sides
-    must have one length, take the kernel and be separated; the caller
-    bounds the batch, whose arrays hold a few entries per point."""
+    ``RankedPair``, or None where a sort met a tie or a misorder. The
+    sides must have one length, take the kernel and be separated; the
+    caller bounds the batch, whose arrays hold a few entries per point."""
     if not pairs:
         return []
     problems = np.array(pairs, dtype=np.intp)
-    rows, p, iota = _rank_int64(
+    rows, p, exact = _rank_int64(
         V, np.array([sides[h] for h in problems.ravel()], dtype=np.intp), edges[problems[:, ::-1].ravel()]
     )
-    ranks = list(zip(rows, p, iota))
     return [
-        RankedPair(sides[i], sides[j], ranks[2 * t], ranks[2 * t + 1]) if min(iota[2 * t : 2 * t + 2]) >= 0 else None
+        RankedPair(sides[i], sides[j], (rows[2 * t], p[2 * t]), (rows[2 * t + 1], p[2 * t + 1]))
+        if exact[2 * t] and exact[2 * t + 1]
+        else None
         for t, (i, j) in enumerate(pairs)
     ]
 
@@ -396,16 +420,22 @@ def rank_pairs(V: PointSet, sides, edges: np.ndarray, pairs) -> list[RankedPair 
 def _compare_side_int64(side, V: PointSet, hull, cap: int, tables: bool = True):
     """``_compare_side`` by the int64 kernel, for ``V`` within the int64
     bound; same arguments but ``V`` for ``coords``, same result, or the
-    count alone without ``tables``."""
-    rows, p, iota = _rank_int64(V, np.array([side], dtype=np.intp), hull_edges([hull]))
-    return _side_result(side, V, hull, cap, tables, (rows[0], p[0], iota[0]))
+    count alone without ``tables``. An exact tie or a float misorder hands
+    the side to ``_compare_side``, so a degenerate input raises, or gives
+    up at the cap, exactly as the scalar loop does."""
+    rows, p, exact = _rank_int64(V, np.array([side], dtype=np.intp), hull_edges([hull]))
+    if exact[0]:
+        return _side_tables(side, rows[0], p[0], cap, tables)
+    table = _compare_side(side, V.coords, hull, cap)
+    return table if tables or table is None else table[1]
 
 
 def _compare_pair(A, B, V: PointSet, hull_a, hull_b, cap: int | None, tables: bool):
     """The work of ``build_pair_poset`` (``tables``) or ``iota_sum_capped``:
-    the checks, then each side against the other's hull, two sides of one
-    length in one batch. Returns both sides' ``_compare_side`` results (or
-    counts), or None once the counts together exceed ``cap``.
+    the argument and disjointness checks, then each side against the other
+    side's hull. Returns both sides' ``_compare_side`` results, or with
+    ``tables`` false their incomparable counts; None once the two counts
+    together exceed ``cap``.
     """
     a = tuple(A)
     b = tuple(B)
@@ -425,24 +455,16 @@ def _compare_pair(A, B, V: PointSet, hull_a, hull_b, cap: int | None, tables: bo
     if cap is None:
         # Fewer than len(a)**2 + len(b)**2 pairs exist, so this cap never binds.
         cap = len(a) ** 2 + len(b) ** 2
-    kernel = [takes_int64_kernel(V, len(side)) for side in (a, b)]
-    ranks = None
-    if all(kernel) and len(a) == len(b):
-        rows, p, iota = _rank_int64(V, np.array((a, b), dtype=np.intp), hull_edges((hull_b, hull_a)))
-        ranks = [(rows[q], p[q], iota[q]) for q in range(2)]
-    sides = []
-    for q, (side, other_hull) in enumerate(((a, hull_b), (b, hull_a))):
-        if ranks is not None:
-            result = _side_result(side, V, other_hull, cap, tables, ranks[q])
-        elif kernel[q]:
-            result = _compare_side_int64(side, V, other_hull, cap, tables)
-        else:
-            result = _side_result(side, V, other_hull, cap, tables, None)
-        if result is None:
-            return None
-        sides.append(result)
-        cap -= result[1] if tables else result
-    return sides
+    sides = ((a, hull_b), (b, hull_a))
+
+    def compare(q, cap):
+        side, other_hull = sides[q]
+        if takes_int64_kernel(V, len(side)):
+            return _compare_side_int64(side, V, other_hull, cap, tables)
+        result = _compare_side(side, coords, other_hull, cap)
+        return result if tables or result is None else result[1]
+
+    return _within_cap(compare, cap, tables)
 
 
 def build_pair_poset(A, B, V: PointSet, hull_a=None, hull_b=None, cap: int | None = None) -> PairPoset | None:
@@ -464,11 +486,7 @@ def build_pair_poset(A, B, V: PointSet, hull_a=None, hull_b=None, cap: int | Non
     """
     a = tuple(A)
     b = tuple(B)
-    sides = _compare_pair(a, b, V, hull_a, hull_b, cap, True)
-    if sides is None:
-        return None
-    (succ_a, iota_a), (succ_b, iota_b) = sides
-    return PairPoset(a, b, succ_a, succ_b, iota_a, iota_b)
+    return _pair_poset(a, b, _compare_pair(a, b, V, hull_a, hull_b, cap, True))
 
 
 def iota_sum_capped(A, B, V: PointSet, cap: int, hull_a=None, hull_b=None) -> int | None:

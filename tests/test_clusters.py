@@ -232,23 +232,38 @@ def test_cluster_hulls_match_hull_coords(case):
 
 
 def test_pair_scan_builds_tables_once(monkeypatch):
-    # Clusters that take the int64 kernel are ranked in batches, each pair
-    # once: no side goes through the kernel twice against one hull. The
-    # tables are packed once, for the pair returned, from the orders kept
-    # for it, and a scan that finds nothing packs none. On these inputs in
-    # general position no pair takes a per-pair path.
-    problems, packed = [], []
-    rank, pack = poset._rank_int64, poset._successors
+    # Clusters that take the int64 kernel are ranked in batches: no side
+    # goes through the kernel twice against one hull. From the orders kept,
+    # each pair is ranked by its count once, a complete pair after its
+    # tables are tried at cap 0, which only an untangled complete pair, the
+    # one returned, passes. So the tables are built once, for the pair
+    # returned, and a scan that finds nothing builds none. On these inputs
+    # in general position no pair takes a per-pair path.
+    problems, counted, built = [], [], []
+    rank = poset._rank_int64
+    count, build = poset.RankedPair.iota_sum_capped, poset.RankedPair.poset
+
+    def hull_of(edges):
+        # The hull's own vertices come before the first repeat of vertex 0.
+        vertices = list(zip(edges[0].tolist(), edges[1].tolist()))
+        return tuple(vertices[: vertices.index(vertices[0], 1)])
 
     def ranked(V, sides, edges):
-        problems.extend(zip(map(tuple, sides.tolist()), map(bytes, edges)))
+        problems.extend(zip(map(tuple, sides.tolist()), map(hull_of, edges)))
         return rank(V, sides, edges)
+
+    def built_poset(pair, *args):
+        P = build(pair, *args)
+        if P is not None:
+            built.append((pair.a, pair.b))
+        return P
 
     def refuse(*args, **kwargs):
         raise AssertionError("a pair took the per-pair path")
 
     monkeypatch.setattr(poset, "_rank_int64", ranked)
-    monkeypatch.setattr(poset, "_successors", lambda side, *rest: packed.append(side) or pack(side, *rest))
+    monkeypatch.setattr(poset.RankedPair, "iota_sum_capped", lambda r, cap: counted.append((r.a, r.b)) or count(r, cap))
+    monkeypatch.setattr(poset.RankedPair, "poset", built_poset)
     monkeypatch.setattr(clusters, "iota_sum_capped", refuse)
     monkeypatch.setattr(clusters, "build_pair_poset", refuse)
 
@@ -265,15 +280,17 @@ def test_pair_scan_builds_tables_once(monkeypatch):
     for graph, delta, found in cases:
         for seed in range(3):
             problems.clear()
-            packed.clear()
+            counted.clear()
+            built.clear()
             pick = find_avoiding_dense_pair(graph, 24, Fraction(1, 4), delta, seed)
             assert (pick is not None) == found
             assert len(problems) == len(set(problems))
+            assert len(counted) == len(set(counted))
             if not found:
-                assert packed == [] and problems == []
+                assert problems == counted == built == []
                 continue
             A, B, P_ = pick
-            assert packed == [A, B]
+            assert built == [(A, B)]
             assert {A, B} <= {side for side, _ in problems}
             assert P_ == build_pair_poset(A, B, V)
             assert pick.edges == graph.block_edge_counts([A], [B])[0, 0]
@@ -284,6 +301,61 @@ def test_pair_scan_builds_tables_once(monkeypatch):
     # Both kinds of returned pair occur.
     assert kept_complete and kept_missing
 
+
+def test_per_pair_scan_builds_tables_once(monkeypatch):
+    # Clusters under _INT64_MIN_SIDE are ranked one pair at a time. A dense
+    # pair missing edges is ranked by its count alone, and the one pair
+    # returned then gets its tables built. A complete pair gets its
+    # tables as it is ranked, and the scan keeps those of the pair it
+    # returns. So the kernel goes over no pair twice, except a returned
+    # pair that misses edges, and a scan that finds nothing builds none.
+    counted, built = [], []
+    count, build = clusters.iota_sum_capped, clusters.build_pair_poset
+    monkeypatch.setattr(clusters, "iota_sum_capped", lambda *a, **kw: counted.append(a[:2]) or count(*a, **kw))
+    monkeypatch.setattr(clusters, "build_pair_poset", lambda *a, **kw: built.append(a[:2]) or build(*a, **kw))
+
+    def disk_graph(n, density):
+        V = generate_points("random-disk", n, 3)
+        edge_rng = random.Random(3)
+        pairs = itertools.combinations(range(n), 2)
+        return GeometricGraph.from_edges(V, [e for e in pairs if edge_rng.random() < density])
+
+    V = generate_points("random-disk", 90, 3)
+    cases = [
+        (GeometricGraph.complete(V), 4, Fraction(1, 4), True),
+        (disk_graph(90, 0.9), 4, Fraction(1, 4), True),
+        (disk_graph(90, 0.5), 4, Fraction(1, 4), True),
+        # At m = 5, nets 0 and 3 find a complete pair first and return a
+        # less tangled pair that misses edges.
+        (disk_graph(60, 0.9), 5, Fraction(1, 4), True),
+        (GeometricGraph.from_edges(V, [(i, i + 1) for i in range(0, 90, 2)]), 4, Fraction(1, 2), False),
+    ]
+    kept_complete = kept_missing = 0
+    for graph, m, delta, found in cases:
+        V = graph.vertices
+        for seed in range(4):
+            counted.clear()
+            built.clear()
+            pick = find_avoiding_dense_pair(graph, m, Fraction(1, 4), delta, seed)
+            assert (pick is not None) == found
+            if not found:
+                assert counted == built == []
+                continue
+            A, B, P_ = pick
+            assert P_ == build(A, B, V)
+            complete = {p for p in counted + built if graph.block_edge_counts([p[0]], [p[1]])[0, 0] == m * m}
+            assert complete.isdisjoint(counted)
+            assert set(built) - {(A, B)} <= complete
+            assert len(built) == len(set(built)) and (A, B) in built
+            assert len(counted) == len(set(counted))
+            if (A, B) in complete:
+                assert (A, B) not in counted
+                kept_complete += 1
+            else:
+                assert built[-1] == (A, B)
+                kept_missing += 1
+    # Both kinds of returned pair occur.
+    assert kept_complete and kept_missing
 
 def reference_scan(G, m, eps, delta, seed):
     """The pair scan as a sequential loop: every dense pair in (i, j) order
@@ -395,6 +467,28 @@ def test_batched_scan_matches_sequential_reference(monkeypatch):
     # pairs were handed to the per-pair path.
     assert min(outcomes.values()) > 0
     assert any(r is not None for r in ranked) and None in ranked
+
+
+def test_scan_over_table_cap_raises_as_sequential(monkeypatch):
+    # Clusters over SIZE_CAP points never go to a batch: the scan hands
+    # the first dense pair to the per-pair path, which raises ValueError
+    # there, as the sequential scan does. SIZE_CAP is lowered so that the
+    # clusters stay small; at its own value these clusters are batched.
+    ranked = []
+    rank = clusters.rank_pairs
+    monkeypatch.setattr(clusters, "rank_pairs", lambda *args: ranked.append(args) or rank(*args))
+    V = generate_points("random-disk", 200, 7)
+    G = GeometricGraph.complete(V)
+    assert find_avoiding_dense_pair(G, 24, Fraction(1, 2), Fraction(1, 4), 0) is not None and ranked
+    ranked.clear()
+    monkeypatch.setattr(poset, "SIZE_CAP", 20)
+    for seed in range(2):
+        with pytest.raises(ValueError, match="comparability table cap") as sequential:
+            reference_scan(G, 24, Fraction(1, 2), Fraction(1, 4), seed)
+        with pytest.raises(ValueError, match="comparability table cap") as batched:
+            find_avoiding_dense_pair(G, 24, Fraction(1, 2), Fraction(1, 4), seed)
+        assert str(batched.value) == str(sequential.value)
+    assert ranked == []
 
 
 def test_pair_scan_memory_is_sliced(monkeypatch):

@@ -266,6 +266,28 @@ def test_build_pair_poset_takes_int64_kernel_only_within_bound(monkeypatch):
         assert (_less_pairs(pp.a, pp.succ_a), pp.iota_a) == _reference_side(A, V, B)
 
 
+def test_capped_build_gives_up_early(monkeypatch):
+    # A capped build compares side b only when side a stays within the cap,
+    # and a side stops at the first row slab whose pairs exceed it.
+    t = 64
+    coords, A, B = _side_and_hull(5, t, t, "cloud", INT64_COORD_LIMIT)
+    V = PointSet(coords)
+    full = build_pair_poset(A, B, V)
+    assert full.iota_a > 0
+    calls, slabs = [], []
+    kernel, binomial = poset._compare_side_int64, poset.comb
+    monkeypatch.setattr(poset, "_compare_side_int64", lambda side, *rest: calls.append(side) or kernel(side, *rest))
+    monkeypatch.setattr(poset, "comb", lambda *args: slabs.append(args) or binomial(*args))
+    monkeypatch.setattr(poset, "_PAIR_SLAB", 64)
+    for tables in (True, False):
+        calls.clear()
+        slabs.clear()
+        assert poset._compare_pair(A, B, V, None, None, 0, tables) is None
+        assert calls == [A]
+        # Two binomials a slab; the side has t / 8 slabs of 8 rows.
+        assert len(slabs) < 2 * t // 8
+
+
 def test_int64_kernel_memory_is_slabbed():
     # The pair matrix of a 2048-point side would take 32 MB in int64, and
     # 4 MB even as bools; in slabs the whole build, masks included, peaks
@@ -442,11 +464,12 @@ def test_batched_kernel_matches_scalar(seed, k, extra, kind, nb, top, sign, slab
     # One batch holds several problems of k points: samples of a side A
     # against the hull of B and, when B is large enough, samples of B
     # against the hull of A, so hulls of different widths share the padded
-    # edge arrays. Each problem's count, its tables and its outcome at each
-    # cap are those of the scalar loop, and of the same problem ranked
-    # alone; a pair of one sample from each side is ranked by rank_pairs as
-    # build_pair_poset builds it. Beyond the int64 bound no side takes the
-    # kernel, and build_pair_poset gives the scalar loop's tables.
+    # edge arrays. Each problem's orders are those of the same problem
+    # ranked alone, and its tables, count and outcome at each cap those of
+    # the scalar loop. A pair of one sample from each side, ranked by
+    # rank_pairs, gives what build_pair_poset and iota_sum_capped give it
+    # at each cap. Beyond the int64 bound no side takes the kernel, and
+    # build_pair_poset gives the scalar loop's tables.
     nb = {"point": 1, "segment": 2}.get(kind, nb)
     coords, A, B = _side_and_hull(seed, k + extra, nb, kind, top)
     pts = [(sign * x, sign * y) for x, y in coords]
@@ -469,47 +492,54 @@ def test_batched_kernel_matches_scalar(seed, k, extra, kind, nb, top, sign, slab
 
     with mock.patch.object(poset, "_PAIR_SLAB", slab):
         edges = poset.hull_edges([hull for _, hull in problems])
-        rows, p, iota = poset._rank_int64(V, np.array([side for side, _ in problems]), edges)
+        rows, p, exact = poset._rank_int64(V, np.array([side for side, _ in problems]), edges)
         for q, (side, hull) in enumerate(problems):
             alone = poset._rank_int64(V, np.array([side]), poset.hull_edges([hull]))
-            assert iota[q] == alone[2][0]
-            rank = (rows[q], p[q], int(iota[q]))
+            assert exact[q] == alone[2][0]
             total = _compare_side(side, V.coords, hull, _NO_CAP)[1]
-            if iota[q] >= 0:
-                assert iota[q] == total
+            if exact[q]:
                 assert (rows[q] == alone[0][0]).all() and (p[q] == alone[1][0]).all()
             for cap in (0, total - 1, total, _NO_CAP):
                 expect = _compare_side(side, V.coords, hull, cap)
-                assert poset._side_result(side, V, hull, cap, True, rank) == expect
-                assert poset._side_result(side, V, hull, cap, False, rank) == (None if expect is None else expect[1])
+                count = None if expect is None else expect[1]
+                assert _compare_side_int64(side, V, hull, cap) == expect
+                assert _compare_side_int64(side, V, hull, cap, False) == count
+                if exact[q]:
+                    assert poset._side_tables(side, rows[q], p[q], cap, True) == expect
+                    assert poset._side_tables(side, rows[q], p[q], cap, False) == count
         if pair is not None:
             sides = list(pair)
             ranked = poset.rank_pairs(V, sides, poset.hull_edges([hull_coords(V.coords[i] for i in s) for s in sides]), [(0, 1)])
-            with mock.patch.object(poset, "_INT64_MIN_SIDE", 1):
-                pp = build_pair_poset(*pair, V)
-            if ranked[0] is not None:
-                assert ranked[0].iota_sum == pp.iota_sum
-                assert ranked[0].poset() == pp
-            else:
-                assert min(iota[0], iota[-1]) < 0
+            if ranked[0] is None:
+                assert not (exact[0] and exact[-1])
+                return
+            total = build_pair_poset(*pair, V).iota_sum
+            for cap in (0, total - 1, total, None):
+                with mock.patch.object(poset, "_INT64_MIN_SIDE", 1):
+                    expect = build_pair_poset(*pair, V, cap=cap)
+                assert ranked[0].poset(cap) == expect
+                if cap is not None:
+                    assert ranked[0].iota_sum_capped(cap) == (None if expect is None else total)
 
 
 def test_batched_kernel_tie_falls_back_alone():
     # A problem whose side holds an exact tie (a tangent vertex on the line
     # through two of its points) is marked for the scalar loop, which
     # raises on it, or gives up at a cap of 0 before reaching the pair; the
-    # other problems of its batch keep their counts.
+    # other problems of its batch keep their orders and counts.
     extra = [(-40 - 7 * i, 5 + (-1) ** i * (2 * i + 1)) for i in range(poset._INT64_MIN_SIDE)]
     V = PointSet(P((0, 0), (1, 0), *extra, (5, 0), (5, 10), (6, 5), (-31, 90)), check_general_position=False)
     tie = tuple(range(len(extra) + 2))[::-1]
     plain = tie[:-1] + (len(V) - 1,)
     hull = hull_coords(V.coords[i] for i in range(len(tie), len(V) - 1))
     other = hull_coords(V.coords[i] for i in (len(tie), len(tie) + 1))
-    rows, p, iota = poset._rank_int64(V, np.array([plain, tie, plain]), poset.hull_edges([other, hull, other]))
-    assert iota[1] == -1 and iota[0] == iota[2] == _compare_side(plain, V.coords, other, _NO_CAP)[1]
-    assert poset._side_result(tie, V, hull, 0, True, (rows[1], p[1], -1)) is None
+    rows, p, exact = poset._rank_int64(V, np.array([plain, tie, plain]), poset.hull_edges([other, hull, other]))
+    assert exact == [True, False, True]
+    for q in (0, 2):
+        assert poset._side_tables(plain, rows[q], p[q], _NO_CAP, True) == _compare_side(plain, V.coords, other, _NO_CAP)
+    assert _compare_side_int64(tie, V, hull, 0) is None
     with pytest.raises(DegenerateInputError):
-        poset._side_result(tie, V, hull, _NO_CAP, False, (rows[1], p[1], -1))
+        _compare_side_int64(tie, V, hull, _NO_CAP, False)
 
 
 def test_crossing_guarantee(rng):
