@@ -8,10 +8,10 @@ into groups of exactly m along a splitter direction, so any two clusters
 are separated by a line. Points on the lines and partial chunks
 form the leftover set. The scan takes the hulls of all clusters from one
 pass and ranks the dense cluster pairs by their capped incomparable count.
-Clusters that take the int64 kernel are ranked in batches
-(``poset.rank_pairs``), from hull arrays built once per net, and each
-pair is then counted from the orders kept for it, whose tables are packed
-only for the pair returned; other pairs are ranked one at a time.
+The sides of a run of pairs are ranked in one batch (``poset.rank_sides``),
+on hull arrays built once per net when they take the int64 kernel, and
+each pair is then counted from its rankings, whatever its size or
+coordinates; the rankings of the pair returned are its ``PairPoset``.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegenerateInputError
-from .geom import GeometricGraph, PointSet, hull_coords, hull_coords_disjoint
-from .poset import RankedPair, build_pair_poset, hull_edges, iota_sum_capped, rank_pairs, takes_int64_kernel
+from .geom import GeometricGraph, PointSet, hull_coords
+from .poset import PairPoset, hull_edges, poset_from_rankings, rank_sides, takes_int64_kernel
 from .zones import Line, build_zone_lines, line_signs
 
 
@@ -174,7 +174,21 @@ class DensePair(tuple):
         return pair
 
 
-# Points of all sides in one ``rank_pairs`` batch of the pair scan: its
+def check_eps_delta(eps: Fraction, delta: Fraction) -> None:
+    """Raise ValueError unless eps > 0, 0 < delta <= 1 and eps * delta <= 2,
+    as the pair scan needs them."""
+    if eps <= 0 or delta <= 0:
+        raise ValueError("parameters must be positive")
+    if delta > 1:
+        # Two m-clusters span at most m*m edges, so no pair could qualify.
+        raise ValueError(f"delta must be at most 1, got {delta}")
+    if eps * delta > 2:
+        # The paper's zone budget eps*delta/2 is a share of V, so it cannot
+        # exceed 1; the small net sampled here is never audited against it.
+        raise ValueError(f"eps*delta must be at most 2, got {eps * delta}")
+
+
+# Points of all sides in one ``rank_sides`` batch of the pair scan: its
 # arrays of a few int64 entries per point then stay near 64 KB each.
 _BATCH_POINTS = 1 << 12
 
@@ -190,32 +204,23 @@ def find_avoiding_dense_pair(G: GeometricGraph, m: int, eps, delta, seed: int):
     ``block_edge_counts`` pass and the hulls of all clusters from one
     ``cluster_hulls`` pass.
 
-    Clusters that take the int64 kernel are ranked in batches
-    (``rank_pairs``) from hull arrays built once per net, for its first
-    batch; a batch ends at the next complete pair, since only a complete
-    untangled pair ends the scan, or at ``_BATCH_POINTS``, and the scan
-    ranks each pair as it is reached, with the caps of a sequential scan:
-    from the orders of its batch by its count, after a complete pair's
-    tables are tried at cap 0 (an untangled complete pair is returned); on
-    its own, a complete pair by a capped ``build_pair_poset``, any other by
-    ``iota_sum_capped``. The pair returned gets its tables once. Returns a
-    ``DensePair`` or None.
+    The sides of the dense pairs are ranked in batches (``rank_sides``),
+    on hull arrays built once per net when they take the int64 kernel; a
+    batch ends at the next complete pair, since only a complete untangled
+    pair ends the scan, or at ``_BATCH_POINTS``. The scan counts each pair
+    from its rankings as it is reached (``poset_from_rankings``), with the
+    caps of a sequential scan of ``build_pair_poset`` calls, and keeps the
+    ``PairPoset`` of the best pair. Returns a ``DensePair`` or None.
     """
     V = G.vertices
     n = len(V)
     eps = Fraction(eps)
     delta = Fraction(delta)
-    if m < 1 or eps <= 0 or delta <= 0:
+    if m < 1:
         raise ValueError("parameters must be positive")
-    if delta > 1:
-        # Two m-clusters span at most m*m edges, so no pair could qualify.
-        raise ValueError(f"delta must be at most 1, got {delta}")
+    check_eps_delta(eps, delta)
     if n < 2 or n < 2 * m:
         return None
-    if eps * delta > 2:
-        # The paper's zone budget eps*delta/2 is a share of V, so it cannot
-        # exceed 1; the small net sampled here is never audited against it.
-        raise ValueError(f"eps*delta must be at most 2, got {eps * delta}")
     net_size = desk_net_size(n, m)
     if n - min(n, net_size) < 2 * m:
         # Every net point lies on a line through it and another net point,
@@ -243,12 +248,10 @@ def find_avoiding_dense_pair(G: GeometricGraph, m: int, eps, delta, seed: int):
         for j, cnt in enumerate(row[i + 1 :], i + 1)
         if cnt * delta_den >= dense_min
     ]
-    batched = takes_int64_kernel(V, m)
-    edges = None  # every cluster's hull arrays, built for the first batch
-    ranked: dict[int, RankedPair | None] = {}  # a batch's pairs by place in dense
+    edges = hull_edges(hulls) if dense and takes_int64_kernel(V, m) else None
+    ranked: dict[int, list] = {}  # a batch's pairs' rankings by place in dense
     end = 0  # the pairs before this place have been batched or passed over
-    best: tuple[int, int, int, int] | None = None  # (count, iota, i, j)
-    kept = None  # the best pair's RankedPair or tables, if it has them
+    best: tuple[int, int, PairPoset] | None = None  # (count, iota, poset)
     for t, (i, j, cnt) in enumerate(dense):
         if best is not None and best[:2] == (complete, 0):
             break  # no pair can rank above a complete untangled one
@@ -258,41 +261,28 @@ def find_avoiding_dense_pair(G: GeometricGraph, m: int, eps, delta, seed: int):
                 continue
             # Only a pair with more edges may tie the best's count.
             cap = min(cap, best[1] - (cnt <= best[0]))
-        if batched and t >= end:
-            # The pairs this test passes now pass it until the scan ends.
+        if t >= end:
+            # The pairs this test passes over now stay passed over until
+            # the scan ends.
             batch = []
             for end in range(t, len(dense)):
-                bi, bj, bcnt = dense[end]
-                if not (best is not None and bcnt <= best[0] and best[1] == 0) and hull_coords_disjoint(
-                    hulls[bi], hulls[bj]
-                ):
+                bcnt = dense[end][2]
+                if not (best is not None and bcnt <= best[0] and best[1] == 0):
                     batch.append(end)
                 if bcnt == complete or len(batch) * 2 * m >= _BATCH_POINTS:
                     break
             end += 1
-            if edges is None:
-                edges = hull_edges(hulls)
-            ranked = dict(zip(batch, rank_pairs(V, clusters, edges, [dense[u][:2] for u in batch])))
-        ranks = ranked.pop(t, None)
-        if ranks is not None:
-            # Tables at cap 0 are those of an untangled complete pair, which
-            # ends the scan; any other pair is ranked by its count.
-            pair = ranks.poset(0) if cnt == complete else None
-            pair, iota = (pair, 0) if pair is not None else (ranks, ranks.iota_sum_capped(cap))
-        elif cnt == complete:
-            # An untangled complete pair ends the scan, so a complete pair
-            # gets its tables as it is ranked, kept if it is.
-            pair = build_pair_poset(clusters[i], clusters[j], V, hulls[i], hulls[j], cap)
-            iota = None if pair is None else pair.iota_sum
-        else:
-            pair, iota = None, iota_sum_capped(clusters[i], clusters[j], V, cap, hulls[i], hulls[j])
-        if iota is not None:
-            best, kept = (cnt, iota, i, j), pair
+            # Side i against hull j, then side j against hull i.
+            sides = [h for u in batch for h in dense[u][:2]]
+            against = [g for u in batch for g in dense[u][1::-1]]
+            ranks = rank_sides(
+                V, [clusters[h] for h in sides], [hulls[g] for g in against], None if edges is None else edges[against]
+            )
+            ranked = {u: ranks[2 * s : 2 * s + 2] for s, u in enumerate(batch)}
+        P = poset_from_rankings(clusters[i], clusters[j], V, hulls[i], hulls[j], ranked.pop(t), cap)
+        if P is not None:
+            best = (cnt, P.iota_sum, P)
     if best is None:
         return None
-    cnt, _, i, j = best
-    if isinstance(kept, RankedPair):
-        P = kept.poset()
-    else:
-        P = kept or build_pair_poset(clusters[i], clusters[j], V, hulls[i], hulls[j])
+    cnt, _, P = best
     return DensePair(P.a, P.b, P, cnt)

@@ -4,8 +4,11 @@ families from a geometric graph: the practical pipeline.
 The pipeline finds a separated pair of clusters that is dense and nearly
 untangled, searching the cluster size m downwards, and returns the base of
 that pair: a longest run of edges between its longest chains,
-rank-matched. Theory mode hands the run to ``theory.theory_segments``, the
-paper's recursion under its exact schedules. Every returned family is
+rank-matched. The chains are read off each side's two tangent rankings
+(``poset.ranked_chain``), so the practical pipeline packs no
+comparability table. Theory mode hands the run to
+``theory.theory_segments``, the paper's recursion under its exact
+schedules. Every returned family is
 re-verified pairwise with exact predicates by ``make_family`` before it
 leaves a driver; soundness never depends on the search heuristics.
 """
@@ -15,9 +18,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
-from .clusters import find_avoiding_dense_pair
+from .clusters import check_eps_delta, find_avoiding_dense_pair
 from .errors import EmptyGraphError, NotTotalOrderError
 from .geom import (
     FamilyMode,
@@ -27,9 +29,8 @@ from .geom import (
     _first_edge,
     first_unrelated_pair,
     first_unrelated_pair_int64,
-    vertex_mask,
 )
-from .poset import PairPoset, build_pair_poset, longest_chain
+from .poset import PairPoset, build_pair_poset, ranked_chain
 from .theory import theory_segments
 
 # Not called here: the benchmark's tracer (benchmark/spans.py) looks the
@@ -91,12 +92,6 @@ def make_family(mode: FamilyMode, segments, G: GeometricGraph | None, V: PointSe
     return SegmentFamily(mode, tuple(segs), True, G)
 
 
-def _total_order(side: Sequence[int], succ) -> list[int]:
-    """``side`` sorted upwards in the total order that ``succ`` masks give it."""
-    side_mask = vertex_mask(side)
-    return sorted(side, key=lambda x: -(succ[x] & side_mask).bit_count())
-
-
 def match_avoiding_pair(A, B, V: PointSet, *, mode: FamilyMode = FamilyMode.CROSSING) -> SegmentFamily:
     """Match two totally ordered separated sets into a verified family.
 
@@ -113,7 +108,7 @@ def match_avoiding_pair(A, B, V: PointSet, *, mode: FamilyMode = FamilyMode.CROS
         raise NotTotalOrderError(
             f"pair has incomparable pairs (iota_a={P.iota_a}, iota_b={P.iota_b})"
         )
-    segs = _rank_matching(_total_order(a, P.succ_a), _total_order(b, P.succ_b), mode)
+    segs = _rank_matching(P.order_a, P.order_b, mode)
     return make_family(mode, segs, None, V)
 
 
@@ -156,13 +151,10 @@ def _longest_edge_run(G: GeometricGraph, order_a, order_b, mode: FamilyMode) -> 
 
 def _base_segments(G: GeometricGraph, A, B, P: PairPoset, mode: FamilyMode) -> list[Segment]:
     """The practical family of a pair: a longest run of edges between the
-    largest totally ordered sub-pair (the full sides when the pair is
-    untangled, else the longest chains of each side), or a single edge when
-    no run has two."""
-    a_side, b_side = tuple(A), tuple(B)
-    if not (len(a_side) == len(b_side) and P.is_zero_avoiding):
-        a_side, b_side = longest_chain(P.succ_a), longest_chain(P.succ_b)
-    order_a, order_b = _total_order(a_side, P.succ_a), _total_order(b_side, P.succ_b)
+    longest chains of its sides (the full sides, in their first rankings,
+    when the pair is untangled), read off their rankings, or a single edge
+    when no run has two."""
+    order_a, order_b = ranked_chain(P.order_a, P.place_a), ranked_chain(P.order_b, P.place_b)
     r = min(len(order_a), len(order_b))
     run = _rank_matching(order_a[:r], order_b[:r], mode)
     # A run takes at most one cell per row and per column, so a rank
@@ -231,6 +223,9 @@ def _find_family(G: GeometricGraph, cfg: RunConfig, mode: FamilyMode) -> Segment
         raise ValueError(f"m must be at least 1, got {cfg.m}")
     if cfg.max_retries < 1:
         raise ValueError(f"max_retries must be at least 1, got {cfg.max_retries}")
+    eps = Fraction(cfg.eps) if cfg.eps is not None else Fraction(1, 4)
+    delta = Fraction(cfg.delta) if cfg.delta is not None else Fraction(1, 4)
+    check_eps_delta(eps, delta)
     n = len(G.vertices)
     if G.edge_count == 0:
         raise EmptyGraphError("graph has no edges")
@@ -243,9 +238,6 @@ def _find_family(G: GeometricGraph, cfg: RunConfig, mode: FamilyMode) -> Segment
             if len(fam) > len(best):
                 best = fam
         return best
-
-    eps = Fraction(cfg.eps) if cfg.eps is not None else Fraction(1, 4)
-    delta = Fraction(cfg.delta) if cfg.delta is not None else Fraction(1, 4)
 
     # A pair of m-clusters yields at most m segments, and its yield grows
     # with m: search m downwards and stop at the first m that gives a family.

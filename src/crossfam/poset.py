@@ -18,9 +18,9 @@ scans the hull in order. It raises when it reaches a vertex on the line,
 unless it has already seen vertices on both sides of the line: then it
 returns INCOMPARABLE without reaching that vertex.
 
-Under B the order on A is the intersection of two linear orders, which
-the int64 kernel, ``_rank_int64``, finds by sorting. Rank the points x of
-A by the counterclockwise angle of the direction from x to its first
+Under B the order on A is the intersection of two linear orders, and
+``PairPoset`` holds a pair's comparability as those orders. Rank the points
+x of A by the counterclockwise angle of the direction from x to its first
 tangent vertex, and apart by the angle to its last. Then x precedes y
 exactly when x comes first in both rankings, and x, y are incomparable
 exactly when the rankings disagree. Why: move the viewpoint from x to y
@@ -29,38 +29,35 @@ turns counterclockwise, and to every vertex right of it clockwise. If all
 of B is on the left, both tangent angles grow; on the right, both shrink.
 If B is on both sides, the line meets the hull ahead of both points or
 behind both (the hulls of A and B are disjoint), so one tangent stays on
-each side of the line, and one angle grows while the other shrinks. All
-these directions point from A to B, so they lie in one open half-plane,
-and within ``geom.INT64_COORD_LIMIT`` an int64 cross product, at most
-2^61, orders any two of them exactly; a float64 key that grows with the
-angle sorts them, and the cross product of every pair of neighbours
-checks the sort. A tangent vertex on a line through two points of A is a
-supporting line of the hull through both, so it gives them parallel
-tangent directions of the same kind: an exact tie between neighbours. A
-tie, or a negative cross product from a float misorder, hands the whole
-side to ``_compare_side``, so a degenerate input raises, or gives up at a
+each side of the line, and one angle grows while the other shrinks.
+
+All these directions point from A to B, so they lie in one open
+half-plane, and one cross product orders any two of them exactly.
+``rank_sides`` ranks sides of at least ``_INT64_MIN_SIDE`` points within
+``geom.INT64_COORD_LIMIT``, where an int64 cross product is at most 2^61,
+in one batch of the int64 kernel, ``_rank_int64``: a float64 key that
+grows with the angle sorts them, and the cross product of every pair of
+neighbours checks the sort. Other sides, and those the floats misorder,
+take one comparator sort on Python ints, ``_rank_exact``. A tangent vertex
+on a line through two points of A is a supporting line of the hull through
+both, so it gives them parallel tangent directions of the same kind: an
+exact tie between neighbours. A tie hands the side to ``_compare_side`` at
+what is left of the cap, so a degenerate input raises, or gives up at a
 cap, exactly as the scalar loop does.
 
-The kernel takes a batch of problems, each a side against the padded
-edge arrays of a hull (``hull_edges``), and returns both orders of each;
-``_side_tables`` then counts one side's incomparable pairs in row slabs,
-giving up at a cap, and packs its tables. Sides of at least
-``_INT64_MIN_SIDE`` and at most ``SIZE_CAP`` points within the int64
-bound take it (``takes_int64_kernel``), others the scalar loop.
-``_compare_side_int64`` is its one-problem case, which
-``build_pair_poset`` and ``iota_sum_capped`` (the second leaves the tables
-unpacked) call for each side; ``rank_pairs`` ranks many cluster pairs in
-one batch for the pair scan and keeps each pair's orders in a
-``RankedPair``, which gives the pair what those two give it.
-
-The chain routines read each order as ``PairPoset`` holds it: every
-element's bitmask of the elements it precedes.
+``poset_from_rankings`` counts each side's incomparable pairs from its
+rankings, giving up at a cap, and ``ranked_chain`` reads a longest chain
+off them. Theory mode's chain routines read each order as every element's
+bitmask of the elements it precedes, which ``PairPoset.succ_a`` packs from
+the rankings on first read.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property, cmp_to_key
 from itertools import chain
 from math import comb
 from typing import Mapping, Sequence
@@ -70,11 +67,12 @@ import numpy as np
 from .errors import DegenerateInputError, HypothesisViolatedError, NotSeparatedError
 from .geom import PointSet, _orient_coords, hull_coords, hull_coords_disjoint, vertex_mask
 
-# Comparability tables are materialized in O(m^2); keep inputs cluster-sized.
+# Comparability tables are packed in O(m^2); keep the sides they are packed
+# for cluster-sized.
 SIZE_CAP = 4096
 
-# Sides smaller than this are compared by the scalar loop. Measured on a
-# shared 2-vCPU x86-64 machine with numpy 2.4, on random sides against
+# Sides smaller than this are ranked by the exact comparator sort. Measured
+# on a shared 2-vCPU x86-64 machine with numpy 2.4, on random sides against
 # hulls of about 10 vertices: the int64 kernel costs about 55 us a call on
 # small sides and ties the scalar loop at about 16 points on a full table;
 # at 24 it takes about half the scalar time on a full table, and still wins
@@ -119,19 +117,36 @@ def _classify_pair(xc, yc, hull_coords) -> Cmp:
 class PairPoset:
     """Comparability data for a separated pair of vertex-index sets.
 
-    ``succ_a`` maps each vertex u of ``a`` to a bitmask over vertex indices:
-    bit v is set when u is LESS than v relative to ``b``. A pair set in
-    neither direction is incomparable. ``iota_a`` counts unordered
-    incomparable pairs on the ``a`` side. ``succ_b`` and ``iota_b`` describe
-    ``b`` alike.
+    ``order_a`` lists ``a`` by the angle of the direction to its first
+    tangent vertex of conv(``b``), and ``place_a[r]`` is the place of
+    ``order_a[r]`` by the angle to its last: u is LESS than v relative to
+    ``b`` when u comes first in both rankings, and a pair that the
+    rankings order differently is incomparable. ``iota_a`` counts
+    unordered incomparable pairs on the ``a`` side. ``order_b``,
+    ``place_b`` and ``iota_b`` describe ``b`` alike.
+
+    ``succ_a`` maps each vertex u of ``a`` to a bitmask over vertex
+    indices: bit v is set when u is LESS than v. It is packed from the
+    rankings on first read and raises ValueError for a side of more than
+    ``SIZE_CAP`` points. ``succ_b`` describes ``b`` alike.
     """
 
     a: tuple[int, ...]
     b: tuple[int, ...]
-    succ_a: dict[int, int]
-    succ_b: dict[int, int]
+    order_a: tuple[int, ...]
+    place_a: tuple[int, ...]
     iota_a: int
+    order_b: tuple[int, ...]
+    place_b: tuple[int, ...]
     iota_b: int
+
+    @cached_property
+    def succ_a(self) -> dict[int, int]:
+        return _pack_tables(self.order_a, self.place_a)
+
+    @cached_property
+    def succ_b(self) -> dict[int, int]:
+        return _pack_tables(self.order_b, self.place_b)
 
     def less_in_a(self, x: int, y: int) -> bool:
         return self.succ_a[x] >> y & 1 == 1
@@ -153,6 +168,21 @@ class PairPoset:
 _TANGENT_SIGNS = {Cmp.LESS: (1, 1), Cmp.GREATER: (-1, -1), Cmp.INCOMPARABLE: (1, -1)}
 
 
+def _tangents(px, py, hull):
+    """Directions from (px, py), outside the counterclockwise ``hull``, to
+    its first and last tangent vertices: every hull vertex lies clockwise
+    of the first and counterclockwise of the last, or on their rays."""
+    hx, hy = lx, ly = hull[0][0] - px, hull[0][1] - py
+    for rx, ry in hull:
+        rx -= px
+        ry -= py
+        if hx * ry - hy * rx > 0:
+            hx, hy = rx, ry
+        if lx * ry - ly * rx < 0:
+            lx, ly = rx, ry
+    return (hx, hy), (lx, ly)
+
+
 def _compare_side(side, coords, hull, cap: int) -> tuple[dict[int, int], int] | None:
     """Compare every pair of ``side`` relative to ``hull`` by the two-tangent test.
 
@@ -169,16 +199,7 @@ def _compare_side(side, coords, hull, cap: int) -> tuple[dict[int, int], int] | 
     k = len(pts)
     for i in range(k - 1):
         px, py = pts[i]
-        # Tangent vectors from x: every hull vertex lies clockwise of
-        # (hx, hy) and counterclockwise of (lx, ly), or on their rays.
-        hx, hy = lx, ly = hull[0][0] - px, hull[0][1] - py
-        for rx, ry in hull:
-            rx -= px
-            ry -= py
-            if hx * ry - hy * rx > 0:
-                hx, hy = rx, ry
-            if lx * ry - ly * rx < 0:
-                lx, ly = rx, ry
+        (hx, hy), (lx, ly) = _tangents(px, py, hull)
         for j in range(i + 1, k):
             qx, qy = pts[j]
             dx = qx - px
@@ -196,6 +217,26 @@ def _compare_side(side, coords, hull, cap: int) -> tuple[dict[int, int], int] | 
             else:
                 succ[j] |= bits[i]
     return dict(zip(side, succ)), iota
+
+
+def _rank_exact(side, coords, hull):
+    """``_rank_int64``'s rankings (rows, place) of one side against
+    ``hull``, or None on an exact tie, by a comparator sort on Python ints:
+    exact over the whole coordinate range."""
+    k = len(side)
+    tangents = [_tangents(*coords[v], hull) for v in side]
+    ranks = []
+    for end in range(2):
+        d = [t[end] for t in tangents]
+        # i comes first when d[j] is counterclockwise of d[i].
+        order = sorted(range(k), key=cmp_to_key(lambda i, j: d[j][0] * d[i][1] - d[j][1] * d[i][0]))
+        if any(d[i][0] * d[j][1] == d[i][1] * d[j][0] for i, j in zip(order, order[1:])):
+            return None
+        ranks.append(order)
+    rows, last = (np.array(order, dtype=np.intp) for order in ranks)
+    place = np.empty(k, dtype=np.intp)
+    place[last] = np.arange(k)
+    return rows, place[rows]
 
 
 def _pseudo_angle(dot, cross):
@@ -294,148 +335,157 @@ def _rank_int64(V: PointSet, sides: np.ndarray, edges: np.ndarray):
     return rows, place[rows + first * k], exact
 
 
-def _side_tables(side, rows, p, cap: int, tables: bool):
-    """``_compare_side``'s result for ``side`` from its ``_rank_int64``
-    orders ``rows`` and ``p``, or without ``tables`` its count alone.
+def takes_int64_kernel(V: PointSet, k: int) -> bool:
+    """Whether sides of k points of ``V`` go to the int64 kernel: at least
+    ``_INT64_MIN_SIDE`` of them, within the int64 bound."""
+    return V.within_int64_bound and _INT64_MIN_SIDE <= k
 
-    Row r is LESS than the rows after it that also come after it in the
-    last order; every other pair is incomparable. Row slabs of about
-    ``_PAIR_SLAB`` rank comparisons go through the side. After each slab
-    the incomparable pairs with an end in the rows so far are known, so
-    None is returned once they exceed ``cap``, never for a count of 0;
-    with ``tables`` the slab's successor bits are set at bit positions
-    v - base of a row, packed little-endian as ``neighbour_masks`` does,
-    then shifted by base.
-    """
-    k = len(side)
-    span = 0
-    if tables:
-        base = min(side) & ~7
-        span = max(side) - base + 1
-        width = (span + 7) // 8
-        cols = np.array(side, dtype=np.intp)[rows] - base
-        packed = np.empty((k, width), dtype=np.uint8)
-    # A row holds up to k rank comparisons and span unpacked bits. At least
-    # 8 rows, or the whole side, go in a slab: a large side then pays the
-    # per-slab steps fewer times, for temporaries of 8 rows of k entries.
+
+def rank_sides(V: PointSet, sides, hulls, edges: np.ndarray | None = None) -> list:
+    """The rankings (rows, place) of each side of ``sides`` against the hull
+    at its place in ``hulls``, as ``_rank_int64`` gives them, or None where
+    an exact tie leaves the side unranked. The sides have one length and
+    are separated from their hulls. Sides that take the int64 kernel go to
+    it in one batch, on ``edges``, the ``hull_edges`` of ``hulls`` (built
+    here when not given); other sides, and those whose float sort
+    misordered, go to ``_rank_exact``. The caller bounds the batch, whose
+    arrays hold a few entries per point."""
+    if not sides:
+        return []
+    exact = [False] * len(sides)
+    if takes_int64_kernel(V, len(sides[0])):
+        rows, place, exact = _rank_int64(V, np.array(sides, dtype=np.intp), hull_edges(hulls) if edges is None else edges)
+    return [
+        (rows[q], place[q]) if exact[q] else _rank_exact(side, V.coords, hull)
+        for q, (side, hull) in enumerate(zip(sides, hulls))
+    ]
+
+
+def _row_slabs(place, span: int = 0):
+    """Row slabs of a side from the places of its rows in the last ranking:
+    yields (i0, i1, after), where ``after[r, s]`` says that row i0 + r is
+    LESS than row i0 + s, that is the latter comes after it in both
+    rankings. A row holds up to k rank comparisons and ``span`` unpacked
+    bits; at least 8 rows, or the whole side, go in a slab of about
+    ``_PAIR_SLAB`` entries, so that a large side pays the per-slab steps
+    fewer times, for temporaries of 8 rows of k entries."""
+    k = len(place)
     step = min(k, max(8, _PAIR_SLAB // max(k, span // 8)))
     diagonal = np.arange(step)
     above = diagonal[:, None] < diagonal
-    less = 0
     for i0 in range(0, k, step):
         i1 = min(k, i0 + step)
-        after = p[i0:i1, None] < p[i0:]
+        after = place[i0:i1, None] < place[i0:]
         after[:, : i1 - i0] &= above[: i1 - i0, : i1 - i0]
+        yield i0, i1, after
+
+
+def _side_count(place, cap: int) -> int | None:
+    """A side's incomparable pairs from its places, or None once they
+    exceed ``cap``. After each row slab the incomparable pairs with an end
+    in the rows so far are known, so None is returned at the first slab
+    that exceeds the cap, never for a count of 0."""
+    k = len(place)
+    less = 0
+    for _, i1, after in _row_slabs(place):
         less += np.count_nonzero(after)
         iota = comb(k, 2) - comb(k - i1, 2) - less
         if iota > max(cap, 0):
             return None
-        if tables:
-            bits = np.zeros((i1 - i0, span), dtype=bool)
-            bits[:, cols[i0:]] = after
-            packed[rows[i0:i1]] = np.packbits(bits, axis=1, bitorder="little")
-    if not tables:
-        return iota
+    return iota
+
+
+def _pack_tables(order, place) -> dict[int, int]:
+    """``_compare_side``'s successor bitmasks of a side from its rankings:
+    each slab's successor bits are set at bit positions v - base of a row,
+    packed little-endian as ``neighbour_masks`` does, then shifted by
+    base. Raises ValueError for a side of more than ``SIZE_CAP`` points."""
+    if len(order) > SIZE_CAP:
+        raise ValueError(f"side exceeds the comparability table cap ({SIZE_CAP})")
+    base = min(order) & ~7
+    span = max(order) - base + 1
+    width = (span + 7) // 8
+    cols = np.array(order, dtype=np.intp) - base
+    packed = np.empty((len(order), width), dtype=np.uint8)
+    for i0, i1, after in _row_slabs(np.array(place, dtype=np.intp), span):
+        bits = np.zeros((i1 - i0, span), dtype=bool)
+        bits[:, cols[i0:]] = after
+        packed[i0:i1] = np.packbits(bits, axis=1, bitorder="little")
     buf = packed.tobytes()
-    succ = [int.from_bytes(buf[r * width : (r + 1) * width], "little") << base for r in range(k)]
-    return dict(zip(side, succ)), iota
+    return {v: int.from_bytes(buf[r * width : (r + 1) * width], "little") << base for r, v in enumerate(order)}
 
 
-def takes_int64_kernel(V: PointSet, k: int) -> bool:
-    """Whether sides of k points of ``V`` go to the int64 kernel: at least
-    ``_INT64_MIN_SIDE`` and at most ``SIZE_CAP`` of them, within the int64
-    bound."""
-    return V.within_int64_bound and _INT64_MIN_SIDE <= k <= SIZE_CAP
+def ranked_chain(order, place) -> list[int]:
+    """The chain that ``longest_chain`` gives for a side's tables, listed
+    upwards, from the side's rankings: ``order`` lists the side in its
+    first ranking and ``place`` the places of its rows in its last.
+
+    A chain is a run of rows whose places rise, so patience sorting finds
+    each row's level, the rows of the longest chain upwards from it; then,
+    from the top level down, each step takes the least vertex among the
+    rows of the level that come after the last row taken in both rankings.
+    """
+    tails: list[int] = []  # tails[h]: minus the greatest place at level h
+    levels: list[list[int]] = []
+    for r in reversed(range(len(order))):
+        h = bisect_left(tails, -place[r])
+        if h == len(tails):
+            tails.append(0)
+            levels.append([])
+        tails[h] = -place[r]
+        levels[h].append(r)
+    chain: list[int] = []
+    low, at = -1, -1  # the last row taken and its place
+    for level in reversed(levels):
+        low = min((r for r in level if r > low and place[r] > at), key=order.__getitem__)
+        at = place[low]
+        chain.append(order[low])
+    return chain
 
 
-def _within_cap(compare, cap: int, tables: bool):
-    """``compare(q, cap)`` for side q = 0, then 1, each given what side 0
-    left of ``cap``: both sides' ``_compare_side`` results, or with
-    ``tables`` false their counts; None as soon as one is None."""
+def poset_from_rankings(a, b, V: PointSet, hull_a, hull_b, rankings, cap: int) -> PairPoset | None:
+    """The ``PairPoset`` of sides ``a`` and ``b``, from ``rankings``, which
+    yields the ``rank_sides`` result of side a against ``hull_b``, then of
+    side b against ``hull_a``; or None once the incomparable pairs of both
+    sides together exceed ``cap``. Raises NotSeparatedError when the hulls
+    intersect. Side b's rankings are read only when side a stays within
+    the cap. A side left unranked by a tie goes to ``_compare_side`` at
+    what is left of the cap, which raises DegenerateInputError or gives up.
+    """
+    if not hull_coords_disjoint(hull_a, hull_b):
+        raise NotSeparatedError("convex hulls of the two sides intersect")
     sides = []
-    for q in range(2):
-        result = compare(q, cap)
-        if result is None:
+    for (side, hull), ranks in zip(((a, hull_b), (b, hull_a)), rankings):
+        if ranks is None:
+            tied = _compare_side(side, V.coords, hull, cap)
+            assert tied is None, "a tied side has a degenerate pair"
             return None
-        sides.append(result)
-        cap -= result[1] if tables else result
-    return sides
+        rows, place = ranks
+        iota = _side_count(place, cap)
+        if iota is None:
+            return None
+        cap -= iota
+        sides.append((tuple(side[r] for r in rows.tolist()), tuple(place.tolist()), iota))
+    return PairPoset(a, b, *sides[0], *sides[1])
 
 
-def _pair_poset(a, b, sides) -> PairPoset | None:
-    """The ``PairPoset`` of two sides' ``_compare_side`` results, if any."""
-    if sides is None:
-        return None
-    (succ_a, iota_a), (succ_b, iota_b) = sides
-    return PairPoset(a, b, succ_a, succ_b, iota_a, iota_b)
+def build_pair_poset(A, B, V: PointSet, hull_a=None, hull_b=None, cap: int | None = None) -> PairPoset | None:
+    """Rank both sides of a pair and count their incomparable pairs.
 
+    Each side is ranked against the opposite side's convex hull
+    (``rank_sides``): in int64 arrays for a side of at least
+    ``_INT64_MIN_SIDE`` points within the int64 bound, else by the exact
+    comparator sort, with one result either way. Raises NotSeparatedError
+    when the hulls intersect, since the rankings are meaningless
+    otherwise. Callers that already hold each side's ``hull_coords`` pass
+    them as ``hull_a`` and ``hull_b``; the disjointness check runs on them
+    all the same.
 
-@dataclass(frozen=True)
-class RankedPair:
-    """A separated pair of sides with the ``_rank_int64`` orders (rows, p)
-    of each side against the other's hull. ``poset`` and
-    ``iota_sum_capped`` give what ``build_pair_poset`` and
-    ``iota_sum_capped`` give the pair, with the same caps, from the
-    orders."""
-
-    a: tuple[int, ...]
-    b: tuple[int, ...]
-    rank_a: tuple
-    rank_b: tuple
-
-    def _compare(self, cap: int | None, tables: bool):
-        if cap is None:
-            cap = len(self.a) ** 2 + len(self.b) ** 2
-        sides = ((self.a, self.rank_a), (self.b, self.rank_b))
-        return _within_cap(lambda q, cap: _side_tables(sides[q][0], *sides[q][1], cap, tables), cap, tables)
-
-    def poset(self, cap: int | None = None) -> PairPoset | None:
-        return _pair_poset(self.a, self.b, self._compare(cap, True))
-
-    def iota_sum_capped(self, cap: int) -> int | None:
-        sides = self._compare(cap, False)
-        return None if sides is None else sum(sides)
-
-
-def rank_pairs(V: PointSet, sides, edges: np.ndarray, pairs) -> list[RankedPair | None]:
-    """Each pair (i, j) of ``pairs`` in one ``_rank_int64`` batch, side i
-    against hull j of ``edges`` and side j against hull i: a
-    ``RankedPair``, or None where a sort met a tie or a misorder. The
-    sides must have one length, take the kernel and be separated; the
-    caller bounds the batch, whose arrays hold a few entries per point."""
-    if not pairs:
-        return []
-    problems = np.array(pairs, dtype=np.intp)
-    rows, p, exact = _rank_int64(
-        V, np.array([sides[h] for h in problems.ravel()], dtype=np.intp), edges[problems[:, ::-1].ravel()]
-    )
-    return [
-        RankedPair(sides[i], sides[j], (rows[2 * t], p[2 * t]), (rows[2 * t + 1], p[2 * t + 1]))
-        if exact[2 * t] and exact[2 * t + 1]
-        else None
-        for t, (i, j) in enumerate(pairs)
-    ]
-
-
-def _compare_side_int64(side, V: PointSet, hull, cap: int, tables: bool = True):
-    """``_compare_side`` by the int64 kernel, for ``V`` within the int64
-    bound; same arguments but ``V`` for ``coords``, same result, or the
-    count alone without ``tables``. An exact tie or a float misorder hands
-    the side to ``_compare_side``, so a degenerate input raises, or gives
-    up at the cap, exactly as the scalar loop does."""
-    rows, p, exact = _rank_int64(V, np.array([side], dtype=np.intp), hull_edges([hull]))
-    if exact[0]:
-        return _side_tables(side, rows[0], p[0], cap, tables)
-    table = _compare_side(side, V.coords, hull, cap)
-    return table if tables or table is None else table[1]
-
-
-def _compare_pair(A, B, V: PointSet, hull_a, hull_b, cap: int | None, tables: bool):
-    """The work of ``build_pair_poset`` (``tables``) or ``iota_sum_capped``:
-    the argument and disjointness checks, then each side against the other
-    side's hull. Returns both sides' ``_compare_side`` results, or with
-    ``tables`` false their incomparable counts; None once the two counts
-    together exceed ``cap``.
+    With a ``cap``, returns None as soon as the incomparable pairs of both
+    sides together exceed it, so tangled pairs are rejected before side b
+    is ranked; any poset returned is the one built without a cap. The
+    argument checks, the disjointness check and the degeneracy check of a
+    tangent vertex on a line run with or without a cap.
     """
     a = tuple(A)
     b = tuple(B)
@@ -443,63 +493,25 @@ def _compare_pair(A, B, V: PointSet, hull_a, hull_b, cap: int | None, tables: bo
         raise ValueError("both sides must be nonempty")
     if set(a) & set(b):
         raise ValueError("sides must be disjoint index sets")
-    if len(a) > SIZE_CAP or len(b) > SIZE_CAP:
-        raise ValueError(f"side exceeds the comparability table cap ({SIZE_CAP})")
     coords = V.coords
     if hull_a is None:
         hull_a = hull_coords(coords[i] for i in a)
     if hull_b is None:
         hull_b = hull_coords(coords[i] for i in b)
-    if not hull_coords_disjoint(hull_a, hull_b):
-        raise NotSeparatedError("convex hulls of the two sides intersect")
     if cap is None:
         # Fewer than len(a)**2 + len(b)**2 pairs exist, so this cap never binds.
         cap = len(a) ** 2 + len(b) ** 2
-    sides = ((a, hull_b), (b, hull_a))
-
-    def compare(q, cap):
-        side, other_hull = sides[q]
-        if takes_int64_kernel(V, len(side)):
-            return _compare_side_int64(side, V, other_hull, cap, tables)
-        result = _compare_side(side, coords, other_hull, cap)
-        return result if tables or result is None else result[1]
-
-    return _within_cap(compare, cap, tables)
-
-
-def build_pair_poset(A, B, V: PointSet, hull_a=None, hull_b=None, cap: int | None = None) -> PairPoset | None:
-    """Construct the full comparability tables for both sides of a pair.
-
-    Each side is compared against the opposite side's convex hull by the
-    two-tangent test: in int64 arrays for a side of at least
-    ``_INT64_MIN_SIDE`` points within the int64 bound, else by the scalar
-    loop, with one result either way. Raises NotSeparatedError when the
-    hulls intersect, since the test is meaningless otherwise. Callers that
-    already hold each side's ``hull_coords`` pass them as ``hull_a`` and
-    ``hull_b``; the disjointness check runs on them all the same.
-
-    With a ``cap``, returns None as soon as the incomparable pairs of both
-    sides together exceed it, so tangled pairs are rejected before their
-    tables are finished; any poset returned is the one built without a
-    cap. The argument checks, the disjointness check and the degeneracy
-    check of a tangent vertex on a line run with or without a cap.
-    """
-    a = tuple(A)
-    b = tuple(B)
-    return _pair_poset(a, b, _compare_pair(a, b, V, hull_a, hull_b, cap, True))
+    rankings = (rank_sides(V, [side], [hull])[0] for side, hull in ((a, hull_b), (b, hull_a)))
+    return poset_from_rankings(a, b, V, hull_a, hull_b, rankings, cap)
 
 
 def iota_sum_capped(A, B, V: PointSet, cap: int, hull_a=None, hull_b=None) -> int | None:
-    """Incomparable-pair count over both sides, or None once it exceeds cap.
-
-    The count of ``build_pair_poset`` with the same arguments, found by the
-    same checks and the same kernels with the successor bits left unpacked:
-    it is None exactly when that build returns None, and it raises exactly
-    when that build raises. The pair scan ranks candidate pairs that miss
-    edges by it and builds the tables of the one pair it returns.
+    """Incomparable-pair count over both sides, or None once it exceeds cap:
+    the ``iota_sum`` of ``build_pair_poset`` with the same arguments, None
+    exactly when that build returns None, raising exactly when it raises.
     """
-    sides = _compare_pair(A, B, V, hull_a, hull_b, cap, False)
-    return None if sides is None else sum(sides)
+    P = build_pair_poset(A, B, V, hull_a, hull_b, cap)
+    return None if P is None else P.iota_sum
 
 
 @dataclass(frozen=True)

@@ -265,6 +265,23 @@ def test_cli_run_rejects_eps_delta_above_two(tmp_path, capsys):
     assert "trials must be at least 1, got 0" in capsys.readouterr().err
 
 
+def test_cli_run_rejects_bad_eps_delta_without_an_attempt(tmp_path, capsys):
+    # eps and delta are checked before the first attempt, so a run whose
+    # m leaves no attempt to make still refuses them.
+    graph = tmp_path / "g.txt"
+    graph.write_text(render_graph_file(GeometricGraph.complete(generate_points("random-disk", 20, seed=2))))
+    out = tmp_path / "r.txt"
+    for options, message in (
+        (["--eps", "-1"], "parameters must be positive"),
+        (["--delta", "5"], "delta must be at most 1, got 5"),
+        (["--eps", "16", "--delta", "1/4"], "eps*delta must be at most 2, got 4"),
+    ):
+        assert main(["run", str(graph), "--m", "1", *options, "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["run", str(graph), "--m", "1", "--out", str(out)]) == 0
+
+
 def test_cli_run_rejects_zero_denominator(tmp_path, capsys):
     # A zero denominator is a usage error (exit 2), as a malformed rational is.
     graph = tmp_path / "g.txt"

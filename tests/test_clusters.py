@@ -18,6 +18,7 @@ from crossfam.clusters import (
     desk_net_size,
     find_avoiding_dense_pair,
 )
+from crossfam.crossing import RunConfig, find_crossing_family
 from crossfam.errors import DegenerateInputError, NotSeparatedError
 from crossfam.geom import COORD_LIMIT, INT64_COORD_LIMIT, GeometricGraph, Point, PointSet, hull_coords
 from crossfam.poset import build_pair_poset, iota_sum_capped
@@ -232,130 +233,65 @@ def test_cluster_hulls_match_hull_coords(case):
 
 
 def test_pair_scan_builds_tables_once(monkeypatch):
-    # Clusters that take the int64 kernel are ranked in batches: no side
-    # goes through the kernel twice against one hull. From the orders kept,
-    # each pair is ranked by its count once, a complete pair after its
-    # tables are tried at cap 0, which only an untangled complete pair, the
-    # one returned, passes. So the tables are built once, for the pair
-    # returned, and a scan that finds nothing builds none. On these inputs
-    # in general position no pair takes a per-pair path.
-    problems, counted, built = [], [], []
-    rank = poset._rank_int64
-    count, build = poset.RankedPair.iota_sum_capped, poset.RankedPair.poset
+    # The scan ranks the sides of its dense pairs in batches, whatever the
+    # cluster size: clusters of 24 take the int64 kernel, of 4 and 5 the
+    # exact sort. No side is ranked twice against one hull, each pair is
+    # counted from its rankings once, into its PairPoset, and a scan that
+    # finds nothing ranks and counts nothing. The pair returned carries
+    # the PairPoset of an uncapped build and its edge count.
+    problems, counted = [], []
+    rank, count = clusters.rank_sides, clusters.poset_from_rankings
 
-    def hull_of(edges):
-        # The hull's own vertices come before the first repeat of vertex 0.
-        vertices = list(zip(edges[0].tolist(), edges[1].tolist()))
-        return tuple(vertices[: vertices.index(vertices[0], 1)])
+    def ranked(V, sides, hulls, edges=None):
+        problems.extend(zip(map(tuple, sides), map(tuple, hulls)))
+        return rank(V, sides, hulls, edges)
 
-    def ranked(V, sides, edges):
-        problems.extend(zip(map(tuple, sides.tolist()), map(hull_of, edges)))
-        return rank(V, sides, edges)
-
-    def built_poset(pair, *args):
-        P = build(pair, *args)
-        if P is not None:
-            built.append((pair.a, pair.b))
-        return P
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("a pair took the per-pair path")
-
-    monkeypatch.setattr(poset, "_rank_int64", ranked)
-    monkeypatch.setattr(poset.RankedPair, "iota_sum_capped", lambda r, cap: counted.append((r.a, r.b)) or count(r, cap))
-    monkeypatch.setattr(poset.RankedPair, "poset", built_poset)
-    monkeypatch.setattr(clusters, "iota_sum_capped", refuse)
-    monkeypatch.setattr(clusters, "build_pair_poset", refuse)
-
-    V = generate_points("random-disk", 240, 3)
-    pairs = list(itertools.combinations(range(len(V)), 2))
-    edge_rng = random.Random(3)
-    cases = [
-        (GeometricGraph.complete(V), Fraction(1, 4), True),
-        (GeometricGraph.from_edges(V, [e for e in pairs if edge_rng.random() < 0.9]), Fraction(1, 4), True),
-        (GeometricGraph.from_edges(V, [e for e in pairs if edge_rng.random() < 0.5]), Fraction(1, 4), True),
-        (GeometricGraph.from_edges(V, [(i, i + 1) for i in range(0, 240, 2)]), Fraction(1, 2), False),
-    ]
-    kept_complete = kept_missing = 0
-    for graph, delta, found in cases:
-        for seed in range(3):
-            problems.clear()
-            counted.clear()
-            built.clear()
-            pick = find_avoiding_dense_pair(graph, 24, Fraction(1, 4), delta, seed)
-            assert (pick is not None) == found
-            assert len(problems) == len(set(problems))
-            assert len(counted) == len(set(counted))
-            if not found:
-                assert problems == counted == built == []
-                continue
-            A, B, P_ = pick
-            assert built == [(A, B)]
-            assert {A, B} <= {side for side, _ in problems}
-            assert P_ == build_pair_poset(A, B, V)
-            assert pick.edges == graph.block_edge_counts([A], [B])[0, 0]
-            if pick.edges == 24 * 24:
-                kept_complete += 1
-            else:
-                kept_missing += 1
-    # Both kinds of returned pair occur.
-    assert kept_complete and kept_missing
-
-
-def test_per_pair_scan_builds_tables_once(monkeypatch):
-    # Clusters under _INT64_MIN_SIDE are ranked one pair at a time. A dense
-    # pair missing edges is ranked by its count alone, and the one pair
-    # returned then gets its tables built. A complete pair gets its
-    # tables as it is ranked, and the scan keeps those of the pair it
-    # returns. So the kernel goes over no pair twice, except a returned
-    # pair that misses edges, and a scan that finds nothing builds none.
-    counted, built = [], []
-    count, build = clusters.iota_sum_capped, clusters.build_pair_poset
-    monkeypatch.setattr(clusters, "iota_sum_capped", lambda *a, **kw: counted.append(a[:2]) or count(*a, **kw))
-    monkeypatch.setattr(clusters, "build_pair_poset", lambda *a, **kw: built.append(a[:2]) or build(*a, **kw))
+    monkeypatch.setattr(clusters, "rank_sides", ranked)
+    monkeypatch.setattr(clusters, "poset_from_rankings", lambda a, b, *rest: counted.append((a, b)) or count(a, b, *rest))
 
     def disk_graph(n, density):
         V = generate_points("random-disk", n, 3)
         edge_rng = random.Random(3)
         pairs = itertools.combinations(range(n), 2)
-        return GeometricGraph.from_edges(V, [e for e in pairs if edge_rng.random() < density])
+        return GeometricGraph.from_edges(V, [e for e in pairs if density is None or edge_rng.random() < density])
 
-    V = generate_points("random-disk", 90, 3)
-    cases = [
-        (GeometricGraph.complete(V), 4, Fraction(1, 4), True),
-        (disk_graph(90, 0.9), 4, Fraction(1, 4), True),
-        (disk_graph(90, 0.5), 4, Fraction(1, 4), True),
+    def matching(n):
+        return GeometricGraph.from_edges(generate_points("random-disk", n, 3), [(i, i + 1) for i in range(0, n, 2)])
+
+    quarter, half = Fraction(1, 4), Fraction(1, 2)
+    groups = [
+        (24, range(3), [(disk_graph(240, None), quarter, True), (disk_graph(240, 0.9), quarter, True),
+                        (disk_graph(240, 0.5), quarter, True), (matching(240), half, False)]),
+        (4, range(4), [(disk_graph(90, None), quarter, True), (disk_graph(90, 0.9), quarter, True),
+                       (disk_graph(90, 0.5), quarter, True), (matching(90), half, False)]),
         # At m = 5, nets 0 and 3 find a complete pair first and return a
         # less tangled pair that misses edges.
-        (disk_graph(60, 0.9), 5, Fraction(1, 4), True),
-        (GeometricGraph.from_edges(V, [(i, i + 1) for i in range(0, 90, 2)]), 4, Fraction(1, 2), False),
+        (5, range(4), [(disk_graph(60, 0.9), quarter, True)]),
     ]
-    kept_complete = kept_missing = 0
-    for graph, m, delta, found in cases:
-        V = graph.vertices
-        for seed in range(4):
-            counted.clear()
-            built.clear()
-            pick = find_avoiding_dense_pair(graph, m, Fraction(1, 4), delta, seed)
-            assert (pick is not None) == found
-            if not found:
-                assert counted == built == []
-                continue
-            A, B, P_ = pick
-            assert P_ == build(A, B, V)
-            complete = {p for p in counted + built if graph.block_edge_counts([p[0]], [p[1]])[0, 0] == m * m}
-            assert complete.isdisjoint(counted)
-            assert set(built) - {(A, B)} <= complete
-            assert len(built) == len(set(built)) and (A, B) in built
-            assert len(counted) == len(set(counted))
-            if (A, B) in complete:
-                assert (A, B) not in counted
-                kept_complete += 1
-            else:
-                assert built[-1] == (A, B)
-                kept_missing += 1
-    # Both kinds of returned pair occur.
-    assert kept_complete and kept_missing
+    kept = set()
+    for m, seeds, cases in groups:
+        for graph, delta, found in cases:
+            V = graph.vertices
+            for seed in seeds:
+                problems.clear()
+                counted.clear()
+                pick = find_avoiding_dense_pair(graph, m, quarter, delta, seed)
+                assert (pick is not None) == found
+                assert len(problems) == len(set(problems))
+                assert len(counted) == len(set(counted))
+                if not found:
+                    assert problems == counted == []
+                    continue
+                A, B, P_ = pick
+                assert (A, B) in counted
+                hull_a, hull_b = (tuple(hull_coords(V.coords[v] for v in side)) for side in (A, B))
+                assert {(A, hull_b), (B, hull_a)} <= set(problems)
+                assert P_ == build_pair_poset(A, B, V)
+                assert pick.edges == graph.block_edge_counts([A], [B])[0, 0]
+                kept.add((m > 5, pick.edges == m * m))
+    # Both kinds of returned pair occur on both paths.
+    assert kept == {(True, True), (True, False), (False, True), (False, False)}
+
 
 def reference_scan(G, m, eps, delta, seed):
     """The pair scan as a sequential loop: every dense pair in (i, j) order
@@ -423,20 +359,21 @@ def _random_graph(V, density, seed):
 
 def test_batched_scan_matches_sequential_reference(monkeypatch):
     # The batched scan returns the pair the sequential scan returns, with
-    # the same tables, on complete, dense and sparse graphs. On points of a
-    # small grid, with the kernel threshold lowered so that small clusters
-    # are batched, exact ties abound: those pairs go the per-pair way, and
-    # a degenerate input raises the same error, at the same pair, as the
-    # sequential scan, or the scan gives up at a cap before reaching it.
+    # the same PairPoset, on complete, dense and sparse graphs. On points
+    # of a small grid, with the kernel threshold lowered so that small
+    # clusters take the kernel, exact ties abound: those sides are left
+    # unranked, and a degenerate input raises the same error, at the same
+    # pair, as the sequential scan, or the scan gives up at a cap before
+    # reaching it.
     ranked = []
-    rank = clusters.rank_pairs
+    rank = clusters.rank_sides
 
     def spy(*args):
         ranks = rank(*args)
         ranked.extend(ranks)
         return ranks
 
-    monkeypatch.setattr(clusters, "rank_pairs", spy)
+    monkeypatch.setattr(clusters, "rank_sides", spy)
     cases = []
     for kind, n, m in (("random-disk", 200, 24), ("grid-jitter", 240, 24), ("convex", 200, 32), ("random-disk", 300, 32)):
         V = generate_points(kind, n, n + m)
@@ -463,32 +400,25 @@ def test_batched_scan_matches_sequential_reference(monkeypatch):
                 expect = _scan_outcome(reference_scan, *args)
                 assert _scan_outcome(find_avoiding_dense_pair, *args) == expect
                 outcomes["none" if expect is None else "raise" if isinstance(expect[0], type) else "pair"] += 1
-    # Every kind of outcome occurs, the batches ranked pairs, and some
-    # pairs were handed to the per-pair path.
+    # Every kind of outcome occurs, and the batches ranked some sides and
+    # left some unranked.
     assert min(outcomes.values()) > 0
     assert any(r is not None for r in ranked) and None in ranked
 
 
-def test_scan_over_table_cap_raises_as_sequential(monkeypatch):
-    # Clusters over SIZE_CAP points never go to a batch: the scan hands
-    # the first dense pair to the per-pair path, which raises ValueError
-    # there, as the sequential scan does. SIZE_CAP is lowered so that the
-    # clusters stay small; at its own value these clusters are batched.
-    ranked = []
-    rank = clusters.rank_pairs
-    monkeypatch.setattr(clusters, "rank_pairs", lambda *args: ranked.append(args) or rank(*args))
-    V = generate_points("random-disk", 200, 7)
-    G = GeometricGraph.complete(V)
-    assert find_avoiding_dense_pair(G, 24, Fraction(1, 2), Fraction(1, 4), 0) is not None and ranked
-    ranked.clear()
+def test_scan_over_table_cap_returns_a_pair(monkeypatch):
+    # SIZE_CAP bounds only the packing of comparability tables, which the
+    # practical path never does. With it lowered to 20, the m = 24 scan
+    # still returns a pair and the driver a verified family; reading that
+    # pair's tables raises.
     monkeypatch.setattr(poset, "SIZE_CAP", 20)
-    for seed in range(2):
-        with pytest.raises(ValueError, match="comparability table cap") as sequential:
-            reference_scan(G, 24, Fraction(1, 2), Fraction(1, 4), seed)
-        with pytest.raises(ValueError, match="comparability table cap") as batched:
-            find_avoiding_dense_pair(G, 24, Fraction(1, 2), Fraction(1, 4), seed)
-        assert str(batched.value) == str(sequential.value)
-    assert ranked == []
+    G = GeometricGraph.complete(generate_points("random-disk", 200, 7))
+    pick = find_avoiding_dense_pair(G, 24, Fraction(1, 2), Fraction(1, 4), 0)
+    assert pick is not None
+    family = find_crossing_family(G, RunConfig(m=24))
+    assert family.verified and len(family) >= 2
+    with pytest.raises(ValueError, match="comparability table cap"):
+        pick[2].succ_a
 
 
 def test_pair_scan_memory_is_sliced(monkeypatch):
@@ -504,7 +434,7 @@ def test_pair_scan_memory_is_sliced(monkeypatch):
     G = GeometricGraph(V, tuple(full & ~residue[-i % 10] & ~(1 << i) for i in range(n)))
     assert not G.is_complete
     peaks = []
-    rank = clusters.rank_pairs
+    rank = clusters.rank_sides
 
     def measured(*args):
         before = tracemalloc.get_traced_memory()[0]
@@ -513,7 +443,7 @@ def test_pair_scan_memory_is_sliced(monkeypatch):
         peaks.append(tracemalloc.get_traced_memory()[1] - before)
         return ranks
 
-    monkeypatch.setattr(clusters, "rank_pairs", measured)
+    monkeypatch.setattr(clusters, "rank_sides", measured)
     tracemalloc.start()
     try:
         pick = find_avoiding_dense_pair(G, m, Fraction(1, 2), Fraction(1, 4), 0)

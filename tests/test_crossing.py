@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import block_instance, chord_family, separated_pair
-from crossfam import crossing, theory
+from crossfam import crossing, poset, theory
 from crossfam.cli import generate_points
 from crossfam.crossing import (
     FamilyMode,
@@ -27,9 +27,10 @@ from crossfam.geom import (
     first_unrelated_pair,
     segments_avoiding,
     segments_cross,
+    vertex_mask,
 )
 from crossfam.oracle import verify_family
-from crossfam.poset import build_pair_poset
+from crossfam.poset import build_pair_poset, longest_chain
 from crossfam.theory import ScheduleMode, recursion_segments, split_pair, theory_params
 
 
@@ -53,18 +54,20 @@ def test_match_avoiding_example():
 
 
 def test_side_counts_read_masks(rng):
-    # Ranks are popcounts of the successor masks, restricted to the side;
-    # they agree with pair queries.
+    # The masks packed from a side's rankings hold, for each row, the rows
+    # after it in both rankings; their popcounts over the side rank it,
+    # and the chain read off the rankings agrees with pair queries.
     for _ in range(40):
         V, A, B = separated_pair(rng, rng.randint(2, 12), rng.randint(2, 6))
         pp = build_pair_poset(A, B, V)
-        chain = [pp.a[0]]
-        for v in pp.a[1:]:
-            if all(pp.less_in_a(u, v) or pp.less_in_a(v, u) for u in chain):
-                chain.append(v)
-        rng.shuffle(chain)
-        order = crossing._total_order(chain, pp.succ_a)
-        assert all(pp.less_in_a(u, v) for u, v in zip(order, order[1:]))
+        mask = sum(1 << v for v in A)
+        for r, u in enumerate(pp.order_a):
+            later = [v for s, v in enumerate(pp.order_a) if s > r and pp.place_a[s] > pp.place_a[r]]
+            assert pp.succ_a[u] == sum(1 << v for v in later)
+            assert (pp.succ_a[u] & mask).bit_count() == len(later)
+        chain = poset.ranked_chain(pp.order_a, pp.place_a)
+        assert all(pp.less_in_a(u, v) for u, v in zip(chain, chain[1:]))
+        assert sorted(chain, key=lambda x: -(pp.succ_a[x] & mask).bit_count()) == chain
 
 
 def test_match_sizes_and_verification(rng):
@@ -212,8 +215,13 @@ def test_base_run_matches_reference(mode):
         else:
             V, A, B = block_instance(rng, t=1, k=1, m=rng.randint(1, 4))
         P_ = build_pair_poset(A, B, V)
-        rows = crossing._total_order(crossing.longest_chain(P_.succ_a), P_.succ_a)
-        cols = crossing._total_order(crossing.longest_chain(P_.succ_b), P_.succ_b)
+        rows = poset.ranked_chain(P_.order_a, P_.place_a)
+        cols = poset.ranked_chain(P_.order_b, P_.place_b)
+        for chain, succ in ((rows, P_.succ_a), (cols, P_.succ_b)):
+            # The chain longest_chain finds in the tables, listed upwards by
+            # popcounts.
+            reference = longest_chain(succ)
+            assert chain == sorted(reference, key=lambda x: -(succ[x] & vertex_mask(reference)).bit_count())
         density = rng.choice((0.0, 0.2, 0.5, 0.8, 1.0))
         grid = itertools.product(range(len(rows)), range(len(cols)))
         cells = {c for c in grid if rng.random() < density}
@@ -414,6 +422,44 @@ def test_theory_mode_refuses_practical_options():
         for driver in (find_crossing_family, find_avoiding_family):
             with pytest.raises(ValueError, match="m, eps and delta apply only to practical mode"):
                 driver(G, RunConfig(theory=True, **option))
+
+
+def test_find_family_validates_eps_and_delta_first():
+    # eps and delta are checked before the first attempt, by the pair
+    # scan's rules, even when no attempt runs: here m = 1 is no larger
+    # than the first edge's family.
+    G = GeometricGraph.complete(generate_points("random-disk", 30, seed=2))
+    for option, message in (
+        ({"eps": Fraction(-1)}, "parameters must be positive"),
+        ({"delta": Fraction(0)}, "parameters must be positive"),
+        ({"delta": Fraction(5)}, "delta must be at most 1, got 5"),
+        ({"eps": Fraction(16), "delta": Fraction(1, 4)}, "eps\\*delta must be at most 2, got 4"),
+    ):
+        for driver in (find_crossing_family, find_avoiding_family):
+            with pytest.raises(ValueError, match=message):
+                driver(G, RunConfig(m=1, **option))
+    assert len(find_crossing_family(G, RunConfig(m=1, eps=Fraction(8), delta=Fraction(1, 4)))) == 1
+
+
+def _refuse_tables(*args):
+    raise AssertionError("the practical path read comparability tables")
+
+
+def test_practical_path_reads_rankings_only(monkeypatch):
+    # The practical drivers read each pair's rankings and never pack its
+    # tables or run longest_chain on them: with both made to raise, they
+    # return the families they return without it.
+    cases = []
+    for kind, n in (("random-disk", 200), ("convex", 160), ("grid-jitter", 240)):
+        V = generate_points(kind, n, 5)
+        edge_rng = random.Random(n)
+        sparse = [e for e in itertools.combinations(range(n), 2) if edge_rng.random() < 0.5]
+        cases += [(GeometricGraph.complete(V), seed) for seed in (1, 2)] + [(GeometricGraph.from_edges(V, sparse), 1)]
+    drivers = (find_crossing_family, find_avoiding_family)
+    expect = [driver(G, RunConfig(seed=seed)).segments for G, seed in cases for driver in drivers]
+    for module, name in ((poset, "_pack_tables"), (poset, "longest_chain"), (theory, "longest_chain")):
+        monkeypatch.setattr(module, name, _refuse_tables)
+    assert [driver(G, RunConfig(seed=seed)).segments for G, seed in cases for driver in drivers] == expect
 
 
 def test_find_family_theory_mode_dense_graph(rng):

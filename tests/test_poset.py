@@ -28,12 +28,12 @@ from crossfam.geom import (
     hull_coords,
     line_meets_hull,
     segments_cross,
+    vertex_mask,
 )
 from crossfam.poset import (
     Cmp,
     _classify_pair,
     _compare_side,
-    _compare_side_int64,
     build_pair_poset,
     interval_chains,
     iota_sum_capped,
@@ -201,6 +201,37 @@ def _side_and_hull(seed, na, nb, kind, top):
 _NO_CAP = 10**9
 
 
+def _outcome(compare, *args):
+    """The result a comparison gives, or the error class it raises."""
+    try:
+        return compare(*args)
+    except DegenerateInputError:
+        return DegenerateInputError
+
+
+def _by_rankings(side, V, hull, cap):
+    """One side as ``poset_from_rankings`` reads it, in ``_compare_side``'s
+    form: its tables and count from ``rank_sides``, None once the count
+    exceeds ``cap``, or for a side that an exact tie left unranked the
+    outcome of the scalar loop at ``cap``."""
+    ranks = poset.rank_sides(V, [side], [hull])[0]
+    if ranks is None:
+        return _outcome(_compare_side, side, V.coords, hull, cap)
+    rows, place = ranks
+    iota = poset._side_count(place, cap)
+    if iota is None:
+        return None
+    return poset._pack_tables(tuple(side[r] for r in rows.tolist()), place.tolist()), iota
+
+
+_PSEUDO_ANGLE = poset._pseudo_angle
+
+
+def _negated_pseudo_angle(dot, cross):
+    """Angle keys that sort every ranking backwards: a float misorder."""
+    return -_PSEUDO_ANGLE(dot, cross)
+
+
 @given(
     seed=st.integers(0, 2**32 - 1),
     na=st.integers(1, 64),
@@ -209,13 +240,18 @@ _NO_CAP = 10**9
     top=st.sampled_from([INT64_COORD_LIMIT, INT64_COORD_LIMIT + 1, COORD_LIMIT]),
     sign=st.sampled_from([1, -1]),
     slab=st.sampled_from([1, 64, poset._PAIR_SLAB]),
+    misorder=st.booleans(),
 )
 @settings(max_examples=300, deadline=None)
-def test_int64_kernel_matches_scalar_reference(seed, na, kind, nb, top, sign, slab):
+def test_int64_kernel_matches_scalar_reference(seed, na, kind, nb, top, sign, slab, misorder):
     # Sides of 1..64 points cross the int64 threshold; hulls have one
     # vertex, two, or many. The largest coordinate sits at the int64 bound,
     # one beyond it, or at COORD_LIMIT. A slab of 1 or 64 entries takes the
-    # floor of 8 rows, so the cap is checked after every 8 rows.
+    # floor of 8 rows, so the cap is checked after every 8 rows. With the
+    # angle keys negated, every kernel sort of two or more points
+    # misorders, and the exact comparator sort must rank the side instead.
+    # Each side's tables, count and outcome at each cap are the scalar
+    # loop's.
     nb = {"point": 1, "segment": 2}.get(kind, nb)
     coords, A, B = _side_and_hull(seed, na, nb, kind, top)
     pts = [(sign * x, sign * y) for x, y in coords]
@@ -228,15 +264,14 @@ def test_int64_kernel_matches_scalar_reference(seed, na, kind, nb, top, sign, sl
     if kind in ("point", "segment", "arc"):
         assert len(hull_b) == nb
 
-    with mock.patch.object(poset, "_PAIR_SLAB", slab):
+    angle = _negated_pseudo_angle if misorder else _PSEUDO_ANGLE
+    with mock.patch.object(poset, "_PAIR_SLAB", slab), mock.patch.object(poset, "_pseudo_angle", angle):
         for side, hull in ((A, hull_b), (B, hull_a)):
             total = _compare_side(side, V.coords, hull, _NO_CAP)[1]
             for cap in (0, total - 1, total, _NO_CAP):
                 expect = _compare_side(side, V.coords, hull, cap)
                 assert (expect is None) == (total > max(cap, 0))
-                if V.within_int64_bound:
-                    assert _compare_side_int64(side, V, hull, cap) == expect
-                    assert _compare_side_int64(side, V, hull, cap, False) == (None if expect is None else expect[1])
+                assert _by_rankings(side, V, hull, cap) == expect
 
         pp = build_pair_poset(A, B, V)
         assert (_less_pairs(pp.a, pp.succ_a), pp.iota_a) == _reference_side(A, V, B)
@@ -255,19 +290,19 @@ def test_build_pair_poset_takes_int64_kernel_only_within_bound(monkeypatch):
     # the int64 kernel; smaller sides and larger coordinates do not.
     t = poset._INT64_MIN_SIDE
     calls = []
-    kernel = poset._compare_side_int64
-    monkeypatch.setattr(poset, "_compare_side_int64", lambda side, *rest: calls.append(len(side)) or kernel(side, *rest))
-    for top, sizes in ((INT64_COORD_LIMIT, [t]), (INT64_COORD_LIMIT + 1, [])):
+    kernel = poset._rank_int64
+    monkeypatch.setattr(poset, "_rank_int64", lambda V, sides, edges: calls.append(sides.shape) or kernel(V, sides, edges))
+    for top, shapes in ((INT64_COORD_LIMIT, [(1, t)]), (INT64_COORD_LIMIT + 1, [])):
         coords, A, B = _side_and_hull(11, t, t - 1, "cloud", top)
         V = PointSet(coords)
         calls.clear()
         pp = build_pair_poset(A, B, V)
-        assert calls == sizes
+        assert calls == shapes
         assert (_less_pairs(pp.a, pp.succ_a), pp.iota_a) == _reference_side(A, V, B)
 
 
 def test_capped_build_gives_up_early(monkeypatch):
-    # A capped build compares side b only when side a stays within the cap,
+    # A capped build ranks side b only when side a stays within the cap,
     # and a side stops at the first row slab whose pairs exceed it.
     t = 64
     coords, A, B = _side_and_hull(5, t, t, "cloud", INT64_COORD_LIMIT)
@@ -275,14 +310,14 @@ def test_capped_build_gives_up_early(monkeypatch):
     full = build_pair_poset(A, B, V)
     assert full.iota_a > 0
     calls, slabs = [], []
-    kernel, binomial = poset._compare_side_int64, poset.comb
-    monkeypatch.setattr(poset, "_compare_side_int64", lambda side, *rest: calls.append(side) or kernel(side, *rest))
+    kernel, binomial = poset._rank_int64, poset.comb
+    monkeypatch.setattr(poset, "_rank_int64", lambda V, sides, edges: calls.append(tuple(sides[0].tolist())) or kernel(V, sides, edges))
     monkeypatch.setattr(poset, "comb", lambda *args: slabs.append(args) or binomial(*args))
     monkeypatch.setattr(poset, "_PAIR_SLAB", 64)
-    for tables in (True, False):
+    for capped in (lambda: build_pair_poset(A, B, V, cap=0), lambda: iota_sum_capped(A, B, V, 0)):
         calls.clear()
         slabs.clear()
-        assert poset._compare_pair(A, B, V, None, None, 0, tables) is None
+        assert capped() is None
         assert calls == [A]
         # Two binomials a slab; the side has t / 8 slabs of 8 rows.
         assert len(slabs) < 2 * t // 8
@@ -290,27 +325,19 @@ def test_capped_build_gives_up_early(monkeypatch):
 
 def test_int64_kernel_memory_is_slabbed():
     # The pair matrix of a 2048-point side would take 32 MB in int64, and
-    # 4 MB even as bools; in slabs the whole build, masks included, peaks
-    # under 3 MB of traced allocations.
+    # 4 MB even as bools; in slabs the whole build, and the packing of the
+    # masks, peak under 3 MB of traced allocations.
     V, A, B = separated_pair(random.Random(7), 2048, 3, 2**20)
     assert V.within_int64_bound
     tracemalloc.start()
     try:
         pp = build_pair_poset(A, B, V)
+        comparable = sum(pp.succ_a[u].bit_count() for u in A)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 3 * 2**20
-    comparable = sum(pp.succ_a[u].bit_count() for u in A)
     assert comparable + pp.iota_a == 2048 * 2047 // 2
-
-
-def _outcome(compare, *args):
-    """The table a comparison gives, or the error class it raises."""
-    try:
-        return compare(*args)
-    except DegenerateInputError:
-        return DegenerateInputError
 
 
 def test_build_pair_poset_tangent_vertex_on_line():
@@ -324,28 +351,27 @@ def test_build_pair_poset_tangent_vertex_on_line():
     with pytest.raises(DegenerateInputError):
         iota_sum_capped((0, 1), (2, 3, 4), V, 10**9)
 
-    # The same pair heads a side above the int64 threshold: the kernel meets
-    # the zero sign and hands the whole side to the scalar loop, which
-    # raises at its first pair, capped or not. The zigzag of extra points
-    # adds incomparable pairs and no other degenerate triple.
+    # The same pair heads a side above the int64 threshold: the two points
+    # tie in their first ranking, so the side is left unranked and goes to
+    # the scalar loop, which raises at its first pair, capped or not. The
+    # zigzag of extra points adds incomparable pairs and no other
+    # degenerate triple.
     extra = [(-40 - 7 * i, 5 + (-1) ** i * (2 * i + 1)) for i in range(poset._INT64_MIN_SIDE)]
     V = PointSet(P((0, 0), (1, 0), *extra, (5, 0), (5, 10), (6, 5)), check_general_position=False)
     A = tuple(range(2 + len(extra)))
     B = tuple(range(len(A), len(A) + 3))
     assert V.within_int64_bound
+    hull = hull_coords(V.coords[i] for i in B)
+    assert poset.rank_sides(V, [A], [hull]) == poset.rank_sides(V, [A[::-1]], [hull]) == [None]
     for cap in (None, 0, 10**9):
         with pytest.raises(DegenerateInputError):
             build_pair_poset(A, B, V, cap=cap)
     # Last in the side, the pair comes after incomparable pairs: a cap of 0
-    # gives up before reaching it, and no cap raises, on both paths.
-    hull = hull_coords(V.coords[i] for i in B)
-    for slab in (1, 64, poset._PAIR_SLAB):
-        with mock.patch.object(poset, "_PAIR_SLAB", slab):
-            for cap in (0, _NO_CAP):
-                expect = _outcome(_compare_side, A[::-1], V.coords, hull, cap)
-                assert expect == (None if cap == 0 else DegenerateInputError)
-                assert _outcome(_compare_side_int64, A[::-1], V, hull, cap) == expect
-    assert build_pair_poset(A[::-1], B, V, cap=0) is None
+    # gives up before reaching it, and no cap raises.
+    for cap in (0, _NO_CAP):
+        expect = _outcome(_compare_side, A[::-1], V.coords, hull, cap)
+        assert expect == (None if cap == 0 else DegenerateInputError)
+        assert _outcome(build_pair_poset, A[::-1], B, V, None, None, cap) == expect
     with pytest.raises(DegenerateInputError):
         build_pair_poset(A[::-1], B, V)
 
@@ -384,18 +410,18 @@ def test_pseudo_angle_orders_by_angle():
                 assert (key[i] > key[j]) - (key[i] < key[j]) == expect
 
 
-def _refuse_scalar(*args):
-    raise AssertionError("the int64 kernel fell back to _compare_side")
+def _refuse_fallback(*args):
+    raise AssertionError("the int64 kernel fell back to an exact path")
 
 
 @pytest.mark.parametrize("kind, n, k", [("random-disk", 256, 64), ("grid-jitter", 768, 128), ("convex", 512, 128)])
 def test_int64_kernel_needs_no_fallback_on_workload_sides(monkeypatch, kind, n, k):
-    # The two tangent orders of sides drawn like the benchmark's inputs are
-    # strict and their float keys exact, so the kernel never hands a side
-    # to the scalar loop: a silent fallback would keep every result and
-    # lose the speed. The sides are the k leftmost and k rightmost points
-    # and, on random-disk points, the m = k clusters that the pair scan
-    # cuts for the complete graph.
+    # The two tangent rankings of sides drawn like the benchmark's inputs
+    # are strict and their float keys exact, so the kernel never hands a
+    # side to the exact sort or the scalar loop: a silent fallback would
+    # keep every result and lose the speed. The sides are the k leftmost
+    # and k rightmost points and, on random-disk points, the m = k
+    # clusters that the pair scan cuts for the complete graph.
     for seed in (1, 2, 3):
         V = generate_points(kind, n, seed)
         assert V.within_int64_bound
@@ -405,7 +431,8 @@ def test_int64_kernel_needs_no_fallback_on_workload_sides(monkeypatch, kind, n, 
         hull_b = hull_coords(V.coords[i] for i in B)
         expect = [_compare_side(A, V.coords, hull_b, _NO_CAP), _compare_side(B, V.coords, hull_a, _NO_CAP)]
         with monkeypatch.context() as patch:
-            patch.setattr(poset, "_compare_side", _refuse_scalar)
+            patch.setattr(poset, "_rank_exact", _refuse_fallback)
+            patch.setattr(poset, "_compare_side", _refuse_fallback)
             pp = build_pair_poset(A, B, V)
             assert iota_sum_capped(A, B, V, _NO_CAP) == pp.iota_sum
             if kind == "random-disk":
@@ -415,38 +442,41 @@ def test_int64_kernel_needs_no_fallback_on_workload_sides(monkeypatch, kind, n, 
 
 def test_int64_kernel_fallbacks_match_scalar(monkeypatch):
     # An exact tie (a tangent vertex on a line through two points of the
-    # side) and a float misorder (forced by negating the angle key) each
-    # hand the side to _compare_side; the outcome, a table, a count, None
-    # at the cap or DegenerateInputError, is the scalar loop's.
-    calls = []
-    scalar = poset._compare_side
+    # side) leaves the side unranked, and the scalar loop then raises, or
+    # gives up at the cap, once. A float misorder (forced by negating the
+    # angle key) hands the side to the exact comparator sort, which ranks
+    # it as the kernel does unpatched, without the scalar loop.
+    calls, sorted_exactly = [], []
+    scalar, rank_exact = poset._compare_side, poset._rank_exact
     monkeypatch.setattr(poset, "_compare_side", lambda *args: calls.append(1) or scalar(*args))
+    monkeypatch.setattr(poset, "_rank_exact", lambda *args: sorted_exactly.append(1) or rank_exact(*args))
     extra = [(-40 - 7 * i, 5 + (-1) ** i * (2 * i + 1)) for i in range(poset._INT64_MIN_SIDE)]
     tie = PointSet(P((0, 0), (1, 0), *extra, (5, 0), (5, 10), (6, 5)), check_general_position=False)
     tie_side = tuple(range(len(extra) + 2))[::-1]
-    tie_hull = hull_coords(tie.coords[i] for i in range(len(tie_side), len(tie)))
+    tie_other = tuple(range(len(tie_side), len(tie)))
+    tie_hull = hull_coords(tie.coords[i] for i in tie_other)
+    for cap in (0, _NO_CAP):
+        expect = _outcome(scalar, tie_side, tie.coords, tie_hull, cap)
+        assert expect == (None if cap == 0 else DegenerateInputError)
+        calls.clear()
+        assert _outcome(build_pair_poset, tie_side, tie_other, tie, None, None, cap) == expect
+        assert len(calls) == 1
+
     coords, A, B = _side_and_hull(5, 40, 12, "cloud", 2**20)
     plain = PointSet(coords)
     plain_hull = hull_coords(plain.coords[i] for i in B)
-    pseudo_angle = poset._pseudo_angle
-    for V, side, hull, misorder in ((tie, tie_side, tie_hull, False), (plain, A, plain_hull, True)):
-        full = _outcome(scalar, side, V.coords, hull, _NO_CAP)
-        total = 0 if full is DegenerateInputError else full[1]
-        for cap in (0, total - 1, total, _NO_CAP):
-            expect = _outcome(scalar, side, V.coords, hull, cap)
-            with monkeypatch.context() as patch:
-                if misorder:
-                    patch.setattr(poset, "_pseudo_angle", lambda dot, cross: -pseudo_angle(dot, cross))
-                calls.clear()
-                assert _outcome(_compare_side_int64, side, V, hull, cap) == expect
-                assert len(calls) == 1
-                count = _outcome(_compare_side_int64, side, V, hull, cap, False)
-                assert count == (expect[1] if isinstance(expect, tuple) else expect)
-        if misorder:
-            # Unpatched, the same side takes no fallback and agrees.
-            calls.clear()
-            assert _compare_side_int64(side, V, hull, _NO_CAP) == full
-            assert calls == []
+    rows, place = poset.rank_sides(plain, [A], [plain_hull])[0]
+    full = _compare_side(A, plain.coords, plain_hull, _NO_CAP)
+    with monkeypatch.context() as patch:
+        patch.setattr(poset, "_pseudo_angle", _negated_pseudo_angle)
+        assert poset._rank_int64(plain, np.array([A]), poset.hull_edges([plain_hull]))[2] == [False]
+        calls.clear()
+        sorted_exactly.clear()
+        misordered = poset.rank_sides(plain, [A], [plain_hull])[0]
+        for cap in (0, full[1] - 1, full[1], _NO_CAP):
+            assert _by_rankings(A, plain, plain_hull, cap) == (full if full[1] <= cap else None)
+        assert calls == [] and sorted_exactly
+    assert rows.tolist() == misordered[0].tolist() and place.tolist() == misordered[1].tolist()
 
 
 @given(
@@ -464,69 +494,49 @@ def test_batched_kernel_matches_scalar(seed, k, extra, kind, nb, top, sign, slab
     # One batch holds several problems of k points: samples of a side A
     # against the hull of B and, when B is large enough, samples of B
     # against the hull of A, so hulls of different widths share the padded
-    # edge arrays. Each problem's orders are those of the same problem
-    # ranked alone, and its tables, count and outcome at each cap those of
-    # the scalar loop. A pair of one sample from each side, ranked by
-    # rank_pairs, gives what build_pair_poset and iota_sum_capped give it
-    # at each cap. Beyond the int64 bound no side takes the kernel, and
-    # build_pair_poset gives the scalar loop's tables.
+    # edge arrays. Each problem's rankings are those of the same problem
+    # ranked alone and those of the exact comparator sort, and its tables,
+    # count and outcome at each cap those of the scalar loop. A pair of one
+    # sample from each side, ranked in one batch, gives what
+    # build_pair_poset and iota_sum_capped give it at each cap. Beyond the
+    # int64 bound no side takes the kernel, and the exact sort ranks all.
     nb = {"point": 1, "segment": 2}.get(kind, nb)
     coords, A, B = _side_and_hull(seed, k + extra, nb, kind, top)
     pts = [(sign * x, sign * y) for x, y in coords]
     assume(general_position_check(pts) is None)
     V = PointSet(pts)
     assert V.within_int64_bound == (top <= INT64_COORD_LIMIT)
+    assert poset.takes_int64_kernel(V, max(k, poset._INT64_MIN_SIDE)) == V.within_int64_bound
     hull_a = hull_coords(V.coords[i] for i in A)
     hull_b = hull_coords(V.coords[i] for i in B)
     rng = random.Random(seed)
     problems = [(tuple(rng.sample(A, k)), hull_b) for _ in range(3)]
     if len(B) >= k:
         problems.append((tuple(rng.sample(B, k)), hull_a))
-    pair = (problems[0][0], problems[-1][0]) if len(B) >= k else None
-    if not V.within_int64_bound:
-        assert not poset.takes_int64_kernel(V, max(k, poset._INT64_MIN_SIDE))
-        if pair is not None:
-            pp = build_pair_poset(*pair, V)
-            assert (pp.succ_a, pp.iota_a) == _compare_side(pair[0], V.coords, hull_coords(V.coords[i] for i in pair[1]), _NO_CAP)
-        return
 
     with mock.patch.object(poset, "_PAIR_SLAB", slab):
-        edges = poset.hull_edges([hull for _, hull in problems])
-        rows, p, exact = poset._rank_int64(V, np.array([side for side, _ in problems]), edges)
-        for q, (side, hull) in enumerate(problems):
-            alone = poset._rank_int64(V, np.array([side]), poset.hull_edges([hull]))
-            assert exact[q] == alone[2][0]
+        batch = poset.rank_sides(V, [side for side, _ in problems], [hull for _, hull in problems])
+        for (side, hull), ranks in zip(problems, batch):
+            for other in (poset.rank_sides(V, [side], [hull])[0], poset._rank_exact(side, V.coords, hull)):
+                assert [r.tolist() for r in ranks] == [r.tolist() for r in other]
             total = _compare_side(side, V.coords, hull, _NO_CAP)[1]
-            if exact[q]:
-                assert (rows[q] == alone[0][0]).all() and (p[q] == alone[1][0]).all()
             for cap in (0, total - 1, total, _NO_CAP):
-                expect = _compare_side(side, V.coords, hull, cap)
-                count = None if expect is None else expect[1]
-                assert _compare_side_int64(side, V, hull, cap) == expect
-                assert _compare_side_int64(side, V, hull, cap, False) == count
-                if exact[q]:
-                    assert poset._side_tables(side, rows[q], p[q], cap, True) == expect
-                    assert poset._side_tables(side, rows[q], p[q], cap, False) == count
-        if pair is not None:
-            sides = list(pair)
-            ranked = poset.rank_pairs(V, sides, poset.hull_edges([hull_coords(V.coords[i] for i in s) for s in sides]), [(0, 1)])
-            if ranked[0] is None:
-                assert not (exact[0] and exact[-1])
-                return
-            total = build_pair_poset(*pair, V).iota_sum
-            for cap in (0, total - 1, total, None):
-                with mock.patch.object(poset, "_INT64_MIN_SIDE", 1):
-                    expect = build_pair_poset(*pair, V, cap=cap)
-                assert ranked[0].poset(cap) == expect
-                if cap is not None:
-                    assert ranked[0].iota_sum_capped(cap) == (None if expect is None else total)
+                assert _by_rankings(side, V, hull, cap) == _compare_side(side, V.coords, hull, cap)
+        if len(B) >= k:
+            a, b = problems[0][0], problems[-1][0]
+            ha, hb = (hull_coords(V.coords[i] for i in s) for s in (a, b))
+            total = build_pair_poset(a, b, V).iota_sum
+            for cap in (0, total - 1, total, _NO_CAP):
+                expect = build_pair_poset(a, b, V, cap=cap)
+                assert poset.poset_from_rankings(a, b, V, ha, hb, poset.rank_sides(V, [a, b], [hb, ha]), cap) == expect
+                assert iota_sum_capped(a, b, V, cap) == (None if expect is None else total)
 
 
 def test_batched_kernel_tie_falls_back_alone():
     # A problem whose side holds an exact tie (a tangent vertex on the line
-    # through two of its points) is marked for the scalar loop, which
-    # raises on it, or gives up at a cap of 0 before reaching the pair; the
-    # other problems of its batch keep their orders and counts.
+    # through two of its points) is left unranked, and at its turn the
+    # scalar loop raises on it, or gives up at a cap of 0 before reaching
+    # the pair; the other problems of its batch keep their rankings.
     extra = [(-40 - 7 * i, 5 + (-1) ** i * (2 * i + 1)) for i in range(poset._INT64_MIN_SIDE)]
     V = PointSet(P((0, 0), (1, 0), *extra, (5, 0), (5, 10), (6, 5), (-31, 90)), check_general_position=False)
     tie = tuple(range(len(extra) + 2))[::-1]
@@ -535,11 +545,15 @@ def test_batched_kernel_tie_falls_back_alone():
     other = hull_coords(V.coords[i] for i in (len(tie), len(tie) + 1))
     rows, p, exact = poset._rank_int64(V, np.array([plain, tie, plain]), poset.hull_edges([other, hull, other]))
     assert exact == [True, False, True]
+    batch = poset.rank_sides(V, [plain, tie, plain], [other, hull, other])
+    assert batch[1] is None
     for q in (0, 2):
-        assert poset._side_tables(plain, rows[q], p[q], _NO_CAP, True) == _compare_side(plain, V.coords, other, _NO_CAP)
-    assert _compare_side_int64(tie, V, hull, 0) is None
-    with pytest.raises(DegenerateInputError):
-        _compare_side_int64(tie, V, hull, _NO_CAP, False)
+        assert batch[q][0].tolist() == rows[q].tolist() and batch[q][1].tolist() == p[q].tolist()
+        order = tuple(plain[r] for r in batch[q][0].tolist())
+        tables = poset._pack_tables(order, batch[q][1].tolist()), poset._side_count(batch[q][1], _NO_CAP)
+        assert tables == _compare_side(plain, V.coords, other, _NO_CAP)
+    assert _by_rankings(tie, V, hull, 0) is None
+    assert _by_rankings(tie, V, hull, _NO_CAP) is DegenerateInputError
 
 
 def test_crossing_guarantee(rng):
@@ -851,3 +865,70 @@ def test_block_grid_chain_matches_reference(cells, mode):
     succ = _grid_successors(cells, 8, mode)
     assert succ == succ_masks(range(len(cells)), lambda e, f: dom(cells[e], cells[f]))
     assert [cells[e] for e in longest_chain(succ)] == _reference_longest_chain(cells, dom)
+
+
+def _total_order(side, succ):
+    """``side`` sorted upwards in the total order that ``succ`` masks give
+    it, by popcounts: the reference the rankings' chains are held to."""
+    side_mask = vertex_mask(side)
+    return sorted(side, key=lambda x: -(succ[x] & side_mask).bit_count())
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    na=st.integers(1, 64),
+    kind=st.sampled_from(["point", "segment", "cloud", "arc"]),
+    nb=st.integers(3, 40),
+    top=st.sampled_from([INT64_COORD_LIMIT, INT64_COORD_LIMIT + 1, COORD_LIMIT]),
+    sign=st.sampled_from([1, -1]),
+)
+@settings(max_examples=200, deadline=None)
+def test_ranked_chain_matches_longest_chain(seed, na, kind, nb, top, sign):
+    # The chain read off a side's rankings is the one longest_chain finds
+    # in its tables, listed upwards, on both sides of the int64 bound.
+    nb = {"point": 1, "segment": 2}.get(kind, nb)
+    coords, A, B = _side_and_hull(seed, na, nb, kind, top)
+    pts = [(sign * x, sign * y) for x, y in coords]
+    assume(general_position_check(pts) is None)
+    pp = build_pair_poset(A, B, PointSet(pts))
+    for order, place, succ in ((pp.order_a, pp.place_a, pp.succ_a), (pp.order_b, pp.place_b, pp.succ_b)):
+        chain = poset.ranked_chain(order, place)
+        assert chain == _total_order(longest_chain(succ), succ)
+        if order is pp.order_a and pp.iota_a == 0:
+            assert chain == list(order)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    na=st.integers(1, 40),
+    nb=st.integers(1, 28),
+    scale=st.sampled_from([1, 2**25, 2**26, 2**27 + 1]),
+    threshold=st.sampled_from([1, poset._INT64_MIN_SIDE]),
+)
+@settings(max_examples=300, deadline=None)
+def test_tied_sides_raise_or_give_up(seed, na, nb, scale, threshold):
+    # Sides drawn from small grids, scaled within the int64 bound or
+    # beyond it, hold many exact ties. A side left unranked by a tie goes
+    # to the scalar loop, which raises on it without a cap and, at any
+    # cap, raises or gives up, never returning tables; a side ranked
+    # exactly has no degenerate pair, and the scalar loop gives the tables
+    # its rankings pack.
+    rng = random.Random(seed)
+    left = rng.sample([(x, y) for x in range(4) for y in range(10)], na)
+    # The corner (7, 9) puts the largest coordinate at 9 * scale.
+    right = [(7, 9)] + rng.sample([(x, y) for x in range(5, 8) for y in range(9)], nb - 1)
+    V = PointSet([(scale * x, scale * y) for x, y in left + right], check_general_position=False)
+    assert V.within_int64_bound == (scale <= 2**25)
+    A, B = tuple(range(na)), tuple(range(na, na + nb))
+    hull_a = hull_coords(V.coords[i] for i in A)
+    hull_b = hull_coords(V.coords[i] for i in B)
+    with mock.patch.object(poset, "_INT64_MIN_SIDE", threshold):
+        for side, hull in ((A, hull_b), (B, hull_a)):
+            ranks = poset.rank_sides(V, [side], [hull])[0]
+            full = _outcome(_compare_side, side, V.coords, hull, _NO_CAP)
+            if ranks is None:
+                assert full is DegenerateInputError
+                for cap in (0, 1, 4, 16):
+                    assert _outcome(_compare_side, side, V.coords, hull, cap) in (None, DegenerateInputError)
+            else:
+                assert _by_rankings(side, V, hull, _NO_CAP) == full
