@@ -232,13 +232,24 @@ def test_cluster_hulls_match_hull_coords(case):
     assert cluster_hulls(V, groups) == [hull_coords(V.coords[v] for v in grp) for grp in groups]
 
 
-def test_pair_scan_builds_tables_once(monkeypatch):
-    # The scan ranks the sides of its dense pairs in batches, whatever the
-    # cluster size: clusters of 24 take the int64 kernel, of 4 and 5 the
-    # exact sort. No side is ranked twice against one hull, each pair is
-    # counted from its rankings once, into its PairPoset, and a scan that
-    # finds nothing ranks and counts nothing. The pair returned carries
-    # the PairPoset of an uncapped build and its edge count.
+def _disk_graph(n, density):
+    V = generate_points("random-disk", n, 3)
+    edge_rng = random.Random(3)
+    pairs = itertools.combinations(range(n), 2)
+    return GeometricGraph.from_edges(V, [e for e in pairs if density is None or edge_rng.random() < density])
+
+
+def _matching(n):
+    return GeometricGraph.from_edges(generate_points("random-disk", n, 3), [(i, i + 1) for i in range(0, n, 2)])
+
+
+def _scan_builds_tables_once(monkeypatch, groups):
+    """Run the pair scan on each (m, seeds, cases) group and check that no
+    side is ranked twice against one hull, each pair is counted from its
+    rankings once, into its PairPoset, and a scan that finds nothing ranks
+    and counts nothing. The pair returned must carry the PairPoset of an
+    uncapped build and its edge count. Returns the set of ``edges == m * m``
+    over the pairs returned."""
     problems, counted = [], []
     rank, count = clusters.rank_sides, clusters.poset_from_rankings
 
@@ -248,26 +259,6 @@ def test_pair_scan_builds_tables_once(monkeypatch):
 
     monkeypatch.setattr(clusters, "rank_sides", ranked)
     monkeypatch.setattr(clusters, "poset_from_rankings", lambda a, b, *rest: counted.append((a, b)) or count(a, b, *rest))
-
-    def disk_graph(n, density):
-        V = generate_points("random-disk", n, 3)
-        edge_rng = random.Random(3)
-        pairs = itertools.combinations(range(n), 2)
-        return GeometricGraph.from_edges(V, [e for e in pairs if density is None or edge_rng.random() < density])
-
-    def matching(n):
-        return GeometricGraph.from_edges(generate_points("random-disk", n, 3), [(i, i + 1) for i in range(0, n, 2)])
-
-    quarter, half = Fraction(1, 4), Fraction(1, 2)
-    groups = [
-        (24, range(3), [(disk_graph(240, None), quarter, True), (disk_graph(240, 0.9), quarter, True),
-                        (disk_graph(240, 0.5), quarter, True), (matching(240), half, False)]),
-        (4, range(4), [(disk_graph(90, None), quarter, True), (disk_graph(90, 0.9), quarter, True),
-                       (disk_graph(90, 0.5), quarter, True), (matching(90), half, False)]),
-        # At m = 5, nets 0 and 3 find a complete pair first and return a
-        # less tangled pair that misses edges.
-        (5, range(4), [(disk_graph(60, 0.9), quarter, True)]),
-    ]
     kept = set()
     for m, seeds, cases in groups:
         for graph, delta, found in cases:
@@ -275,7 +266,7 @@ def test_pair_scan_builds_tables_once(monkeypatch):
             for seed in seeds:
                 problems.clear()
                 counted.clear()
-                pick = find_avoiding_dense_pair(graph, m, quarter, delta, seed)
+                pick = find_avoiding_dense_pair(graph, m, Fraction(1, 4), delta, seed)
                 assert (pick is not None) == found
                 assert len(problems) == len(set(problems))
                 assert len(counted) == len(set(counted))
@@ -288,9 +279,33 @@ def test_pair_scan_builds_tables_once(monkeypatch):
                 assert {(A, hull_b), (B, hull_a)} <= set(problems)
                 assert P_ == build_pair_poset(A, B, V)
                 assert pick.edges == graph.block_edge_counts([A], [B])[0, 0]
-                kept.add((m > 5, pick.edges == m * m))
-    # Both kinds of returned pair occur on both paths.
-    assert kept == {(True, True), (True, False), (False, True), (False, False)}
+                kept.add(pick.edges == m * m)
+    return kept
+
+
+def test_pair_scan_builds_tables_once(monkeypatch):
+    # Clusters of 24 take the int64 kernel. The scan ranks the sides of
+    # its dense pairs in batches and builds each pair's tables once.
+    quarter, half = Fraction(1, 4), Fraction(1, 2)
+    cases = [(_disk_graph(240, None), quarter, True), (_disk_graph(240, 0.9), quarter, True),
+             (_disk_graph(240, 0.5), quarter, True), (_matching(240), half, False)]
+    # Both kinds of returned pair, complete and missing edges, occur.
+    assert _scan_builds_tables_once(monkeypatch, [(24, range(3), cases)]) == {True, False}
+
+
+def test_per_pair_scan_builds_tables_once(monkeypatch):
+    # Clusters of 4 and 5, once ranked one pair at a time, take the exact
+    # sort in the same batched path, and their tables are built once too.
+    quarter, half = Fraction(1, 4), Fraction(1, 2)
+    groups = [
+        (4, range(4), [(_disk_graph(90, None), quarter, True), (_disk_graph(90, 0.9), quarter, True),
+                       (_disk_graph(90, 0.5), quarter, True), (_matching(90), half, False)]),
+        # At m = 5, nets 0 and 3 find a complete pair first and return a
+        # less tangled pair that misses edges.
+        (5, range(4), [(_disk_graph(60, 0.9), quarter, True)]),
+    ]
+    # Both kinds of returned pair, complete and missing edges, occur.
+    assert _scan_builds_tables_once(monkeypatch, groups) == {True, False}
 
 
 def reference_scan(G, m, eps, delta, seed):
