@@ -11,7 +11,8 @@ pass and ranks the dense cluster pairs by their capped incomparable count.
 The sides of a run of pairs are ranked in one batch (``poset.rank_sides``),
 on hull arrays built once per net when they take the int64 kernel, and
 each pair is then counted from its rankings, whatever its size or
-coordinates; the rankings of the pair returned are its ``PairPoset``.
+coordinates. The pair returned travels as its ``PairPoset``, which holds
+both clusters (``P.a``, ``P.b``) next to their rankings.
 """
 
 from __future__ import annotations
@@ -161,19 +162,6 @@ def desk_net_size(n: int, m: int) -> int:
     return max(2, isqrt(isqrt(8 * max(n, 1) // max(m, 1))))
 
 
-class DensePair(tuple):
-    """``(A, B, P)``: the pair that ``find_avoiding_dense_pair`` returns and
-    its ``PairPoset``, with ``edges``, the number of graph edges between A
-    and B that the scan counted."""
-
-    edges: int
-
-    def __new__(cls, A, B, P, edges: int):
-        pair = super().__new__(cls, (A, B, P))
-        pair.edges = edges
-        return pair
-
-
 def check_eps_delta(eps: Fraction, delta: Fraction) -> None:
     """Raise ValueError unless eps > 0, 0 < delta <= 1 and eps * delta <= 2,
     as the pair scan needs them."""
@@ -210,7 +198,9 @@ def find_avoiding_dense_pair(G: GeometricGraph, m: int, eps, delta, seed: int):
     pair ends the scan, or at ``_BATCH_POINTS``. The scan counts each pair
     from its rankings as it is reached (``poset_from_rankings``), with the
     caps of a sequential scan of ``build_pair_poset`` calls, and keeps the
-    ``PairPoset`` of the best pair. Returns a ``DensePair`` or None.
+    ``PairPoset`` of the best pair. Returns ``(P, edges)``, that poset
+    with the number of graph edges between its sides ``P.a`` and ``P.b``
+    that the scan counted, or None.
     """
     V = G.vertices
     n = len(V)
@@ -285,4 +275,4 @@ def find_avoiding_dense_pair(G: GeometricGraph, m: int, eps, delta, seed: int):
     if best is None:
         return None
     cnt, _, P = best
-    return DensePair(P.a, P.b, P, cnt)
+    return P, cnt

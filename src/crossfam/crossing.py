@@ -4,7 +4,8 @@ families from a geometric graph: the practical pipeline.
 The pipeline finds a separated pair of clusters that is dense and nearly
 untangled, searching the cluster size m downwards, and returns the base of
 that pair: a longest run of edges between its longest chains,
-rank-matched. The chains are read off each side's two tangent rankings
+rank-matched. The pair travels as its ``PairPoset``, which holds both
+sides; the chains are read off each side's two tangent rankings
 (``poset.ranked_chain``), so the practical pipeline packs no
 comparability table. Theory mode hands the run to
 ``theory.theory_segments``, the paper's recursion under its exact
@@ -149,7 +150,7 @@ def _longest_edge_run(G: GeometricGraph, order_a, order_b, mode: FamilyMode) -> 
     return run
 
 
-def _base_segments(G: GeometricGraph, A, B, P: PairPoset, mode: FamilyMode) -> list[Segment]:
+def _base_segments(G: GeometricGraph, P: PairPoset, mode: FamilyMode) -> list[Segment]:
     """The practical family of a pair: a longest run of edges between the
     longest chains of its sides (the full sides, in their first rankings,
     when the pair is untangled), read off their rankings, or a single edge
@@ -165,18 +166,17 @@ def _base_segments(G: GeometricGraph, A, B, P: PairPoset, mode: FamilyMode) -> l
         # make_family's normal form; the family that leaves
         # crossing_family_from_pair is verified there.
         return sorted((a, b) if a < b else (b, a) for a, b in run)
-    return _first_edge(G, A, B)
+    return _first_edge(G, P.a, P.b)
 
 
 def crossing_family_from_pair(
-    G: GeometricGraph, A, B, P: PairPoset, *, mode: FamilyMode = FamilyMode.CROSSING
+    G: GeometricGraph, P: PairPoset, *, mode: FamilyMode = FamilyMode.CROSSING
 ) -> SegmentFamily | None:
-    """The verified base of one separated pair, or None when the pair spans
-    no edges at all. ``P`` is the poset of exactly the pair (A, B). The base
-    is a longest run of edges between the pair's ordered chains
-    (``_base_segments``).
+    """The verified base of the separated pair (``P.a``, ``P.b``), or None
+    when the pair spans no edges at all. The base is a longest run of edges
+    between the pair's ordered chains (``_base_segments``).
     """
-    segs = _base_segments(G, A, B, P, mode)
+    segs = _base_segments(G, P, mode)
     if not segs:
         return None
     return make_family(mode, segs, G, G.vertices)
@@ -251,13 +251,13 @@ def _find_family(G: GeometricGraph, cfg: RunConfig, mode: FamilyMode) -> Segment
             break
         pick = find_avoiding_dense_pair(G, m, eps, delta, cfg.seed + attempt)
         if pick is not None:
-            A, B, P = pick
-            fam = crossing_family_from_pair(G, A, B, P, mode=mode)
+            P, edges = pick
+            fam = crossing_family_from_pair(G, P, mode=mode)
             if fam is not None and len(fam) > len(best):
                 best = fam
         if len(best) >= 2:
             nets += 1
-            full = pick is not None and pick.edges == len(A) * len(B)
+            full = pick is not None and edges == len(P.a) * len(P.b)
             if full or nets == _NETS_AT_FAMILY:
                 return best
             continue

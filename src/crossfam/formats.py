@@ -246,8 +246,8 @@ def _parse_edges(V: PointSet, m: int, lines: _Lines) -> tuple[GeometricGraph, _L
 
 @dataclass(frozen=True)
 class ResultData:
-    """Parsed contents of a result file. ``ms`` is wall-clock and excluded
-    from determinism comparisons."""
+    """Parsed contents of a result file. ``ms`` is wall-clock, so two runs
+    of one input may differ in it alone."""
 
     mode: str
     segments: tuple[Segment, ...]
@@ -255,9 +255,6 @@ class ResultData:
     params: tuple[tuple[str, str], ...]
     seed: int
     ms: int
-
-    def determinism_key(self) -> tuple:
-        return (self.mode, self.segments, self.verified, self.params, self.seed)
 
 
 def render_result_file(r: ResultData) -> str:

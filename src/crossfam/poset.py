@@ -71,12 +71,12 @@ from .geom import PointSet, _orient_coords, hull_coords, hull_coords_disjoint, v
 # for cluster-sized.
 SIZE_CAP = 4096
 
-# Sides smaller than this are ranked by the exact comparator sort. Measured
-# on a shared 2-vCPU x86-64 machine with numpy 2.4, on random sides against
-# hulls of about 10 vertices: the int64 kernel costs about 55 us a call on
-# small sides and ties the scalar loop at about 16 points on a full table;
-# at 24 it takes about half the scalar time on a full table, and still wins
-# when a cap stops the scalar loop halfway.
+# Sides smaller than this are ranked by the exact comparator sort,
+# ``_rank_exact``. Measured on a shared 2-vCPU x86-64 machine with numpy 2.4,
+# on one random side against a hull of 8 to 12 vertices, its edge arrays
+# built per call: the int64 kernel costs about 70 us a call on small sides
+# and ties ``_rank_exact`` at about 12 to 16 points; at 24 it takes about
+# three quarters of the exact sort's time, at 32 about half.
 _INT64_MIN_SIDE = 24
 # Entries in one row slab of the int64 kernel: int64 tangent tests, so that
 # each of their temporaries stays near 64 KB, or boolean rank comparisons.
@@ -157,10 +157,6 @@ class PairPoset:
     @property
     def iota_sum(self) -> int:
         return self.iota_a + self.iota_b
-
-    @property
-    def is_zero_avoiding(self) -> bool:
-        return self.iota_a == 0 and self.iota_b == 0
 
 
 # Tangent sign pairs that stand for a verdict of the full hull scan, used

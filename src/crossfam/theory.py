@@ -3,8 +3,9 @@
 ``theory_params`` gives the schedule for a recursion of depth s: per level
 the block counts t and k, the block size m, and the pair size M.
 ``theory_segments`` is the theory driver. It runs one pair search at the
-schedule's M and hands the pair found to ``recursion_segments``, which
-splits it into a chain of blockwise ordered block pairs whose edges relate
+schedule's M and hands the ``PairPoset`` of the pair found to
+``recursion_segments``, which splits it into a chain of blockwise ordered
+block pairs, each a ``PairPoset`` of its two blocks, whose edges relate
 across blocks (``split_pair``, over ``poset.interval_chains``), recurses
 into the blocks and unions the results; a node at the bottom, or one too
 small to split, gives one edge. The guaranteed regime starts at
@@ -159,15 +160,19 @@ def _dense_exponent(n: int, edges: int) -> Fraction:
     return frac
 
 
-def _verify_split_blocks(parts, G: GeometricGraph, mode: FamilyMode, budget_pairs: int = 20_000) -> None:
+# Edge pairs across blocks beyond which ``_verify_split_blocks`` checks none.
+_VERIFY_BUDGET_PAIRS = 20_000
+
+
+def _verify_split_blocks(parts: Sequence[PairPoset], G: GeometricGraph, mode: FamilyMode) -> None:
     rel = _relation(mode)
     V = G.vertices
-    edge_lists = [list(G.edges_between(Ai, Bi)) for Ai, Bi, _ in parts]
+    edge_lists = [list(G.edges_between(p.a, p.b)) for p in parts]
     total_checks = 0
     for i in range(len(parts) - 1):
         for j in range(i + 1, len(parts)):
             total_checks += len(edge_lists[i]) * len(edge_lists[j])
-    if total_checks > budget_pairs:
+    if total_checks > _VERIFY_BUDGET_PAIRS:
         return
     for i in range(len(parts) - 1):
         for j in range(i + 1, len(parts)):
@@ -179,11 +184,11 @@ def _verify_split_blocks(parts, G: GeometricGraph, mode: FamilyMode, budget_pair
                     )
 
 
-def check_incomparability_localized(P: PairPoset, A, d_blocks, V: PointSet) -> None:
-    """Assert that a pair incomparable relative to B stays incomparable
-    relative to at most one of the ordered B-blocks."""
+def check_incomparability_localized(P: PairPoset, d_blocks, V: PointSet) -> None:
+    """Assert that a pair of ``P.a`` incomparable relative to ``P.b`` stays
+    incomparable relative to at most one of the ordered blocks of ``P.b``."""
     hulls = [convex_hull([V[i] for i in blk]) for blk in d_blocks]
-    for u, v in combinations(A, 2):
+    for u, v in combinations(P.a, 2):
         if (P.succ_a[u] >> v | P.succ_a[v] >> u) & 1:
             continue
         hits = sum(1 for h in hulls if line_meets_hull(V[u], V[v], h))
@@ -210,8 +215,6 @@ def _grid_successors(cells, tk: int, mode: FamilyMode) -> dict[int, int]:
 
 def split_pair(
     G: GeometricGraph,
-    A,
-    B,
     P: PairPoset,
     t: int,
     k: int,
@@ -219,17 +222,17 @@ def split_pair(
     *,
     mode: FamilyMode = FamilyMode.CROSSING,
     theory: bool = False,
-):
-    """Split a separated pair into a chain of dense, untangled block pairs.
+) -> list[PairPoset]:
+    """Split the separated pair (``P.a``, ``P.b``) into a chain of dense,
+    untangled block pairs.
 
     Extracts t*k ordered blocks of size m from each side, scores every block
-    pair, and returns a longest chain of eligible pairs. Crossing mode chains
-    pairs with both indices increasing; avoiding mode reverses the second
-    coordinate. Each returned pair carries its own comparability tables.
-    ``P`` is the poset of exactly the pair (A, B).
+    pair, and returns a longest chain of eligible pairs, each as the
+    ``PairPoset`` of its two blocks (``sub.a``, ``sub.b``). Crossing mode
+    chains pairs with both indices increasing; avoiding mode reverses the
+    second coordinate.
     """
-    a = tuple(A)
-    b = tuple(B)
+    a, b = P.a, P.b
     if t < 1 or k < 1 or m < 1:
         raise ValueError("t, k, m must be positive")
     if theory and t < 3:
@@ -237,8 +240,6 @@ def split_pair(
     expected = (t + 1) * k * m
     if len(a) != expected or len(b) != expected:
         raise ValueError(f"sides must have exactly (t+1)km = {expected} elements")
-    if P.a != a or P.b != b:
-        raise ValueError("P must be the poset of exactly the pair (A, B)")
     V = G.vertices
     delta = Fraction(1, t)
     eps = Fraction(1, 32 * t * t * k)
@@ -274,32 +275,32 @@ def split_pair(
     chain = [eligible[e] for e in longest_chain(_grid_successors(eligible, tk, mode))]
     if theory:
         assert len(chain) >= k, "guaranteed chain length not reached"
-    parts = [(c_blocks[ai], d_blocks[bi], sub) for ai, bi, sub in chain]
+    parts = [sub for _, _, sub in chain]
 
     if __debug__:
         _verify_split_blocks(parts, G, mode)
         if tk <= 30 and P.iota_a <= 2000:
-            check_incomparability_localized(P, a, d_blocks, V)
+            check_incomparability_localized(P, d_blocks, V)
     return parts
 
 
 def recursion_segments(
-    G: GeometricGraph, A, B, P: PairPoset, levels: Sequence[LevelParams], mode: FamilyMode
+    G: GeometricGraph, P: PairPoset, levels: Sequence[LevelParams], mode: FamilyMode
 ) -> list[Segment]:
-    """The paper's recursion on the pair (A, B), whose poset is ``P``, one
-    level per entry of ``levels``: each node is split into a chain of block
-    pairs (``split_pair``) and the blocks recurse; a node at the bottom, or
-    one too small to split, gives one edge. A block the split cannot handle
+    """The paper's recursion on the pair (``P.a``, ``P.b``), one level per
+    entry of ``levels``: each node is split into a chain of block pairs
+    (``split_pair``) and the blocks recurse; a node at the bottom, or one
+    too small to split, gives one edge. A block the split cannot handle
     raises. The segments are not yet verified."""
 
-    def rec(a, b, p, depth) -> list[Segment]:
-        if depth <= 1 or len(a) < 4 or len(a) != len(b):
-            return _first_edge(G, a, b)
+    def rec(p: PairPoset, depth: int) -> list[Segment]:
+        if depth <= 1 or len(p.a) < 4 or len(p.a) != len(p.b):
+            return _first_edge(G, p.a, p.b)
         lvl = levels[depth - 1]
-        parts = split_pair(G, a, b, p, lvl.t, lvl.k, lvl.m, mode=mode, theory=True)
-        return [s for ai, bi, pi in parts for s in rec(ai, bi, pi, depth - 1)]
+        parts = split_pair(G, p, lvl.t, lvl.k, lvl.m, mode=mode, theory=True)
+        return [s for sub in parts for s in rec(sub, depth - 1)]
 
-    return rec(tuple(A), tuple(B), P, len(levels))
+    return rec(P, len(levels))
 
 
 def theory_segments(G: GeometricGraph, cfg, mode: FamilyMode) -> list[Segment]:
@@ -321,4 +322,4 @@ def theory_segments(G: GeometricGraph, cfg, mode: FamilyMode) -> list[Segment]:
     pick = find_avoiding_dense_pair(G, sched.M, sched.eps, search_delta, cfg.seed)
     if pick is None:
         return []
-    return recursion_segments(G, *pick, sched.levels, mode)
+    return recursion_segments(G, pick[0], sched.levels, mode)

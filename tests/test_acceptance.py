@@ -154,15 +154,15 @@ def test_criterion_5_split_cross_block():
         P = build_pair_poset(A, B, V)
         if tangled:
             assert P.iota_a == 1, "tangled instance must plant exactly one pair"
-        parts = split_pair(G, A, B, P, t, k, m, mode=mode)
+        parts = split_pair(G, P, t, k, m, mode=mode)
         assert len(parts) >= k
         rel = rels[mode]
-        for (Ai, Bi, _), (Aj, Bj, _) in itertools.combinations(parts, 2):
-            for e in itertools.product(Ai, Bi):
-                for f in itertools.product(Aj, Bj):
+        for p, q in itertools.combinations(parts, 2):
+            for e in itertools.product(p.a, p.b):
+                for f in itertools.product(q.a, q.b):
                     assert rel(e, f, V)
         d_blocks = interval_chains(B, P.succ_b, m, t * k).blocks
-        check_incomparability_localized(P, A, d_blocks, V)
+        check_incomparability_localized(P, d_blocks, V)
     _report("5 split cross-block guarantee (100 constructed instances)")
 
 

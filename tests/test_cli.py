@@ -197,6 +197,26 @@ def test_cli_generate_run_verify_oracle(tmp_path, capsys):
     assert len(r.segments) <= len(o.segments)
 
 
+def test_cli_range_oracle_limit_and_version(tmp_path, capsys):
+    # A 10x10 jittered grid needs a wider range than 16.
+    assert main(["generate", "grid-jitter", "-n", "100", "--range", "16"]) == 2
+    assert "range 16 too tight for a 10x10 jittered grid" in capsys.readouterr().err
+    pts = tmp_path / "pts.txt"
+    argv = ["generate", "random-disk", "-n", "12", "--range", "1000", "--seed", "3", "--out", str(pts)]
+    assert main(argv) == 0
+    V = parse_point_file(pts.read_text())
+    assert len(V) == 12
+    assert all(abs(x) <= 500 and abs(y) <= 500 for x, y in V.coords)
+    # The complete graph on 12 points has 66 edges.
+    graph = tmp_path / "g.txt"
+    graph.write_text(render_graph_file(GeometricGraph.complete(V)))
+    capsys.readouterr()
+    assert main(["oracle", str(graph), "--oracle-limit", "5"]) == 2
+    assert "exceed the oracle limit" in capsys.readouterr().err
+    assert main(["--version"]) == 0
+    assert capsys.readouterr().out == f"crossfam {crossfam.__version__}\n"
+
+
 def test_cli_verify_detects_corruption(tmp_path, capsys):
     pts = tmp_path / "g.txt"
     result = tmp_path / "r.txt"

@@ -273,13 +273,14 @@ def _scan_builds_tables_once(monkeypatch, groups):
                 if not found:
                     assert problems == counted == []
                     continue
-                A, B, P_ = pick
+                P_, edges = pick
+                A, B = P_.a, P_.b
                 assert (A, B) in counted
                 hull_a, hull_b = (tuple(hull_coords(V.coords[v] for v in side)) for side in (A, B))
                 assert {(A, hull_b), (B, hull_a)} <= set(problems)
                 assert P_ == build_pair_poset(A, B, V)
-                assert pick.edges == graph.block_edge_counts([A], [B])[0, 0]
-                kept.add(pick.edges == m * m)
+                assert edges == graph.block_edge_counts([A], [B])[0, 0]
+                kept.add(edges == m * m)
     return kept
 
 
@@ -313,7 +314,7 @@ def reference_scan(G, m, eps, delta, seed):
     is ranked as it is reached, by a capped ``build_pair_poset`` when it is
     complete and by ``iota_sum_capped`` when it misses edges, with the caps
     and skip rules of ``find_avoiding_dense_pair``; the pair returned gets
-    the tables of an uncapped build."""
+    the tables of an uncapped build, next to its edge count."""
     V = G.vertices
     n = len(V)
     eps, delta = Fraction(eps), Fraction(delta)
@@ -350,10 +351,10 @@ def reference_scan(G, m, eps, delta, seed):
                 best, P = (cnt, iota, i, j), pair
     if best is None:
         return None
-    _, _, i, j = best
+    cnt, _, i, j = best
     if P is None:
         P = build_pair_poset(cl[i], cl[j], V, hulls[i], hulls[j])
-    return P.a, P.b, P
+    return P, cnt
 
 
 def _scan_outcome(scan, *args):
@@ -433,7 +434,7 @@ def test_scan_over_table_cap_returns_a_pair(monkeypatch):
     family = find_crossing_family(G, RunConfig(m=24))
     assert family.verified and len(family) >= 2
     with pytest.raises(ValueError, match="comparability table cap"):
-        pick[2].succ_a
+        pick[0].succ_a
 
 
 def test_pair_scan_memory_is_sliced(monkeypatch):
@@ -554,7 +555,8 @@ def test_find_avoiding_dense_pair_matches_reference():
             )
         want = reference_pair(G, m, eps, delta, seed)
         assert want is not None, (kind, n, density)
-        A, B, P = find_avoiding_dense_pair(G, m, eps, delta, seed)
+        P, _ = find_avoiding_dense_pair(G, m, eps, delta, seed)
+        A, B = P.a, P.b
         assert (A, B) == want, (kind, n, density)
         assert len(A) == len(B) == m
         assert hulls_disjoint([V[i] for i in A], [V[i] for i in B])
@@ -576,9 +578,9 @@ def test_find_avoiding_dense_pair_ties_keep_the_first_pair():
         (GeometricGraph.complete(PointSet([Point(*c) for c in complete])), 0),
         (GeometricGraph.from_edges(PointSet([Point(*c) for c in sparse]), edges), 1),
     ):
-        A, B, P = find_avoiding_dense_pair(G, 3, Fraction(1), Fraction(1, 4), seed)
+        P, _ = find_avoiding_dense_pair(G, 3, Fraction(1), Fraction(1, 4), seed)
         assert P.iota_sum > 0
-        assert (A, B) == reference_pair(G, 3, Fraction(1), Fraction(1, 4), seed)
+        assert (P.a, P.b) == reference_pair(G, 3, Fraction(1), Fraction(1, 4), seed)
 
 
 def test_find_avoiding_dense_pair_no_edges():
@@ -644,4 +646,4 @@ def test_find_pair_deterministic():
     a = find_avoiding_dense_pair(G, 4, Fraction(1, 4), Fraction(1, 4), 9)
     b = find_avoiding_dense_pair(G, 4, Fraction(1, 4), Fraction(1, 4), 9)
     assert a is not None and b is not None
-    assert a[0] == b[0] and a[1] == b[1]
+    assert a == b

@@ -75,7 +75,7 @@ def test_match_sizes_and_verification(rng):
     for trial in range(20):
         V, A, B = block_instance(rng, t=1, k=1, m=3)
         pp = build_pair_poset(A, B, V)
-        if not pp.is_zero_avoiding:
+        if pp.iota_sum != 0:
             continue
         fam = match_avoiding_pair(A, B, V)
         assert len(fam.segments) == 6
@@ -98,16 +98,16 @@ def test_split_pair_crossing(rng):
     V, A, B = block_instance(rng, t=3, k=2, m=2)
     G = GeometricGraph.complete(V)
     P_ = build_pair_poset(A, B, V)
-    parts = split_pair(G, A, B, P_, 3, 2, 2)
+    parts = split_pair(G, P_, 3, 2, 2)
     assert len(parts) >= 2
-    for Ai, Bi, Pi in parts:
-        assert len(Ai) == len(Bi) == 2
+    for Pi in parts:
+        assert len(Pi.a) == len(Pi.b) == 2
         assert Pi.iota_sum == 0
-        assert Pi == build_pair_poset(Ai, Bi, V)
+        assert Pi == build_pair_poset(Pi.a, Pi.b, V)
     # cross-block relation, exhaustively
-    for (Ai, Bi, _), (Aj, Bj, _) in itertools.combinations(parts, 2):
-        for e in itertools.product(Ai, Bi):
-            for f in itertools.product(Aj, Bj):
+    for Pi, Pj in itertools.combinations(parts, 2):
+        for e in itertools.product(Pi.a, Pi.b):
+            for f in itertools.product(Pj.a, Pj.b):
                 assert segments_cross(e, f, V)
 
 
@@ -115,13 +115,13 @@ def test_split_pair_avoiding(rng):
     V, A, B = block_instance(rng, t=3, k=2, m=2)
     G = GeometricGraph.complete(V)
     P_ = build_pair_poset(A, B, V)
-    parts = split_pair(G, A, B, P_, 3, 2, 2, mode=FamilyMode.AVOIDING)
+    parts = split_pair(G, P_, 3, 2, 2, mode=FamilyMode.AVOIDING)
     assert len(parts) >= 2
-    for Ai, Bi, Pi in parts:
-        assert Pi == build_pair_poset(Ai, Bi, V)
-    for (Ai, Bi, _), (Aj, Bj, _) in itertools.combinations(parts, 2):
-        for e in itertools.product(Ai, Bi):
-            for f in itertools.product(Aj, Bj):
+    for Pi in parts:
+        assert Pi == build_pair_poset(Pi.a, Pi.b, V)
+    for Pi, Pj in itertools.combinations(parts, 2):
+        for e in itertools.product(Pi.a, Pi.b):
+            for f in itertools.product(Pj.a, Pj.b):
                 assert segments_avoiding(e, f, V)
 
 
@@ -134,7 +134,7 @@ def test_split_pair_antichain_fails(rng):
     if P_.iota_a == 0 and P_.iota_b == 0:
         pytest.skip("random instance came out untangled")
     with pytest.raises(HypothesisViolatedError):
-        split_pair(G, A, B, P_, 3, 1, 4)
+        split_pair(G, P_, 3, 1, 4)
 
 
 def test_split_pair_size_check(rng):
@@ -142,19 +142,16 @@ def test_split_pair_size_check(rng):
     G = GeometricGraph.complete(V)
     P_ = build_pair_poset(A, B, V)
     with pytest.raises(ValueError):
-        split_pair(G, A, B, P_, 3, 2, 2)
+        split_pair(G, P_, 3, 2, 2)
     with pytest.raises(ValueError):
-        split_pair(G, A, B, P_, 2, 2, 2, theory=True)
-    # P must be the poset of exactly the sides given.
-    with pytest.raises(ValueError, match="poset of exactly the pair"):
-        split_pair(G, A, B, build_pair_poset(A[::-1], B, V), 3, 1, 2)
+        split_pair(G, P_, 2, 2, 2, theory=True)
 
 
 def test_family_from_pair_zero_avoiding(rng):
     V, A, B = block_instance(rng, t=1, k=1, m=3)
     G = GeometricGraph.complete(V)
     P_ = build_pair_poset(A, B, V)
-    fam = crossing_family_from_pair(G, A, B, P_, mode=FamilyMode.CROSSING)
+    fam = crossing_family_from_pair(G, P_, mode=FamilyMode.CROSSING)
     assert fam is not None and len(fam) == 6
     assert verify_family(fam, G) is None
 
@@ -163,7 +160,7 @@ def test_family_from_pair_single_edge():
     V = PointSet(P((0, 0), (4, 1), (2, 2), (10, -6), (11, 14)))
     G = GeometricGraph.from_edges(V, [(0, 3)])
     P_ = build_pair_poset((0, 1, 2), (3, 4), V)
-    fam = crossing_family_from_pair(G, (0, 1, 2), (3, 4), P_)
+    fam = crossing_family_from_pair(G, P_)
     assert fam is not None and fam.segments == ((0, 3),)
 
 
@@ -171,7 +168,7 @@ def test_family_from_pair_no_edges():
     V = PointSet(P((0, 0), (4, 1), (2, 2), (10, -6), (11, 14)))
     G = GeometricGraph.from_edges(V, [(0, 1)])  # no A-B edges
     P_ = build_pair_poset((0, 1, 2), (3, 4), V)
-    assert crossing_family_from_pair(G, (0, 1, 2), (3, 4), P_) is None
+    assert crossing_family_from_pair(G, P_) is None
 
 
 def test_family_from_pair_two_level(rng):
@@ -181,9 +178,9 @@ def test_family_from_pair_two_level(rng):
     V, A, B = block_instance(rng, t=3, k=2, m=3)
     G = GeometricGraph.complete(V)
     P_ = build_pair_poset(A, B, V)
-    assert P_.is_zero_avoiding
+    assert P_.iota_sum == 0
     for mode in FamilyMode:
-        fam = crossing_family_from_pair(G, A, B, P_, mode=mode)
+        fam = crossing_family_from_pair(G, P_, mode=mode)
         assert fam is not None
         assert len(fam) == len(A) == 24
         assert fam.segments == match_avoiding_pair(A, B, V, mode=mode).segments
@@ -243,7 +240,7 @@ def test_base_run_matches_reference(mode):
         assert len(cells_run) == len(run) == _longest_run_reference(cells, mode)
         assert _longest_run_reference(cells_run, mode) == len(run)
 
-        base = crossing._base_segments(G, A, B, P_, mode)
+        base = crossing._base_segments(G, P_, mode)
         r = min(len(rows), len(cols))
         if len(run) >= 2:
             assert len(base) == len(run)
@@ -480,10 +477,10 @@ def test_theory_recursion_meets_guarantee(rng):
     V, A, B = block_instance(rng, t=8, k=8, m=9)
     G = GeometricGraph.complete(V)
     P_ = build_pair_poset(A, B, V)
-    assert P_.is_zero_avoiding
+    assert P_.iota_sum == 0
     sched = theory_params(len(V), None, 2)
     assert (sched.levels[1].t, sched.levels[1].k, sched.levels[1].m) == (8, 8, 9)
-    segs = recursion_segments(G, A, B, P_, sched.levels, FamilyMode.CROSSING)
+    segs = recursion_segments(G, P_, sched.levels, FamilyMode.CROSSING)
     fam = make_family(FamilyMode.CROSSING, segs, G, V)
     assert len(fam) >= sched.K == 8
     assert verify_family(fam, G) is None
@@ -588,12 +585,12 @@ def test_driver_schedule_invariants(monkeypatch, kind, n, seed, density, cfg, mo
 
     def pick(G, m, eps, delta, pick_seed):
         got = real_pick(G, m, eps, delta, pick_seed)
-        full = got is not None and all(G.has_edge(u, v) for u in got[0] for v in got[1])
+        full = got is not None and all(G.has_edge(u, v) for u in got[0].a for v in got[0].b)
         attempts.append([m, Fraction(eps), pick_seed, None, full])
         return got
 
-    def family(*args, **kwargs):
-        fam = real_family(*args, **kwargs)
+    def family(G, P, **kwargs):
+        fam = real_family(G, P, **kwargs)
         attempts[-1][3] = 0 if fam is None else len(fam)
         return fam
 

@@ -64,7 +64,7 @@ def test_build_pair_poset_example():
     assert pp.less_in_a(0, 1)
     assert pp.less_in_b(3, 2)
     assert pp.iota_a == 0 and pp.iota_b == 0
-    assert pp.is_zero_avoiding
+    assert pp.iota_sum == 0
 
 
 def test_build_pair_poset_total_order():
