@@ -1,7 +1,8 @@
 """Command-line surface: generate, run, verify, oracle, bench.
 
 Exit codes: 0 success, 1 verification failure, 2 usage, parse or file
-error (a path that cannot be read or written), 3 internal error.
+error (a path that cannot be read or written) or an edgeless graph, 3
+internal error.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ import argparse
 import math
 import os
 import random
+import statistics
 import sys
 import time
 from fractions import Fraction
@@ -24,6 +26,7 @@ from .crossing import (
 )
 from .errors import (
     CrossfamError,
+    EmptyGraphError,
     GeneralPositionError,
     ParseError,
     RangeTooSmallError,
@@ -44,9 +47,9 @@ DEFAULT_RANGE = 1_000_000
 _MAX_FIXUPS = 20_000
 
 
-def _fix_general_position(coords, draw, attempts=_MAX_FIXUPS):
+def _fix_general_position(coords, draw):
     """Replace offending points until the set is in general position."""
-    for _ in range(attempts):
+    for _ in range(_MAX_FIXUPS):
         witness = general_position_check(coords)
         if witness is None:
             return coords
@@ -227,8 +230,7 @@ def cmd_verify(args) -> int:
         if not (0 <= a < n and 0 <= b < n):
             print(f"segment ({a}, {b}) out of range for {n} vertices", file=sys.stderr)
             return 2
-    mode = FamilyMode.CROSSING if r.mode == "crossing" else FamilyMode.AVOIDING
-    fam = SegmentFamily(mode, r.segments, False, G)
+    fam = SegmentFamily(FamilyMode(r.mode), r.segments, False, G)
     witness = verify_family(fam, G)
     if witness is None:
         print(f"ok: {len(r.segments)} pairwise {r.mode} segments")
@@ -240,9 +242,8 @@ def cmd_verify(args) -> int:
 def cmd_oracle(args) -> int:
     seed = _seed_default(args)
     G = parse_graph_file(_read(args.input))
-    mode = FamilyMode.CROSSING if args.mode == "crossing" else FamilyMode.AVOIDING
     t0 = time.perf_counter()
-    fam = max_family_bruteforce(G, mode, args.oracle_limit)
+    fam = max_family_bruteforce(G, FamilyMode(args.mode), args.oracle_limit)
     ms = int((time.perf_counter() - t0) * 1000)
     result = ResultData(
         mode=args.mode,
@@ -279,17 +280,12 @@ def run_bench(sizes, trials: int, seed: int, mode: str, max_retries: int = RunCo
                 raise AssertionError(f"bench run failed verification: {witness}")
             rows.append((n, trial, len(fam.segments), int(dt * 1000)))
             times.append(dt)
-        times.sort()
-        mid = len(times) // 2
-        med = times[mid] if len(times) % 2 else (times[mid - 1] + times[mid]) / 2
-        medians.append((n, max(med, 1e-6)))
+        medians.append((n, max(statistics.median(times), 1e-6)))
     slope = None
     if len({n for n, _ in medians}) >= 2:
-        pts = [(math.log(n), math.log(t)) for n, t in medians]
-        mx = sum(x for x, _ in pts) / len(pts)
-        my = sum(y for _, y in pts) / len(pts)
-        denom = sum((x - mx) ** 2 for x, _ in pts)
-        slope = sum((x - mx) * (y - my) for x, y in pts) / denom
+        slope = statistics.linear_regression(
+            [math.log(n) for n, _ in medians], [math.log(t) for _, t in medians]
+        ).slope
     return rows, slope
 
 
@@ -377,10 +373,8 @@ def main(argv=None) -> int:
         return 2 if e.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (ParseError, ValueError, RangeTooSmallError, TooLargeError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except GeneralPositionError as e:
+    except (ParseError, ValueError, RangeTooSmallError, TooLargeError, OSError,
+            GeneralPositionError, EmptyGraphError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except CrossfamError as e:

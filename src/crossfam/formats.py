@@ -4,6 +4,11 @@ Versioned plain-text headers keep the files inspectable; parse errors carry
 1-based line numbers, counted at the line boundaries ``str.splitlines``
 uses. Every renderer round-trips through its parser.
 
+Point, graph and result files are all read through one line reader,
+``_Lines``, and end with one trailing-content check. One rule reads the
+``key=<N>`` count of every header (``_count``), and one rule reads a line of
+two integers (``_edge_tokens``), for edge and segment lines alike.
+
 A graph file's edge list is decoded in bulk: ``parse_graph_file`` splits
 off only the point lines and the ``edges`` header as strings, then finds
 the edge lines and decodes every ``<digits> <digits>`` line with numpy,
@@ -71,6 +76,14 @@ def _reject_trailing(lines: _Lines) -> None:
                 raise ParseError(i, f"unexpected trailing content {line!r}")
 
 
+def _count(field: str) -> int:
+    """The whole number after the ``=`` of a ``key=<N>`` header field, or -1."""
+    try:
+        return max(int(field.partition("=")[2]), -1)
+    except ValueError:
+        return -1
+
+
 def render_point_file(V: PointSet) -> str:
     lines = [f"pointset v1 n={len(V)}"]
     lines.extend(f"{p.x} {p.y}" for p in V)
@@ -83,10 +96,7 @@ def _parse_points(lines: _Lines) -> PointSet:
     parts = header.split()
     if len(parts) != 3 or parts[0] != "pointset" or parts[1] != "v1" or not parts[2].startswith("n="):
         raise ParseError(1, f"expected 'pointset v1 n=<N>', got {header!r}")
-    try:
-        n = int(parts[2][2:])
-    except ValueError:
-        n = -1
+    n = _count(parts[2])
     if n < 0:
         raise ParseError(1, f"bad point count in {header!r}")
     pts = []
@@ -137,10 +147,7 @@ def parse_graph_file(text: str) -> GeometricGraph:
             raise ParseError(
                 lines.line_no, f"expected 'edges m=<M>' or 'edges complete', got {header!r}"
             )
-        try:
-            m = int(parts[1][2:])
-        except ValueError:
-            m = -1
+        m = _count(parts[1])
         if m < 0:
             raise ParseError(lines.line_no, f"bad edge count in {header!r}")
         G, lines = _parse_edges(V, m, lines)
@@ -148,15 +155,16 @@ def parse_graph_file(text: str) -> GeometricGraph:
     return G
 
 
-def _edge_tokens(line: str, line_no: int) -> tuple[int, int]:
-    """The scalar rule for one edge line: two ``int`` tokens."""
+def _edge_tokens(line: str, line_no: int, what: str = "edge indices") -> tuple[int, int]:
+    """The scalar rule for one edge or segment line: two ``int`` tokens.
+    ``what`` names them in the message for a token that is not one."""
     toks = line.split()
     if len(toks) != 2:
         raise ParseError(line_no, f"expected '<i> <j>', got {line!r}")
     try:
         return int(toks[0]), int(toks[1])
     except ValueError:
-        raise ParseError(line_no, f"bad edge indices {line!r}") from None
+        raise ParseError(line_no, f"bad {what} {line!r}") from None
 
 
 def _decimal(c: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -274,64 +282,51 @@ def render_result_file(r: ResultData) -> str:
 def _expect(lines: list[str], idx: int, key: str) -> str:
     if idx >= len(lines):
         raise ParseError(idx + 1, f"expected '{key} ...', file ended")
-    ln = lines[idx].rstrip("\n")
+    ln = lines[idx]
     if not ln.startswith(key + " ") and ln != key:
         raise ParseError(idx + 1, f"expected '{key} ...', got {ln!r}")
     return ln[len(key) :].strip()
 
 
 def parse_result_file(text: str) -> ResultData:
-    lines = text.splitlines()
-    if not lines or lines[0].strip() != "result v1":
+    lines = _Lines(text)
+    head = lines.take(7)
+    if not head or head[0].strip() != "result v1":
         raise ParseError(1, "expected 'result v1' header")
-    mode = _expect(lines, 1, "mode")
+    mode = _expect(head, 1, "mode")
     if mode not in ("crossing", "avoiding"):
         raise ParseError(2, f"mode must be crossing or avoiding, got {mode!r}")
-    verified_s = _expect(lines, 2, "verified")
+    verified_s = _expect(head, 2, "verified")
     if verified_s not in ("true", "false"):
         raise ParseError(3, f"verified must be true or false, got {verified_s!r}")
-    seed_s = _expect(lines, 3, "seed")
+    seed_s = _expect(head, 3, "seed")
     try:
         seed = int(seed_s)
     except ValueError:
         raise ParseError(4, f"bad seed {seed_s!r}") from None
-    params_s = _expect(lines, 4, "params")
+    params_s = _expect(head, 4, "params")
     params: list[tuple[str, str]] = []
-    if params_s:
-        for tok in params_s.split():
-            if "=" not in tok:
-                raise ParseError(5, f"bad parameter token {tok!r}")
-            k, v = tok.split("=", 1)
-            params.append((k, v))
-    ms_s = _expect(lines, 5, "ms")
+    for tok in params_s.split():
+        if "=" not in tok:
+            raise ParseError(5, f"bad parameter token {tok!r}")
+        k, v = tok.split("=", 1)
+        params.append((k, v))
+    ms_s = _expect(head, 5, "ms")
     try:
         ms = int(ms_s)
     except ValueError:
         raise ParseError(6, f"bad ms {ms_s!r}") from None
-    seg_s = _expect(lines, 6, "segments")
+    seg_s = _expect(head, 6, "segments")
     if not seg_s.startswith("n="):
         raise ParseError(7, f"expected 'segments n=<N>', got {seg_s!r}")
-    try:
-        count = int(seg_s[2:])
-    except ValueError:
-        count = -1
+    count = _count(seg_s)
     if count < 0:
         raise ParseError(7, f"bad segment count {seg_s!r}")
-    segs: list[Segment] = []
-    for i in range(count):
-        ln = 7 + i
-        if ln >= len(lines):
-            raise ParseError(ln + 1, f"expected {count} segments, file ends after {i}")
-        toks = lines[ln].split()
-        if len(toks) != 2:
-            raise ParseError(ln + 1, f"expected '<i> <j>', got {lines[ln]!r}")
-        try:
-            segs.append((int(toks[0]), int(toks[1])))
-        except ValueError:
-            raise ParseError(ln + 1, f"bad segment indices {lines[ln]!r}") from None
-    for ln in range(7 + count, len(lines)):
-        if lines[ln].strip():
-            raise ParseError(ln + 1, f"unexpected trailing content {lines[ln]!r}")
+    taken = lines.take(count)
+    segs = [_edge_tokens(line, 8 + i, "segment indices") for i, line in enumerate(taken)]
+    if len(taken) < count:
+        raise ParseError(8 + len(taken), f"expected {count} segments, file ends after {len(taken)}")
+    _reject_trailing(lines)
     return ResultData(mode, tuple(segs), verified_s == "true", tuple(params), seed, ms)
 
 

@@ -1,7 +1,10 @@
 import dataclasses
 import hashlib
 import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -250,6 +253,41 @@ def test_cli_parse_error_exit_code(tmp_path):
     f = tmp_path / "bad.txt"
     f.write_text("hello world\n")
     assert main(["run", str(f)]) == 2
+
+
+EDGELESS_GRAPH = "pointset v1 n=3\n0 0\n1 1\n2 5\nedges m=0\n"
+
+
+def test_cli_run_edgeless_graph_exits_2(tmp_path, capsys):
+    # A valid graph with no edges is bad input (exit 2), not an internal
+    # error (exit 3), in either mode; the oracle answers it with nothing.
+    graph = tmp_path / "g.txt"
+    graph.write_text(EDGELESS_GRAPH)
+    out = tmp_path / "r.txt"
+    for mode in ("crossing", "avoiding"):
+        assert main(["run", str(graph), "--mode", mode, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: graph has no edges\n"
+        assert not out.exists()
+    assert main(["oracle", str(graph), "--out", str(out)]) == 0
+    assert parse_result_file(out.read_text()).segments == ()
+
+
+def test_module_entry_point(tmp_path):
+    # ``python -m crossfam`` runs the same main, with the same exit codes.
+    graph = tmp_path / "g.txt"
+    graph.write_text(EDGELESS_GRAPH)
+    src = str(Path(crossfam.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+
+    def crossfam_module(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "crossfam", *argv], env=env, capture_output=True, text=True, timeout=120
+        )
+
+    version = crossfam_module("--version")
+    assert (version.returncode, version.stdout) == (0, "crossfam 0.1.0\n")
+    run = crossfam_module("run", str(graph))
+    assert (run.returncode, run.stdout, run.stderr) == (2, "", "error: graph has no edges\n")
 
 
 def test_cli_run_rejects_eps_delta_above_two(tmp_path, capsys):

@@ -1,8 +1,10 @@
-"""Differential tests of the bulk graph-file parser and mask builder.
+"""Differential tests of the file parsers and the mask builder.
 
 ``reference_parse_graph_file`` is the line-by-line parser that
-``formats.parse_graph_file`` replaced: every text must give an equal graph,
-or a ``ParseError`` with the same line number and message, from both.
+``formats.parse_graph_file`` replaced, and ``reference_parse_result_file``
+the ``str.splitlines`` parser that ``formats.parse_result_file`` replaced:
+every text must give an equal graph or result, or a ``ParseError`` with the
+same line number and message, from both.
 """
 
 from __future__ import annotations
@@ -16,7 +18,14 @@ from hypothesis import strategies as st
 
 from crossfam import geom
 from crossfam.errors import GeneralPositionError, ParseError
-from crossfam.formats import parse_graph_file, render_graph_file, render_point_file
+from crossfam.formats import (
+    ResultData,
+    parse_graph_file,
+    parse_result_file,
+    render_graph_file,
+    render_point_file,
+    render_result_file,
+)
 from crossfam.geom import GeometricGraph, Point, PointSet
 
 
@@ -95,6 +104,71 @@ def reference_parse_graph_file(text: str) -> GeometricGraph:
         if lines[ln].strip():
             raise ParseError(ln + 1, f"unexpected trailing content {lines[ln]!r}")
     return G
+
+
+def _reference_expect(lines: list[str], idx: int, key: str) -> str:
+    if idx >= len(lines):
+        raise ParseError(idx + 1, f"expected '{key} ...', file ended")
+    ln = lines[idx].rstrip("\n")
+    if not ln.startswith(key + " ") and ln != key:
+        raise ParseError(idx + 1, f"expected '{key} ...', got {ln!r}")
+    return ln[len(key) :].strip()
+
+
+def reference_parse_result_file(text: str) -> ResultData:
+    """Indexes into ``text.splitlines()``, with its own trailing-content loop."""
+    lines = text.splitlines()
+    if not lines or lines[0].strip() != "result v1":
+        raise ParseError(1, "expected 'result v1' header")
+    mode = _reference_expect(lines, 1, "mode")
+    if mode not in ("crossing", "avoiding"):
+        raise ParseError(2, f"mode must be crossing or avoiding, got {mode!r}")
+    verified_s = _reference_expect(lines, 2, "verified")
+    if verified_s not in ("true", "false"):
+        raise ParseError(3, f"verified must be true or false, got {verified_s!r}")
+    seed_s = _reference_expect(lines, 3, "seed")
+    try:
+        seed = int(seed_s)
+    except ValueError:
+        raise ParseError(4, f"bad seed {seed_s!r}") from None
+    params_s = _reference_expect(lines, 4, "params")
+    params: list[tuple[str, str]] = []
+    if params_s:
+        for tok in params_s.split():
+            if "=" not in tok:
+                raise ParseError(5, f"bad parameter token {tok!r}")
+            k, v = tok.split("=", 1)
+            params.append((k, v))
+    ms_s = _reference_expect(lines, 5, "ms")
+    try:
+        ms = int(ms_s)
+    except ValueError:
+        raise ParseError(6, f"bad ms {ms_s!r}") from None
+    seg_s = _reference_expect(lines, 6, "segments")
+    if not seg_s.startswith("n="):
+        raise ParseError(7, f"expected 'segments n=<N>', got {seg_s!r}")
+    try:
+        count = int(seg_s[2:])
+    except ValueError:
+        count = -1
+    if count < 0:
+        raise ParseError(7, f"bad segment count {seg_s!r}")
+    segs = []
+    for i in range(count):
+        ln = 7 + i
+        if ln >= len(lines):
+            raise ParseError(ln + 1, f"expected {count} segments, file ends after {i}")
+        toks = lines[ln].split()
+        if len(toks) != 2:
+            raise ParseError(ln + 1, f"expected '<i> <j>', got {lines[ln]!r}")
+        try:
+            segs.append((int(toks[0]), int(toks[1])))
+        except ValueError:
+            raise ParseError(ln + 1, f"bad segment indices {lines[ln]!r}") from None
+    for ln in range(7 + count, len(lines)):
+        if lines[ln].strip():
+            raise ParseError(ln + 1, f"unexpected trailing content {lines[ln]!r}")
+    return ResultData(mode, tuple(segs), verified_s == "true", tuple(params), seed, ms)
 
 
 def reference_from_edges(V: PointSet, edges) -> tuple[int, ...]:
@@ -284,3 +358,88 @@ def test_neighbour_masks_in_slabs_match_reference(n, edges, slab_bytes):
     with mock.patch.object(geom, "_SLAB_BYTES", slab_bytes):
         assert GeometricGraph.from_edges(V, edges)._adj == reference_from_edges(V, edges)
         _assert_same(text)
+
+
+def _result_outcome(parse, text: str):
+    try:
+        return ("result", parse(text))
+    except ParseError as e:
+        return ("error", e.line_no, str(e))
+
+
+RESULT_KEYS = ("result", "mode", "verified", "seed", "params", "ms", "segments")
+# A header line's value that its own check refuses; the params value has a
+# token without "=".
+BAD_VALUES = {
+    "mode": ("crossed", "", "crossing avoiding"),
+    "verified": ("yes", "", "True"),
+    "seed": ("x", "1.5", "", "0x10"),
+    "params": ("m", "m=4 theory", "=x y"),
+    "ms": ("fast", "", "-"),
+}
+
+
+@st.composite
+def result_texts(draw):
+    """A rendered result file, then a few perturbations of its lines."""
+    r = ResultData(
+        mode=draw(st.sampled_from(("crossing", "avoiding"))),
+        segments=tuple(draw(st.lists(st.tuples(st.integers(0, 99), st.integers(0, 99)), max_size=8))),
+        verified=draw(st.booleans()),
+        params=tuple(draw(st.lists(
+            st.tuples(st.sampled_from(("m", "eps", "theory", "s")), st.sampled_from(("1", "1/4", "a=b", ""))),
+            max_size=3,
+        ))),
+        seed=draw(st.integers(-(2**40), 2**40)),
+        ms=draw(st.integers(0, 10**6)),
+    )
+    lines = render_result_file(r).split("\n")[:-1]
+    # Values first, at the rendered positions; then the line structure.
+    ops = draw(st.lists(st.sampled_from(
+        ("value", "count", "segment", "drop", "duplicate", "misspell", "trailing")
+    ), max_size=3))
+    for op in sorted(ops, key=lambda op: op not in ("value", "count", "segment")):
+        if op == "value":
+            key = draw(st.sampled_from(sorted(BAD_VALUES)))
+            lines[RESULT_KEYS.index(key)] = f"{key} {draw(st.sampled_from(BAD_VALUES[key]))}"
+        elif op == "count":
+            n = len(r.segments)
+            lines[6] = "segments " + draw(st.sampled_from((
+                f"n={max(0, n + draw(st.sampled_from((-2, -1, 1, 2))))}",
+                f"n=-{draw(st.integers(1, 3))}", "n=x", "n=", f"n={n}x", f"m={n}", f"n = {n}",
+            )))
+        elif op == "segment" and r.segments:
+            i = draw(st.integers(0, len(r.segments) - 1))
+            a, b = r.segments[i]
+            lines[7 + i] = draw(st.sampled_from((f"{a}", f"{a} {b} 3", f"{a} x", f"1.5 {b}", f"{a} {b}.0", "")))
+        elif op in ("drop", "duplicate", "misspell") and lines:
+            i = draw(st.integers(0, min(6, len(lines) - 1)))
+            if op == "drop":
+                del lines[i]
+            elif op == "duplicate":
+                lines.insert(i, lines[i])
+            else:
+                key = lines[i].split(" ", 1)[0]
+                lines[i] = lines[i].replace(key, draw(st.sampled_from((key[:-1], key + "s", key.upper()))), 1)
+        elif op == "trailing":
+            lines.append(draw(st.sampled_from(("", " ", "\t", "x", "0 1"))))
+    ends = [draw(st.sampled_from(("\n", "\n", "\r\n", "\r", "\x0b", "\x85", "\u2028"))) for _ in lines]
+    text = "".join(line + end for line, end in zip(lines, ends))
+    if draw(st.booleans()):
+        text = text.rstrip("\n")
+    return text
+
+
+@given(result_texts())
+@settings(max_examples=400, deadline=None)
+@example("")
+@example("\n")
+@example("result v1")
+@example("result v1\nmode crossing\nverified true\nseed 1\nparams\nms 0\nsegments n=0")
+@example("result v1\nmode crossing\nverified true\nseed 1\nparams \nms 0\nsegments n=2\n0 1\n")
+@example("result v1\nmode avoiding\nverified false\nseed -3\nparams m=4\nms 5\nsegments n=1\n0 1\n\n \n2 3\n")
+@example("result v1\r\nmode crossing\rverified true\x0bseed 1\x85params\u2028ms 0\nsegments n=1\r\n0 1")
+@example("result v1\nmode crossing\nverified true\nseed 1\nparams\nms 0\nsegments n=" + "9" * 25 + "\n0 1\n")
+@example("result v1\nmode crossing\nverified true\nseed 1\nparams\nms 0\nsegments n=1\n0\x1f1\n")
+def test_result_parser_matches_reference(text):
+    assert _result_outcome(parse_result_file, text) == _result_outcome(reference_parse_result_file, text)
