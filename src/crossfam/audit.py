@@ -282,8 +282,9 @@ def verify_zone_property(L, V: PointSet, eps):
     # normal form too, as zone_point_count compares them.
     own = {l.normalized() for l in lines}
     audit: _ZoneAudit | None = None
-    for i, j in combinations(range(n), 2):
-        ell = Line.through(V[i], V[j])
+    pts = list(V)
+    for p, q in combinations(pts, 2):
+        ell = Line.through(p, q)
         if ell in own:
             continue
         if not lines:
@@ -297,7 +298,7 @@ def verify_zone_property(L, V: PointSet, eps):
                     in_cells = int(np.count_nonzero(~audit.off_cells))
                     if in_cells * eps.denominator <= eps.numerator * n:
                         return None
-            count = audit.count(V[i], V[j])
+            count = audit.count(p, q)
         if count * eps.denominator > eps.numerator * n:
             return ell, count
     return None

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GeneralPositionError, ParseError
-from .geom import GeometricGraph, Point, PointSet, Segment, neighbour_masks
+from .geom import COORD_LIMIT, GeometricGraph, PointSet, Segment, neighbour_masks
 
 # Every line boundary of str.splitlines other than "\n"; "\r\n" is one.
 _OTHER_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
@@ -86,7 +86,7 @@ def _count(field: str) -> int:
 
 def render_point_file(V: PointSet) -> str:
     lines = [f"pointset v1 n={len(V)}"]
-    lines.extend(f"{p.x} {p.y}" for p in V)
+    lines.extend(f"{x} {y}" for x, y in V.coords)
     return "\n".join(lines) + "\n"
 
 
@@ -106,9 +106,12 @@ def _parse_points(lines: _Lines) -> PointSet:
         if len(toks) != 2:
             raise ParseError(i + 2, f"expected '<x> <y>', got {line!r}")
         try:
-            pts.append(Point(int(toks[0]), int(toks[1])))
+            x, y = int(toks[0]), int(toks[1])
+            if abs(x) > COORD_LIMIT or abs(y) > COORD_LIMIT:
+                raise ValueError
         except ValueError:
             raise ParseError(i + 2, f"bad integer coordinates {line!r}") from None
+        pts.append((x, y))
     if len(taken) < n:
         raise ParseError(len(taken) + 2, f"expected {n} points, file ends after {len(taken)}")
     try:
@@ -344,9 +347,9 @@ def render_svg(G: GeometricGraph, family_segments) -> str:
 
     The y axis is flipped so the picture matches mathematical orientation.
     """
-    V = G.vertices
-    xs = [p.x for p in V]
-    ys = [-p.y for p in V]
+    coords = G.vertices.coords
+    xs = [x for x, _ in coords]
+    ys = [-y for _, y in coords]
     min_x, max_x = min(xs), max(xs)
     min_y, max_y = min(ys), max(ys)
     w = max_x - min_x + 2 * SVG_MARGIN
@@ -361,19 +364,19 @@ def render_svg(G: GeometricGraph, family_segments) -> str:
     for a, b in G.edges_iter():
         if drawn >= edge_cap:
             break
-        pa, pb = V[a], V[b]
+        (ax, ay), (bx, by) = coords[a], coords[b]
         out.append(
-            f'<line x1="{pa.x}" y1="{-pa.y}" x2="{pb.x}" y2="{-pb.y}" '
+            f'<line x1="{ax}" y1="{-ay}" x2="{bx}" y2="{-by}" '
             f'stroke="#bbbbbb" stroke-width="{stroke * 0.5:g}"/>'
         )
         drawn += 1
     for a, b in family_segments:
-        pa, pb = V[a], V[b]
+        (ax, ay), (bx, by) = coords[a], coords[b]
         out.append(
-            f'<line x1="{pa.x}" y1="{-pa.y}" x2="{pb.x}" y2="{-pb.y}" '
+            f'<line x1="{ax}" y1="{-ay}" x2="{bx}" y2="{-by}" '
             f'stroke="#cc2222" stroke-width="{stroke * 1.5:g}"/>'
         )
-    for p in V:
-        out.append(f'<circle cx="{p.x}" cy="{-p.y}" r="{stroke * 1.2:g}" fill="#222222"/>')
+    for x, y in coords:
+        out.append(f'<circle cx="{x}" cy="{-y}" r="{stroke * 1.2:g}" fill="#222222"/>')
     out.append("</svg>")
     return "\n".join(out) + "\n"

@@ -81,43 +81,55 @@ class PointSet(Sequence):
     By default construction certifies general position (no duplicates, no
     three collinear points). Intermediate sets can waive the check.
 
-    ``coords`` holds the coordinates as int tuples and ``xy`` as a read-only
-    n x 2 int64 array, which always fits since every coordinate is at most
-    ``COORD_LIMIT``. ``within_int64_bound`` is True when every coordinate is
-    at most ``INT64_COORD_LIMIT`` in magnitude, so int64 kernels may run.
+    The points are given as ``Point``s or as pairs, coerced with ``int``; a
+    coordinate beyond ``COORD_LIMIT`` in magnitude raises ValueError. They
+    are held only as ``coords``, int tuples, and ``xy``, a read-only n x 2
+    int64 array; indexing, slicing and iteration build ``Point``s on
+    demand, and equality and hashing read ``coords``.
+    ``within_int64_bound`` is True when every coordinate is at most
+    ``INT64_COORD_LIMIT`` in magnitude, so int64 kernels may run.
     """
 
-    __slots__ = ("points", "coords", "xy", "within_int64_bound")
+    __slots__ = ("coords", "xy", "within_int64_bound")
 
     def __init__(self, points: Iterable, *, check_general_position: bool = True):
-        pts = tuple(_as_point(p) for p in points)
-        self.points = pts
-        self.coords = tuple((p.x, p.y) for p in pts)
-        self.xy = np.array(self.coords, dtype=np.int64).reshape(len(pts), 2)
-        self.xy.flags.writeable = False
-        self.within_int64_bound = not pts or int(np.abs(self.xy).max()) <= INT64_COORD_LIMIT
+        # A list comprehension, which builds faster than a generator.
+        coords = tuple([(p.x, p.y) if isinstance(p, Point) else (int(p[0]), int(p[1])) for p in points])
+        self.coords = coords
+        try:
+            xy = np.array(coords, dtype=np.int64).reshape(len(coords), 2)
+        except OverflowError:
+            raise ValueError(f"coordinate magnitude exceeds {COORD_LIMIT}") from None
+        top = max(int(xy.max()), -int(xy.min())) if coords else 0
+        if top > COORD_LIMIT:
+            raise ValueError(f"coordinate magnitude exceeds {COORD_LIMIT}")
+        xy.flags.writeable = False
+        self.xy = xy
+        self.within_int64_bound = top <= INT64_COORD_LIMIT
         if check_general_position:
             witness = general_position_check(self)
             if witness is not None:
                 raise GeneralPositionError(witness)
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.coords)
 
     def __getitem__(self, i):
-        return self.points[i]
+        if isinstance(i, slice):
+            return tuple(Point(x, y) for x, y in self.coords[i])
+        return Point(*self.coords[i])
 
     def __iter__(self) -> Iterator[Point]:
-        return iter(self.points)
+        return (Point(x, y) for x, y in self.coords)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, PointSet) and self.points == other.points
+        return isinstance(other, PointSet) and self.coords == other.coords
 
     def __hash__(self):
-        return hash(self.points)
+        return hash(self.coords)
 
     def __repr__(self) -> str:
-        return f"PointSet({len(self.points)} points)"
+        return f"PointSet({len(self.coords)} points)"
 
 
 def general_position_check(points) -> tuple[int, ...] | None:
@@ -126,14 +138,18 @@ def general_position_check(points) -> tuple[int, ...] | None:
     The witness is a duplicate index pair (i, j) or a collinear index triple
     (i, j, k), whichever is found first scanning in index order.
 
-    Each anchor i first goes through a float filter: the slopes dy/dx
-    towards every j > i, sorted. Within ``COORD_LIMIT`` every difference is
-    below 2**33, so exact in float64, and a correctly rounded division maps
-    equal directions to equal quotients. So an anchor without a tied slope
-    starts no collinear triple, and only an anchor with a tie is scanned
-    exactly, by ``_anchor_witness``; the witness is the one a scan of every
-    anchor finds. Coordinates beyond the limit are scanned exactly at every
-    anchor.
+    A float filter, ``_tied_anchors``, picks the anchors that the exact scan
+    ``_anchor_witness`` visits, in index order. It sorts the points by
+    (x, y), so the slope dy/dx from a point towards any point after it has
+    dx >= 0, and dx = 0 only with dy > 0: each direction has one quotient,
+    +inf when vertical. Within ``COORD_LIMIT`` every difference is below
+    2**33, so exact in float64, and a correctly rounded division maps equal
+    directions to equal quotients. So a line through three or more points
+    ties in the row of its least point in (x, y) order, and all its points
+    are in that row's tied group. The anchors visited are the points of the
+    tied groups; they include every anchor that starts a collinear triple,
+    so the witness is the one a scan of every anchor finds. Coordinates
+    beyond the limit are scanned exactly at every anchor.
     """
     if isinstance(points, PointSet):
         coords, xy = points.coords, points.xy
@@ -163,30 +179,37 @@ def general_position_check(points) -> tuple[int, ...] | None:
 _SLOPE_SLAB = 1 << 13
 
 
-def _tied_anchors(xy) -> Iterator[int]:
-    # Anchors i < n - 2 whose slopes dy/dx towards the points after them tie
-    # in float64; no other anchor can start a collinear triple. Rows of the
-    # slope matrix go in slabs: row i holds i's slopes towards columns
-    # j > i, +inf where dx == 0 and NaN (never equal, sorted last) for
-    # j <= i, so sorting each row puts any tie side by side.
+def _tied_anchors(xy) -> list[int]:
+    # The indices, in increasing order, of the points of the tied groups of
+    # distinct points ``xy``. Row s of the slope matrix holds the slopes
+    # from point s in (x, y) order towards the points after it; a row whose
+    # sorted slopes tie is flagged, and its tied group is s and the points
+    # after it whose slope ties. Rows go in slabs against the columns from
+    # the slab's first row on, so a row also holds its slopes towards the
+    # slab rows before it, and NaN (0/0, never equal) towards itself; a tie
+    # there flags a row whose tied group may be empty, never misses one.
     n = len(xy)
-    xs, ys = xy[:, 0], xy[:, 1]
-    i0 = 0
-    while i0 < n - 2:
-        cols = n - i0 - 1
-        i1 = min(n - 2, i0 + max(1, _SLOPE_SLAB // cols))
-        dx = xs[None, i0 + 1 :] - xs[i0:i1, None]
-        q = ys[None, i0 + 1 :] - ys[i0:i1, None]
-        vertical = dx == 0
-        np.divide(q, dx, out=q, where=~vertical)
-        q[vertical] = np.inf
-        # Column c is point i0 + 1 + c; it is no later than row r's anchor
-        # i0 + r when c < r.
-        q[np.arange(cols)[None, :] < np.arange(i1 - i0)[:, None]] = np.nan
-        q.sort(axis=1)
-        for r in np.flatnonzero((q[:, 1:] == q[:, :-1]).any(axis=1)):
-            yield i0 + int(r)
-        i0 = i1
+    order = np.lexsort((xy[:, 1], xy[:, 0]))
+    xs, ys = xy[order, 0], xy[order, 1]
+    tied: set[int] = set()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        flagged = []
+        i0 = 0
+        while i0 < n - 2:
+            i1 = min(n - 2, i0 + max(1, _SLOPE_SLAB // (n - i0 - 1)))
+            q = ys[None, i0 + 1 :] - ys[i0:i1, None]
+            q /= xs[None, i0 + 1 :] - xs[i0:i1, None]
+            q.sort(axis=1)
+            flagged.extend((i0 + np.flatnonzero((q[:, 1:] == q[:, :-1]).any(axis=1))).tolist())
+            i0 = i1
+        for s in flagged:
+            q = (ys[s + 1 :] - ys[s]) / (xs[s + 1 :] - xs[s])
+            sq = np.sort(q)
+            group = np.isin(q, sq[1:][sq[1:] == sq[:-1]])
+            if group.any():
+                tied.add(int(order[s]))
+                tied.update(order[s + 1 :][group].tolist())
+    return sorted(tied)
 
 
 def _anchor_witness(coords, i: int) -> tuple[int, int, int] | None:

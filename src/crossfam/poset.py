@@ -57,7 +57,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, cmp_to_key
+from functools import cache, cached_property, cmp_to_key
 from itertools import chain
 from math import comb
 from typing import Mapping, Sequence
@@ -357,6 +357,16 @@ def rank_sides(V: PointSet, sides, hulls, edges: np.ndarray | None = None) -> li
     ]
 
 
+@cache
+def _above(step: int) -> np.ndarray:
+    """The read-only step x step mask of entries right of the diagonal.
+    ``_row_slabs``' steps are at most max(8, sqrt(``_PAIR_SLAB``)) = 90, so
+    the cache holds at most 90 masks of at most 8 KB."""
+    above = np.triu(np.ones((step, step), dtype=bool), 1)
+    above.flags.writeable = False
+    return above
+
+
 def _row_slabs(place, span: int = 0):
     """Row slabs of a side from the places of its rows in the last ranking:
     yields (i0, i1, after), where ``after[r, s]`` says that row i0 + r is
@@ -367,8 +377,7 @@ def _row_slabs(place, span: int = 0):
     fewer times, for temporaries of 8 rows of k entries."""
     k = len(place)
     step = min(k, max(8, _PAIR_SLAB // max(k, span // 8)))
-    diagonal = np.arange(step)
-    above = diagonal[:, None] < diagonal
+    above = _above(step)
     for i0 in range(0, k, step):
         i1 = min(k, i0 + step)
         after = place[i0:i1, None] < place[i0:]

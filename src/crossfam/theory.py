@@ -187,11 +187,12 @@ def _verify_split_blocks(parts: Sequence[PairPoset], G: GeometricGraph, mode: Fa
 def check_incomparability_localized(P: PairPoset, d_blocks, V: PointSet) -> None:
     """Assert that a pair of ``P.a`` incomparable relative to ``P.b`` stays
     incomparable relative to at most one of the ordered blocks of ``P.b``."""
-    hulls = [convex_hull([V[i] for i in blk]) for blk in d_blocks]
+    hulls = [convex_hull(V[i] for i in blk) for blk in d_blocks]
+    pts = {u: V[u] for u in P.a}
     for u, v in combinations(P.a, 2):
         if (P.succ_a[u] >> v | P.succ_a[v] >> u) & 1:
             continue
-        hits = sum(1 for h in hulls if line_meets_hull(V[u], V[v], h))
+        hits = sum(1 for h in hulls if line_meets_hull(pts[u], pts[v], h))
         assert hits <= 1, f"pair ({u}, {v}) incomparable relative to {hits} blocks"
 
 

@@ -78,11 +78,11 @@ def lines_through(V: PointSet, indices: Sequence[int]) -> tuple[Line, ...]:
     """All distinct lines determined by pairs of the given vertices, in
     canonical order."""
     seen: set[Line] = set()
-    idx = list(indices)
-    for i in range(len(idx) - 1):
-        p = V[idx[i]]
-        for j in range(i + 1, len(idx)):
-            seen.add(Line.through(p, V[idx[j]]))
+    pts = [V[i] for i in indices]
+    for i in range(len(pts) - 1):
+        p = pts[i]
+        for j in range(i + 1, len(pts)):
+            seen.add(Line.through(p, pts[j]))
     return tuple(sorted(seen))
 
 

@@ -21,12 +21,13 @@ from crossfam.errors import GeneralPositionError, ParseError
 from crossfam.formats import (
     ResultData,
     parse_graph_file,
+    parse_point_file,
     parse_result_file,
     render_graph_file,
     render_point_file,
     render_result_file,
 )
-from crossfam.geom import GeometricGraph, Point, PointSet
+from crossfam.geom import COORD_LIMIT, GeometricGraph, Point, PointSet
 
 
 def _reference_point_lines(lines: list[str], start: int) -> tuple[PointSet, int]:
@@ -57,6 +58,19 @@ def _reference_point_lines(lines: list[str], start: int) -> tuple[PointSet, int]
     except GeneralPositionError as e:
         raise ParseError(start + 2 + min(e.witness), str(e)) from None
     return V, start + 1 + n
+
+
+def _reference_trailing(lines: list[str], at: int) -> None:
+    for ln in range(at, len(lines)):
+        if lines[ln].strip():
+            raise ParseError(ln + 1, f"unexpected trailing content {lines[ln]!r}")
+
+
+def reference_parse_point_file(text: str) -> PointSet:
+    lines = text.splitlines()
+    V, at = _reference_point_lines(lines, 0)
+    _reference_trailing(lines, at)
+    return V
 
 
 def reference_parse_graph_file(text: str) -> GeometricGraph:
@@ -100,9 +114,7 @@ def reference_parse_graph_file(text: str) -> GeometricGraph:
             adj[b] |= 1 << a
         G = GeometricGraph(V, tuple(adj))
         at += 1 + m
-    for ln in range(at, len(lines)):
-        if lines[ln].strip():
-            raise ParseError(ln + 1, f"unexpected trailing content {lines[ln]!r}")
+    _reference_trailing(lines, at)
     return G
 
 
@@ -358,6 +370,91 @@ def test_neighbour_masks_in_slabs_match_reference(n, edges, slab_bytes):
     with mock.patch.object(geom, "_SLAB_BYTES", slab_bytes):
         assert GeometricGraph.from_edges(V, edges)._adj == reference_from_edges(V, edges)
         _assert_same(text)
+
+
+@st.composite
+def point_texts(draw):
+    """A rendered point file, then a few perturbations of its point block."""
+    n = draw(st.sampled_from(SIZES))
+    rows = [[str(x), str(y)] for x, y in _parabola(n).coords]
+    seps = [" "] * n
+    ends = ["\n"] * n
+    count = n
+    for _ in range(draw(st.integers(0, 3))):
+        op = draw(st.sampled_from(
+            ("number", "sign", "separator", "tokens", "limit", "repeat", "collinear", "break", "count")
+        ))
+        if op == "count":
+            count = max(0, count + draw(st.sampled_from((-2, -1, 1, 2))))
+            continue
+        if not rows:
+            continue
+        i = draw(st.integers(0, len(rows) - 1))
+        t = draw(st.integers(0, 1))
+        if op == "number" and len(rows[i]) == 2:
+            rows[i][t] = _number_form(draw, rows[i][t])
+        elif op == "sign" and len(rows[i]) == 2:
+            rows[i][t] = draw(st.sampled_from(("-", "+", "-0", "+-", "--"))) + rows[i][t].lstrip("+-")
+        elif op == "separator":
+            seps[i] = draw(st.sampled_from(SEPARATORS))
+            if draw(st.booleans()):
+                rows[i][-1] += draw(st.sampled_from((" ", "\t", "  ")))
+        elif op == "tokens":
+            x, y = (rows[i] + ["1", "2"])[:2]
+            rows[i] = draw(st.sampled_from(([x], [x, y, "3"], [x, y, y], ["x", y], ["1.5", y], ["0x1", y], [""])))
+        elif op == "limit" and len(rows[i]) == 2:
+            big = draw(st.sampled_from((COORD_LIMIT, COORD_LIMIT + 1, 10**20)))
+            rows[i][t] = str(draw(st.sampled_from((big, -big))))
+        elif op == "repeat":
+            j = draw(st.integers(0, len(rows) - 1))
+            rows[j] = list(rows[i])
+        elif op == "collinear" and len(rows) >= 3:
+            # 2b - a lies on the line through a and b, beyond b.
+            a, b, j = draw(st.permutations(range(len(rows))))[:3]
+            try:
+                (ax, ay), (bx, by) = (map(int, rows[k]) for k in (a, b))
+            except ValueError:
+                continue
+            rows[j] = [str(2 * bx - ax), str(2 * by - ay)]
+        elif op == "break":
+            ends[i] = draw(st.sampled_from(BREAKS))
+    body = "".join(sep.join(r) + end for r, sep, end in zip(rows, seps, ends))
+    return f"pointset v1 n={count}\n" + body
+
+
+def _point_outcome(parse, text: str):
+    try:
+        return ("points", parse(text).coords)
+    except ParseError as e:
+        return ("error", e.line_no, str(e))
+
+
+@given(point_texts(), st.sampled_from(("", "\n", " \n", "1 2\n")))
+@settings(max_examples=400, deadline=None)
+@example(f"pointset v1 n=3\n0 0\n1 1\n{COORD_LIMIT} -{COORD_LIMIT}\n", "")
+@example(f"pointset v1 n=3\n0 0\n1 {COORD_LIMIT + 1}\n2 x\n", "")
+@example("pointset v1 n=3\n0 0\n-٣ +5\n1_0 ９\n", "")
+@example("pointset v1 n=4\n0 0\n1 1\n5 2\n3 3\n", "")
+@example("pointset v1 n=4\n0 0\n1 1\n5 2\n1 1\n", "")
+@example("pointset v1 n=3\n0\t0\n1 1 \n2\t 5\n", "")
+@example("pointset v1 n=3\n0 0\n1 1\n", "")
+def test_point_block_matches_reference(text, tail):
+    # The same point block read as a point file, with what follows it as
+    # trailing lines, and as the head of a complete graph file.
+    assert _point_outcome(parse_point_file, text + tail) == _point_outcome(reference_parse_point_file, text + tail)
+    _assert_same(text + "edges complete\n" + tail)
+
+
+def test_graph_parse_builds_no_point(monkeypatch):
+    text = render_graph_file(GeometricGraph.complete(_parabola(256)))
+    built = []
+    post_init = Point.__post_init__
+    monkeypatch.setattr(Point, "__post_init__", lambda p: built.append(p) or post_init(p))
+    G = parse_graph_file(text)
+    assert len(G.vertices) == 256 and G.is_complete
+    assert built == []
+    p = G.vertices[5]  # indexing builds one Point
+    assert built == [p] and p == Point(5, 25)
 
 
 def _result_outcome(parse, text: str):

@@ -338,21 +338,29 @@ def reference_general_position_check(coords):
         if c in seen:
             return (seen[c], i)
         seen[c] = i
-    n = len(coords)
-    for i in range(n - 2):
-        xi, yi = coords[i]
-        dirs = {}
-        for j in range(i + 1, n):
-            dx = coords[j][0] - xi
-            dy = coords[j][1] - yi
-            g = gcd(dx, dy)
-            dx //= g
-            dy //= g
-            if dx < 0 or (dx == 0 and dy < 0):
-                dx, dy = -dx, -dy
-            if (dx, dy) in dirs:
-                return (i, dirs[(dx, dy)], j)
-            dirs[(dx, dy)] = j
+    for i in range(len(coords) - 2):
+        witness = _reference_anchor_triple(coords, i)
+        if witness is not None:
+            return witness
+    return None
+
+
+def _reference_anchor_triple(coords, i):
+    # The first collinear triple (i, j, k) of distinct points with i < j < k,
+    # k least, or None.
+    xi, yi = coords[i]
+    dirs = {}
+    for j in range(i + 1, len(coords)):
+        dx = coords[j][0] - xi
+        dy = coords[j][1] - yi
+        g = gcd(dx, dy)
+        dx //= g
+        dy //= g
+        if dx < 0 or (dx == 0 and dy < 0):
+            dx, dy = -dx, -dy
+        if (dx, dy) in dirs:
+            return (i, dirs[(dx, dy)], j)
+        dirs[(dx, dy)] = j
     return None
 
 
@@ -421,20 +429,16 @@ def test_general_position_check_float_tie_is_not_collinear():
     assert general_position_check(coords) is None
     assert general_position_check(P(*coords)) is None
     assert general_position_check([(-x, -y) for x, y in coords]) is None
-
-
-def _reference_tied_anchors(xy):
-    # One float64 divide and sort per anchor, as the filter first ran.
-    xs, ys = xy[:, 0], xy[:, 1]
-    tied = []
-    for i in range(len(xy) - 2):
-        dx = xs[i + 1 :] - xs[i]
-        dy = ys[i + 1 :] - ys[i]
-        q = np.divide(dy, dx, out=np.full(len(dx), np.inf), where=dx != 0)
-        q.sort()
-        if (q[1:] == q[:-1]).any():
-            tied.append(i)
-    return tied
+    # Reversed and mirrored in y = x, where L/(L-1) and (L-1)/(L-2) tie
+    # too, the tie is in the row of the origin, index 2; a point before the
+    # origin in (x, y) order moves that row off the first row as well.
+    mirrored = [(y, x) for x, y in reversed(coords)]
+    assert L / (L - 1) == (L - 1) / (L - 2)
+    for pts, tied in ((mirrored, [0, 1, 2]), ([(-1, L)] + mirrored, [1, 2, 3])):
+        assert geom._tied_anchors(np.array(pts, dtype=np.float64)) == tied
+        assert general_position_check(pts) is None
+        assert general_position_check(P(*pts)) is None
+        assert general_position_check(PointSet(pts, check_general_position=False)) is None
 
 
 @pytest.mark.parametrize("n", [3, 4, 90, 300])
@@ -442,14 +446,21 @@ def _reference_tied_anchors(xy):
 def test_tied_anchors_match_per_anchor_reference(n, slab, monkeypatch):
     # Grids of span 20 tie often (vertical, horizontal and slanted lines,
     # duplicates); span 10**6 rarely. Slabs of 1 and 50 entries split the
-    # rows at every anchor and every few anchors.
+    # rows at every anchor and every few anchors. The filter's anchors,
+    # taken over the distinct points, hold every anchor at which the exact
+    # per-anchor scan finds a triple.
     monkeypatch.setattr(geom, "_SLOPE_SLAB", slab)
     rng = random.Random(n * 1000 + slab)
     for span, scale in ((20, 1), (10**6, 1), (20, 2 * L // 19)):
         coords = [(L - scale * rng.randrange(span), scale * rng.randrange(span) - L) for _ in range(n)]
-        xy = np.array(coords, dtype=np.float64)
-        assert list(geom._tied_anchors(xy)) == _reference_tied_anchors(xy)
         assert general_position_check(coords) == reference_general_position_check(coords)
+        distinct = list(dict.fromkeys(coords))
+        tied = geom._tied_anchors(np.array(distinct, dtype=np.float64).reshape(-1, 2))
+        assert tied == sorted(set(tied))
+        starts = {i for i in range(len(distinct) - 2) if _reference_anchor_triple(distinct, i) is not None}
+        assert starts <= set(tied)
+        if span == 20 and n >= 90:
+            assert starts
 
 
 @pytest.mark.parametrize("top, within", [
@@ -473,6 +484,34 @@ def test_pointset_certifies_general_position():
         PointSet(P((0, 0), (1, 1), (2, 2)))
     V = PointSet(P((0, 0), (1, 1), (2, 2)), check_general_position=False)
     assert len(V) == 3
+
+
+def test_pointset_builds_points_on_demand():
+    coords = [(3, -1), (0, 7), (-2, 2), (5, 4)]
+    V = PointSet(coords)
+    pts = P(*coords)
+    assert list(V) == pts
+    assert [V[i] for i in range(-len(V), len(V))] == pts + pts
+    for sl in (slice(None), slice(1, 3), slice(None, None, -2), slice(5, 9)):
+        assert V[sl] == tuple(pts[sl])
+    with pytest.raises(IndexError):
+        V[4]
+    assert V.coords == tuple(coords)
+    W = PointSet(pts)
+    assert V == W and hash(V) == hash(W)
+    assert PointSet(np.array(coords)) == V
+    assert V != PointSet(coords[::-1]) and V != coords
+    assert Point(0, 7) in V and V.index(Point(-2, 2)) == 2
+
+
+@pytest.mark.parametrize("big", [2**31, 2**40, 2**63, 2**70])
+def test_pointset_rejects_coordinates_beyond_the_limit(big):
+    for pts in ([(big, 0)], [(0, 0), (1, -big)], [(0, 1), (big, big)]):
+        for check in (True, False):
+            with pytest.raises(ValueError, match="coordinate magnitude exceeds"):
+                PointSet(pts, check_general_position=check)
+    V = PointSet([(COORD_LIMIT, -COORD_LIMIT), (-COORD_LIMIT, COORD_LIMIT)])
+    assert not V.within_int64_bound
 
 
 def test_point_validation():
