@@ -9,7 +9,7 @@ are separated by a line. Points on the lines and partial chunks
 form the leftover set. The scan takes the hulls of all clusters from one
 pass and ranks the dense cluster pairs by their capped incomparable count.
 The sides of a run of pairs are ranked in one batch (``poset.rank_sides``),
-on hull arrays built once per net when they take the int64 kernel, and
+on hull arrays built once per net within the int64 bound, and
 each pair is then counted from its rankings, whatever its size or
 coordinates. The pair returned travels as its ``PairPoset``, which holds
 both clusters (``P.a``, ``P.b``) next to their rankings.
@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import DegenerateInputError
 from .geom import GeometricGraph, PointSet, hull_coords
-from .poset import PairPoset, hull_edges, poset_from_rankings, rank_sides, takes_int64_kernel
+from .poset import PairPoset, hull_edges, poset_from_rankings, rank_sides
 from .zones import Line, build_zone_lines, line_signs
 
 
@@ -193,7 +193,7 @@ def find_avoiding_dense_pair(G: GeometricGraph, m: int, eps, delta, seed: int):
     ``cluster_hulls`` pass.
 
     The sides of the dense pairs are ranked in batches (``rank_sides``),
-    on hull arrays built once per net when they take the int64 kernel; a
+    on hull arrays built once per net within the int64 bound; a
     batch ends at the next complete pair, since only a complete untangled
     pair ends the scan, or at ``_BATCH_POINTS``. The scan counts each pair
     from its rankings as it is reached (``poset_from_rankings``), with the
@@ -238,7 +238,7 @@ def find_avoiding_dense_pair(G: GeometricGraph, m: int, eps, delta, seed: int):
         for j, cnt in enumerate(row[i + 1 :], i + 1)
         if cnt * delta_den >= dense_min
     ]
-    edges = hull_edges(hulls) if dense and takes_int64_kernel(V, m) else None
+    edges = hull_edges(hulls) if dense and V.within_int64_bound else None
     ranked: dict[int, list] = {}  # a batch's pairs' rankings by place in dense
     end = 0  # the pairs before this place have been batched or passed over
     best: tuple[int, int, PairPoset] | None = None  # (count, iota, poset)

@@ -53,20 +53,11 @@ class SegmentFamily:
         return len(self.segments)
 
 
-# Families smaller than this are checked by the scalar pair loop. Measured on
-# a 2-vCPU x86-64 machine with numpy 2.4, on pairwise crossing chords of a
-# convex polygon: the int64 kernel costs about 40-60 us a call on small
-# families and ties the scalar loop at about 10 segments (45 pairs); at 16
-# it takes under half the scalar time, at 128 about a twentieth.
-_INT64_MIN_FAMILY = 10
-
-
 def make_family(mode: FamilyMode, segments, G: GeometricGraph | None, V: PointSet) -> SegmentFamily:
     """Normalize, sanity-check, and pairwise-verify a segment family.
 
     Every pair is checked exactly: by ``geom.first_unrelated_pair_int64``
-    for a family of at least ``_INT64_MIN_FAMILY`` segments whose point set
-    lies within the int64 bound, else by the scalar loop
+    when the point set lies within the int64 bound, else by the scalar loop
     ``geom.first_unrelated_pair``, with one verdict either way. Raises if
     the family is unsound; construction is the last line of defence, so a
     failure here is a bug in the caller, not bad input.
@@ -83,7 +74,7 @@ def make_family(mode: FamilyMode, segments, G: GeometricGraph | None, V: PointSe
     if len(segs) > len(V) // 2:
         raise AssertionError("family larger than floor(n/2) is impossible")
     crossing = mode is FamilyMode.CROSSING
-    if V.within_int64_bound and len(segs) >= _INT64_MIN_FAMILY:
+    if V.within_int64_bound:
         bad = first_unrelated_pair_int64(segs, V, crossing)
     else:
         bad = first_unrelated_pair(segs, V, crossing)

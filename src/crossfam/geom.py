@@ -61,12 +61,7 @@ def orientation(p: Point, q: Point, r: Point) -> Orientation:
 
     CCW means r lies strictly to the left of the directed line p -> q.
     """
-    d = (q.x - p.x) * (r.y - p.y) - (q.y - p.y) * (r.x - p.x)
-    if d > 0:
-        return Orientation.CCW
-    if d < 0:
-        return Orientation.CW
-    return Orientation.COLLINEAR
+    return Orientation(_orient_coords(p.x, p.y, q.x, q.y, r.x, r.y))
 
 
 def _orient_coords(px, py, qx, qy, rx, ry) -> int:
@@ -296,14 +291,14 @@ class GeometricGraph:
     def __init__(self, vertices: PointSet, adj: tuple[int, ...]):
         self.vertices = vertices
         self._adj = adj
-        self.edge_count = sum(mask.bit_count() for mask in adj) // 2
+        self.edge_count = sum(map(int.bit_count, adj)) // 2
         n = len(vertices)
         self.is_complete = self.edge_count == n * (n - 1) // 2
 
     @classmethod
     def complete(cls, vertices: PointSet) -> "GeometricGraph":
         full = (1 << len(vertices)) - 1
-        return cls(vertices, tuple(full ^ (1 << i) for i in range(len(vertices))))
+        return cls(vertices, tuple([full ^ (1 << i) for i in range(len(vertices))]))
 
     @classmethod
     def from_edges(cls, vertices: PointSet, edges: Iterable[Segment]) -> "GeometricGraph":
@@ -508,14 +503,17 @@ def first_unrelated_pair_int64(segs: Sequence[Segment], V: PointSet, crossing: b
     has its first failing entry after the diagonal. A zero determinant off
     the diagonal, from a shared endpoint or three collinear endpoints,
     hands the whole family to ``first_unrelated_pair``: the pair returned,
-    or the error raised, is always the scalar loop's.
+    or the error raised, is always the scalar loop's. A family of fewer
+    than two segments has no pair and builds no array.
     """
     f = len(segs)
+    if f < 2:
+        return None
     ends = np.array(segs, dtype=np.intp).reshape(f, 2)
     a = V.xy[ends[:, 0]]
     ax, ay = a.T
     ux, uy = (V.xy[ends[:, 1]] - a).T
-    step = max(1, _FAMILY_SLAB // max(f, 1))
+    step = max(1, _FAMILY_SLAB // f)
     for i0 in range(0, f, step):
         i1 = min(f, i0 + step)
         rx, ry = ux[i0:i1, None], uy[i0:i1, None]

@@ -33,15 +33,15 @@ each side of the line, and one angle grows while the other shrinks.
 
 All these directions point from A to B, so they lie in one open
 half-plane, and one cross product orders any two of them exactly.
-``rank_sides`` ranks sides of at least ``_INT64_MIN_SIDE`` points within
+``rank_sides`` ranks the sides of a point set within
 ``geom.INT64_COORD_LIMIT``, where an int64 cross product is at most 2^61,
 in one batch of the int64 kernel, ``_rank_int64``: a float64 key that
 grows with the angle sorts them, and the cross product of every pair of
-neighbours checks the sort. Other sides, and those the floats misorder,
-take one comparator sort on Python ints, ``_rank_exact``. A tangent vertex
-on a line through two points of A is a supporting line of the hull through
-both, so it gives them parallel tangent directions of the same kind: an
-exact tie between neighbours. A tie hands the side to ``_compare_side`` at
+neighbours checks the sort. Sides beyond the bound, and those the floats
+misorder, take one comparator sort on Python ints, ``_rank_exact``. A
+tangent vertex on a line through two points of A is a supporting line of
+the hull through both, so it gives them parallel tangent directions of the
+same kind: an exact tie between neighbours. A tie hands the side to ``_compare_side`` at
 what is left of the cap, so a degenerate input raises, or gives up at a
 cap, exactly as the scalar loop does.
 
@@ -71,13 +71,6 @@ from .geom import PointSet, _orient_coords, hull_coords, hull_coords_disjoint, v
 # for cluster-sized.
 SIZE_CAP = 4096
 
-# Sides smaller than this are ranked by the exact comparator sort,
-# ``_rank_exact``. Measured on a shared 2-vCPU x86-64 machine with numpy 2.4,
-# on one random side against a hull of 8 to 12 vertices, its edge arrays
-# built per call: the int64 kernel costs about 70 us a call on small sides
-# and ties ``_rank_exact`` at about 12 to 16 points; at 24 it takes about
-# three quarters of the exact sort's time, at 32 about half.
-_INT64_MIN_SIDE = 24
 # Entries in one row slab of the int64 kernel: int64 tangent tests, so that
 # each of their temporaries stays near 64 KB, or boolean rank comparisons.
 _PAIR_SLAB = 1 << 13
@@ -331,25 +324,19 @@ def _rank_int64(V: PointSet, sides: np.ndarray, edges: np.ndarray):
     return rows, place[rows + first * k], exact
 
 
-def takes_int64_kernel(V: PointSet, k: int) -> bool:
-    """Whether sides of k points of ``V`` go to the int64 kernel: at least
-    ``_INT64_MIN_SIDE`` of them, within the int64 bound."""
-    return V.within_int64_bound and _INT64_MIN_SIDE <= k
-
-
 def rank_sides(V: PointSet, sides, hulls, edges: np.ndarray | None = None) -> list:
     """The rankings (rows, place) of each side of ``sides`` against the hull
     at its place in ``hulls``, as ``_rank_int64`` gives them, or None where
     an exact tie leaves the side unranked. The sides have one length and
-    are separated from their hulls. Sides that take the int64 kernel go to
-    it in one batch, on ``edges``, the ``hull_edges`` of ``hulls`` (built
-    here when not given); other sides, and those whose float sort
-    misordered, go to ``_rank_exact``. The caller bounds the batch, whose
-    arrays hold a few entries per point."""
+    are separated from their hulls. Within the int64 bound the sides go to
+    the int64 kernel in one batch, on ``edges``, the ``hull_edges`` of
+    ``hulls`` (built here when not given); sides beyond the bound, and
+    those whose float sort misordered, go to ``_rank_exact``. The caller
+    bounds the batch, whose arrays hold a few entries per point."""
     if not sides:
         return []
     exact = [False] * len(sides)
-    if takes_int64_kernel(V, len(sides[0])):
+    if V.within_int64_bound:
         rows, place, exact = _rank_int64(V, np.array(sides, dtype=np.intp), hull_edges(hulls) if edges is None else edges)
     return [
         (rows[q], place[q]) if exact[q] else _rank_exact(side, V.coords, hull)
@@ -478,13 +465,12 @@ def build_pair_poset(A, B, V: PointSet, hull_a=None, hull_b=None, cap: int | Non
     """Rank both sides of a pair and count their incomparable pairs.
 
     Each side is ranked against the opposite side's convex hull
-    (``rank_sides``): in int64 arrays for a side of at least
-    ``_INT64_MIN_SIDE`` points within the int64 bound, else by the exact
-    comparator sort, with one result either way. Raises NotSeparatedError
-    when the hulls intersect, since the rankings are meaningless
-    otherwise. Callers that already hold each side's ``hull_coords`` pass
-    them as ``hull_a`` and ``hull_b``; the disjointness check runs on them
-    all the same.
+    (``rank_sides``): in int64 arrays within the int64 bound, else by the
+    exact comparator sort, with one result either way. Raises
+    NotSeparatedError when the hulls intersect, since the rankings are
+    meaningless otherwise. Callers that already hold each side's
+    ``hull_coords`` pass them as ``hull_a`` and ``hull_b``; the
+    disjointness check runs on them all the same.
 
     With a ``cap``, returns None as soon as the incomparable pairs of both
     sides together exceed it, so tangled pairs are rejected before side b

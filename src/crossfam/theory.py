@@ -35,7 +35,7 @@ from .geom import (
     hull_coords,
     line_meets_hull,
 )
-from .poset import PairPoset, build_pair_poset, interval_chains, longest_chain
+from .poset import PairPoset, build_pair_poset, interval_chains, ranked_chain
 
 
 @dataclass(frozen=True)
@@ -196,22 +196,21 @@ def check_incomparability_localized(P: PairPoset, d_blocks, V: PointSet) -> None
         assert hits <= 1, f"pair ({u}, {v}) incomparable relative to {hits} blocks"
 
 
-def _grid_successors(cells, tk: int, mode: FamilyMode) -> dict[int, int]:
-    """Dominance among the ``(ai, bi, ...)`` cells of a tk x tk block grid:
-    cell e precedes every cell in a later row and a later column (crossing)
-    or an earlier column (avoiding). Returns each cell index's successor
-    bitmask, from row and column masks in O(len(cells) + tk) operations."""
-    # rows[i], cols[j]: the cells in rows >= i, in columns >= j.
-    rows, cols = [0] * (tk + 1), [0] * (tk + 1)
-    for e, (ai, bi, *_) in enumerate(cells):
-        rows[ai] |= 1 << e
-        cols[bi] |= 1 << e
-    for i in reversed(range(tk)):
-        rows[i] |= rows[i + 1]
-        cols[i] |= cols[i + 1]
-    if mode is FamilyMode.CROSSING:
-        return {e: rows[ai + 1] & cols[bi + 1] for e, (ai, bi, *_) in enumerate(cells)}
-    return {e: rows[ai + 1] & ~cols[bi] for e, (ai, bi, *_) in enumerate(cells)}
+def _grid_chain(cells, mode: FamilyMode) -> list[int]:
+    """A longest chain, as ``poset.longest_chain`` gives it, of the indices
+    of the distinct ``(ai, bi, ...)`` cells of a block grid: cell e
+    precedes every cell in a later row and a later column (crossing) or an
+    earlier column (avoiding). That order is the intersection of two
+    rankings, read by ``poset.ranked_chain``: crossing ranks by (row,
+    -column), then by (column, -row); avoiding by (row, column), then by
+    (-column, -row)."""
+    s = 1 if mode is FamilyMode.CROSSING else -1
+    order = sorted(range(len(cells)), key=lambda e: (cells[e][0], -s * cells[e][1]))
+    last = sorted(range(len(cells)), key=lambda e: (s * cells[e][1], -cells[e][0]))
+    place = [0] * len(cells)
+    for p, e in enumerate(last):
+        place[e] = p
+    return ranked_chain(order, [place[e] for e in order])
 
 
 def split_pair(
@@ -273,7 +272,7 @@ def split_pair(
     if not eligible:
         raise NoEligiblePairsError("no block pair is both dense and untangled")
 
-    chain = [eligible[e] for e in longest_chain(_grid_successors(eligible, tk, mode))]
+    chain = [eligible[e] for e in _grid_chain(eligible, mode)]
     if theory:
         assert len(chain) >= k, "guaranteed chain length not reached"
     parts = [sub for _, _, sub in chain]

@@ -376,8 +376,8 @@ def _random_graph(V, density, seed):
 def test_batched_scan_matches_sequential_reference(monkeypatch):
     # The batched scan returns the pair the sequential scan returns, with
     # the same PairPoset, on complete, dense and sparse graphs. On points
-    # of a small grid, with the kernel threshold lowered so that small
-    # clusters take the kernel, exact ties abound: those sides are left
+    # of a small grid, where small clusters take the kernel as every
+    # cluster does, exact ties abound: those sides are left
     # unranked, and a degenerate input raises the same error, at the same
     # pair, as the sequential scan, or the scan gives up at a cap before
     # reaching it.
@@ -400,22 +400,20 @@ def test_batched_scan_matches_sequential_reference(monkeypatch):
             (0.5, Fraction(1, 2), Fraction(1, 4)),
             (0.2, Fraction(1, 4), Fraction(1, 8)),
         ):
-            cases.append((_random_graph(V, density, n), m, eps, delta, poset._INT64_MIN_SIDE))
+            cases.append((_random_graph(V, density, n), m, eps, delta))
     for seed in range(8):
         rng = random.Random(seed)
         grid = rng.sample([(x, y) for x in range(10) for y in range(10)], 60)
         V = PointSet(grid, check_general_position=False)
         G = _random_graph(V, rng.choice([None, 0.9, 0.5]), seed)
-        cases.append((G, rng.choice([3, 4, 5]), Fraction(1, 2), Fraction(1, 4), 1))
+        cases.append((G, rng.choice([3, 4, 5]), Fraction(1, 2), Fraction(1, 4)))
     outcomes = {"pair": 0, "raise": 0, "none": 0}
-    for G, m, eps, delta, threshold in cases:
-        with monkeypatch.context() as patch:
-            patch.setattr(poset, "_INT64_MIN_SIDE", threshold)
-            for seed in range(2):
-                args = (G, m, eps, delta, seed)
-                expect = _scan_outcome(reference_scan, *args)
-                assert _scan_outcome(find_avoiding_dense_pair, *args) == expect
-                outcomes["none" if expect is None else "raise" if isinstance(expect[0], type) else "pair"] += 1
+    for G, m, eps, delta in cases:
+        for seed in range(2):
+            args = (G, m, eps, delta, seed)
+            expect = _scan_outcome(reference_scan, *args)
+            assert _scan_outcome(find_avoiding_dense_pair, *args) == expect
+            outcomes["none" if expect is None else "raise" if isinstance(expect[0], type) else "pair"] += 1
     # Every kind of outcome occurs, and the batches ranked some sides and
     # left some unranked.
     assert min(outcomes.values()) > 0

@@ -3,6 +3,7 @@ import random
 import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from conftest import block_instance, chord_family, separated_pair
@@ -252,6 +253,10 @@ def test_base_run_matches_reference(mode):
             assert base == sorted((min(e), max(e)) for e in matched)
 
 
+def _refuse_array(*args, **kwargs):
+    raise AssertionError("the family kernel built an array")
+
+
 def _spy_kernel(monkeypatch) -> list[int]:
     """Record the family size of every call make_family makes to the int64
     kernel."""
@@ -264,27 +269,34 @@ def _spy_kernel(monkeypatch) -> list[int]:
 
 @pytest.mark.parametrize("mode", list(FamilyMode))
 def test_make_family_takes_int64_kernel_only_within_bound(monkeypatch, mode):
-    # Families of at least _INT64_MIN_FAMILY segments within the int64
-    # bound go to the kernel; smaller families and larger coordinates take
-    # the scalar loop. Either path checks and returns the same family.
+    # Within the int64 bound every family goes to the kernel, whatever its
+    # size; beyond it every family takes the scalar loop. Either path
+    # checks and returns the same family. A one-segment family has no
+    # pair, and the kernel builds no array for it.
     calls = _spy_kernel(monkeypatch)
-    t = crossing._INT64_MIN_FAMILY
-    for top, f, kernel_calls in ((INT64_COORD_LIMIT, t, [t]), (INT64_COORD_LIMIT, t - 1, []),
-                                 (INT64_COORD_LIMIT + 1, t, [])):
-        V, segs = chord_family(random.Random(f), f, top, mode is FamilyMode.CROSSING)
-        calls.clear()
-        fam = make_family(mode, segs, GeometricGraph.complete(V), V)
-        assert calls == kernel_calls
-        assert fam.segments == tuple(sorted(segs))
+    for f in (2, 9, 10):
+        for top, kernel_calls in ((INT64_COORD_LIMIT, [f]), (INT64_COORD_LIMIT + 1, [])):
+            V, segs = chord_family(random.Random(f), f, top, mode is FamilyMode.CROSSING)
+            calls.clear()
+            fam = make_family(mode, segs, GeometricGraph.complete(V), V)
+            assert calls == kernel_calls
+            assert fam.segments == tuple(sorted(segs))
+    V, segs = chord_family(random.Random(1), 1, INT64_COORD_LIMIT, mode is FamilyMode.CROSSING)
+    calls.clear()
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "array", _refuse_array)
+        fam = make_family(mode, segs, None, V)
+    assert calls == [1]
+    assert fam.segments == tuple(sorted(segs))
 
 
 @pytest.mark.parametrize("mode", list(FamilyMode))
 def test_make_family_kernel_rejects_one_bad_pair(monkeypatch, mode):
-    # One swapped pair of chords in a family well above the threshold: the
-    # kernel path raises at the first failing pair of the sorted family,
-    # with the message the scalar loop gives.
+    # One swapped pair of chords in a family of 30: the kernel path raises
+    # at the first failing pair of the sorted family, with the message the
+    # scalar loop gives.
     calls = _spy_kernel(monkeypatch)
-    f = 3 * crossing._INT64_MIN_FAMILY
+    f = 30
     V, segs = chord_family(random.Random(1), f, INT64_COORD_LIMIT, mode is FamilyMode.CROSSING, swaps=1)
     srt = sorted(segs)
     i, j = first_unrelated_pair(srt, V, mode is FamilyMode.CROSSING)
@@ -301,8 +313,7 @@ def test_verify_family_is_independent_of_the_kernel(monkeypatch, mode):
     # every pair, still returns its first failing pair.
     monkeypatch.setattr(crossing, "first_unrelated_pair_int64", lambda *args: None)
     crossing_mode = mode is FamilyMode.CROSSING
-    V, segs = chord_family(random.Random(2), 3 * crossing._INT64_MIN_FAMILY, INT64_COORD_LIMIT,
-                           crossing_mode, swaps=1)
+    V, segs = chord_family(random.Random(2), 30, INT64_COORD_LIMIT, crossing_mode, swaps=1)
     G = GeometricGraph.complete(V)
     fam = make_family(mode, segs, G, V)
     i, j = first_unrelated_pair(fam.segments, V, crossing_mode)
@@ -454,7 +465,7 @@ def test_practical_path_reads_rankings_only(monkeypatch):
         cases += [(GeometricGraph.complete(V), seed) for seed in (1, 2)] + [(GeometricGraph.from_edges(V, sparse), 1)]
     drivers = (find_crossing_family, find_avoiding_family)
     expect = [driver(G, RunConfig(seed=seed)).segments for G, seed in cases for driver in drivers]
-    for module, name in ((poset, "_pack_tables"), (poset, "longest_chain"), (theory, "longest_chain")):
+    for module, name in ((poset, "_pack_tables"), (poset, "longest_chain")):
         monkeypatch.setattr(module, name, _refuse_tables)
     assert [driver(G, RunConfig(seed=seed)).segments for G, seed in cases for driver in drivers] == expect
 

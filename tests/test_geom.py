@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from conftest import chord_family
 from crossfam import geom
 from crossfam.audit import hulls_disjoint
-from crossfam.crossing import _INT64_MIN_FAMILY
 from crossfam.errors import DegenerateInputError, GeneralPositionError
 from crossfam.formats import parse_graph_file, render_graph_file
 from crossfam.geom import (
@@ -670,7 +669,7 @@ def _family_outcome(check, *args):
 
 @given(
     seed=st.integers(0, 2**32 - 1),
-    f=st.integers(1, 3 * _INT64_MIN_FAMILY),
+    f=st.integers(1, 30),
     crossing=st.booleans(),
     top=st.sampled_from([INT64_COORD_LIMIT, INT64_COORD_LIMIT + 1, COORD_LIMIT]),
     sign=st.sampled_from([1, -1]),
@@ -680,7 +679,7 @@ def _family_outcome(check, *args):
 )
 @settings(max_examples=300, deadline=None)
 def test_family_kernel_matches_scalar_loop(seed, f, crossing, top, sign, swaps, degenerate, slab):
-    # Families of 1 to 30 chords straddle make_family's int64 threshold.
+    # Families of 1 to 30 chords.
     # The largest coordinate sits at the int64 bound, one beyond it (where
     # only the scalar loop may run) or at COORD_LIMIT. Swapped chords fail
     # the relation and a moved endpoint makes a degenerate pair, in a random
@@ -706,7 +705,7 @@ def test_family_kernel_degenerate_pair_before_and_after_failing_pair(crossing):
     # pair first the scalar loop raises; with the failing pair first it
     # returns that pair. The kernel meets the zero determinant in its slab
     # and must give the same outcome, whichever comes first.
-    f = 2 * _INT64_MIN_FAMILY
+    f = 20
     V0, segs = chord_family(random.Random(5), f, INT64_COORD_LIMIT, crossing)
     segs = sorted(segs)
     (ax, ay), (bx, by) = V0.coords[segs[0][0]], V0.coords[segs[0][1]]

@@ -39,7 +39,7 @@ from crossfam.poset import (
     iota_sum_capped,
     longest_chain,
 )
-from crossfam.theory import _grid_successors
+from crossfam.theory import _grid_chain
 
 
 def P(*coords):
@@ -286,19 +286,19 @@ def test_int64_kernel_matches_scalar_reference(seed, na, kind, nb, top, sign, sl
 
 
 def test_build_pair_poset_takes_int64_kernel_only_within_bound(monkeypatch):
-    # Sides of at least _INT64_MIN_SIDE points within the int64 bound go to
-    # the int64 kernel; smaller sides and larger coordinates do not.
-    t = poset._INT64_MIN_SIDE
+    # Within the int64 bound every side goes to the int64 kernel, whatever
+    # its size; beyond it none does. Either path gives the same tables.
     calls = []
     kernel = poset._rank_int64
     monkeypatch.setattr(poset, "_rank_int64", lambda V, sides, edges: calls.append(sides.shape) or kernel(V, sides, edges))
-    for top, shapes in ((INT64_COORD_LIMIT, [(1, t)]), (INT64_COORD_LIMIT + 1, [])):
-        coords, A, B = _side_and_hull(11, t, t - 1, "cloud", top)
-        V = PointSet(coords)
-        calls.clear()
-        pp = build_pair_poset(A, B, V)
-        assert calls == shapes
-        assert (_less_pairs(pp.a, pp.succ_a), pp.iota_a) == _reference_side(A, V, B)
+    for k in (1, 2, 30):
+        for top, shapes in ((INT64_COORD_LIMIT, [(1, k), (1, 5)]), (INT64_COORD_LIMIT + 1, [])):
+            coords, A, B = _side_and_hull(11, k, 5, "cloud", top)
+            V = PointSet(coords)
+            calls.clear()
+            pp = build_pair_poset(A, B, V)
+            assert calls == shapes
+            assert (_less_pairs(pp.a, pp.succ_a), pp.iota_a) == _reference_side(A, V, B)
 
 
 def test_capped_build_gives_up_early(monkeypatch):
@@ -351,12 +351,12 @@ def test_build_pair_poset_tangent_vertex_on_line():
     with pytest.raises(DegenerateInputError):
         iota_sum_capped((0, 1), (2, 3, 4), V, 10**9)
 
-    # The same pair heads a side above the int64 threshold: the two points
+    # The same pair heads a side of 26 points: the two points
     # tie in their first ranking, so the side is left unranked and goes to
     # the scalar loop, which raises at its first pair, capped or not. The
     # zigzag of extra points adds incomparable pairs and no other
     # degenerate triple.
-    extra = [(-40 - 7 * i, 5 + (-1) ** i * (2 * i + 1)) for i in range(poset._INT64_MIN_SIDE)]
+    extra = [(-40 - 7 * i, 5 + (-1) ** i * (2 * i + 1)) for i in range(24)]
     V = PointSet(P((0, 0), (1, 0), *extra, (5, 0), (5, 10), (6, 5)), check_general_position=False)
     A = tuple(range(2 + len(extra)))
     B = tuple(range(len(A), len(A) + 3))
@@ -450,7 +450,7 @@ def test_int64_kernel_fallbacks_match_scalar(monkeypatch):
     scalar, rank_exact = poset._compare_side, poset._rank_exact
     monkeypatch.setattr(poset, "_compare_side", lambda *args: calls.append(1) or scalar(*args))
     monkeypatch.setattr(poset, "_rank_exact", lambda *args: sorted_exactly.append(1) or rank_exact(*args))
-    extra = [(-40 - 7 * i, 5 + (-1) ** i * (2 * i + 1)) for i in range(poset._INT64_MIN_SIDE)]
+    extra = [(-40 - 7 * i, 5 + (-1) ** i * (2 * i + 1)) for i in range(24)]
     tie = PointSet(P((0, 0), (1, 0), *extra, (5, 0), (5, 10), (6, 5)), check_general_position=False)
     tie_side = tuple(range(len(extra) + 2))[::-1]
     tie_other = tuple(range(len(tie_side), len(tie)))
@@ -506,7 +506,6 @@ def test_batched_kernel_matches_scalar(seed, k, extra, kind, nb, top, sign, slab
     assume(general_position_check(pts) is None)
     V = PointSet(pts)
     assert V.within_int64_bound == (top <= INT64_COORD_LIMIT)
-    assert poset.takes_int64_kernel(V, max(k, poset._INT64_MIN_SIDE)) == V.within_int64_bound
     hull_a = hull_coords(V.coords[i] for i in A)
     hull_b = hull_coords(V.coords[i] for i in B)
     rng = random.Random(seed)
@@ -537,7 +536,7 @@ def test_batched_kernel_tie_falls_back_alone():
     # through two of its points) is left unranked, and at its turn the
     # scalar loop raises on it, or gives up at a cap of 0 before reaching
     # the pair; the other problems of its batch keep their rankings.
-    extra = [(-40 - 7 * i, 5 + (-1) ** i * (2 * i + 1)) for i in range(poset._INT64_MIN_SIDE)]
+    extra = [(-40 - 7 * i, 5 + (-1) ** i * (2 * i + 1)) for i in range(24)]
     V = PointSet(P((0, 0), (1, 0), *extra, (5, 0), (5, 10), (6, 5), (-31, 90)), check_general_position=False)
     tie = tuple(range(len(extra) + 2))[::-1]
     plain = tie[:-1] + (len(V) - 1,)
@@ -862,9 +861,7 @@ def test_block_grid_chain_matches_reference(cells, mode):
         dom = lambda p, q: p[0] < q[0] and p[1] < q[1]
     else:
         dom = lambda p, q: p[0] < q[0] and p[1] > q[1]
-    succ = _grid_successors(cells, 8, mode)
-    assert succ == succ_masks(range(len(cells)), lambda e, f: dom(cells[e], cells[f]))
-    assert [cells[e] for e in longest_chain(succ)] == _reference_longest_chain(cells, dom)
+    assert [cells[e] for e in _grid_chain(cells, mode)] == _reference_longest_chain(cells, dom)
 
 
 def _total_order(side, succ):
@@ -903,10 +900,9 @@ def test_ranked_chain_matches_longest_chain(seed, na, kind, nb, top, sign):
     na=st.integers(1, 40),
     nb=st.integers(1, 28),
     scale=st.sampled_from([1, 2**25, 2**26, 2**27 + 1]),
-    threshold=st.sampled_from([1, poset._INT64_MIN_SIDE]),
 )
 @settings(max_examples=300, deadline=None)
-def test_tied_sides_raise_or_give_up(seed, na, nb, scale, threshold):
+def test_tied_sides_raise_or_give_up(seed, na, nb, scale):
     # Sides drawn from small grids, scaled within the int64 bound or
     # beyond it, hold many exact ties. A side left unranked by a tie goes
     # to the scalar loop, which raises on it without a cap and, at any
@@ -922,13 +918,12 @@ def test_tied_sides_raise_or_give_up(seed, na, nb, scale, threshold):
     A, B = tuple(range(na)), tuple(range(na, na + nb))
     hull_a = hull_coords(V.coords[i] for i in A)
     hull_b = hull_coords(V.coords[i] for i in B)
-    with mock.patch.object(poset, "_INT64_MIN_SIDE", threshold):
-        for side, hull in ((A, hull_b), (B, hull_a)):
-            ranks = poset.rank_sides(V, [side], [hull])[0]
-            full = _outcome(_compare_side, side, V.coords, hull, _NO_CAP)
-            if ranks is None:
-                assert full is DegenerateInputError
-                for cap in (0, 1, 4, 16):
-                    assert _outcome(_compare_side, side, V.coords, hull, cap) in (None, DegenerateInputError)
-            else:
-                assert _by_rankings(side, V, hull, _NO_CAP) == full
+    for side, hull in ((A, hull_b), (B, hull_a)):
+        ranks = poset.rank_sides(V, [side], [hull])[0]
+        full = _outcome(_compare_side, side, V.coords, hull, _NO_CAP)
+        if ranks is None:
+            assert full is DegenerateInputError
+            for cap in (0, 1, 4, 16):
+                assert _outcome(_compare_side, side, V.coords, hull, cap) in (None, DegenerateInputError)
+        else:
+            assert _by_rankings(side, V, hull, _NO_CAP) == full
