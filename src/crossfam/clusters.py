@@ -8,11 +8,11 @@ into groups of exactly m along a splitter direction, so any two clusters
 are separated by a line. Points on the lines and partial chunks
 form the leftover set. The scan takes the hulls of all clusters from one
 pass and ranks the dense cluster pairs by their capped incomparable count.
-The sides of a run of pairs are ranked in one batch (``poset.rank_sides``),
-on hull arrays built once per net within the int64 bound, and
-each pair is then counted from its rankings, whatever its size or
-coordinates. The pair returned travels as its ``PairPoset``, which holds
-both clusters (``P.a``, ``P.b``) next to their rankings.
+The sides of a run of pairs are ranked in one batch (``poset.rank_sides``)
+on hull arrays built once per net within the int64 bound; only the first
+run ends at a complete pair. Each pair is counted from its rankings,
+whatever its size or coordinates, and the pair returned travels as its
+``PairPoset``, which holds both clusters (``P.a``, ``P.b``) and rankings.
 """
 
 from __future__ import annotations
@@ -112,40 +112,40 @@ def build_clusters(V: PointSet, lines: Sequence[Line], m: int) -> ClusterDecompo
     )
 
 
+def _octagon_survivors(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    # Rows of the int64 arrays x and y are clusters; False marks a point
+    # strictly inside its cluster's octagon, whose vertices 0 to 7 are the
+    # first least of x, x + y, y, y - x and of their negations (argmax's
+    # first greatest), and whose edge t runs from vertex t to t + 1.
+    keys = np.stack((x, x + y, y, y - x))
+    ends = np.concatenate((keys, -keys)).argmin(axis=2).T
+    ox = np.take_along_axis(x, ends, axis=1)[:, :, None]
+    oy = np.take_along_axis(y, ends, axis=1)[:, :, None]
+    ex, ey = np.roll(ox, -1, axis=1) - ox, np.roll(oy, -1, axis=1) - oy
+    strict = (ex * (y[:, None] - oy) - ey * (x[:, None] - ox) > 0) | ((ex == 0) & (ey == 0))
+    # Vertices 0 and 4 hold the least and the greatest x, 2 and 6 of y.
+    return ~(((ox[:, 0] < ox[:, 4]) | (oy[:, 2] < oy[:, 6])) & strict.all(axis=1))
+
+
 def cluster_hulls(V: PointSet, clusters: Sequence[Sequence[int]]) -> list[list[tuple[int, int]]]:
     """``hull_coords`` of each cluster of vertex indices of ``V``; the
     clusters must all have one size.
 
     Within the int64 bound (``V.within_int64_bound``) one numpy pass first
     drops every point strictly inside the octagon of its cluster's extreme
-    points in the directions x, x + y, y and x - y, both ways. Those points
-    lie on the hull in counterclockwise order, so a point strictly left of
-    every octagon edge of nonzero length is interior to the hull, and
-    ``hull_coords`` of the survivors is that of the whole cluster. A
-    cluster whose extremes all coincide drops nothing. Coordinates and
-    their differences are at most 2^30, so every cross product is at most
-    2^61.
+    points in the directions x, x + y, y and x - y, both ways: one
+    ``argmin`` over the eight stacked keys, then one broadcast over the
+    eight edges. Those points lie on the hull in counterclockwise order, so
+    a point strictly left of every octagon edge of nonzero length is
+    interior to the hull, and ``hull_coords`` of the survivors is that of
+    the whole cluster. A cluster whose extremes all coincide drops nothing.
+    Coordinates and their differences are at most 2^30, so every cross
+    product is at most 2^61.
     """
     coords = V.coords
     if V.within_int64_bound and len(clusters) and len(clusters[0]):
         idx = np.array(clusters, dtype=np.intp)
-        x = V.xy[idx, 0]
-        y = V.xy[idx, 1]
-        r = np.arange(len(idx))[:, None]
-        ends = [
-            f(key, axis=1)[:, None]
-            for f, key in ((np.argmin, x), (np.argmin, x + y), (np.argmin, y), (np.argmax, x - y),
-                           (np.argmax, x), (np.argmax, x + y), (np.argmax, y), (np.argmin, x - y))
-        ]
-        ox = [x[r, e] for e in ends]
-        oy = [y[r, e] for e in ends]
-        # Octagon vertices 0 and 4 hold the least and the greatest x, 2 and
-        # 6 the least and the greatest y.
-        inside = (ox[0] < ox[4]) | (oy[2] < oy[6])
-        for t in range(8):
-            ex, ey = ox[t - 7] - ox[t], oy[t - 7] - oy[t]
-            inside = inside & ((ex * (y - oy[t]) - ey * (x - ox[t]) > 0) | ((ex == 0) & (ey == 0)))
-        keep = ~inside
+        keep = _octagon_survivors(V.xy[idx, 0], V.xy[idx, 1])
         survivors = idx[keep].tolist()
         cuts = list(accumulate(keep.sum(axis=1).tolist()))
         clusters = [survivors[c0:c1] for c0, c1 in zip([0] + cuts[:-1], cuts)]
@@ -188,16 +188,15 @@ def find_avoiding_dense_pair(G: GeometricGraph, m: int, eps, delta, seed: int):
     cuts V into clusters over the lines the net determines, and scans the
     cluster pairs; when the net would leave fewer than 2m points off its
     lines, it returns None before sampling. The net's zones are not
-    audited. The edge counts of all pairs come from one
-    ``block_edge_counts`` pass and the hulls of all clusters from one
-    ``cluster_hulls`` pass.
+    audited. The edge counts of all pairs come from one ``block_edge_counts``
+    pass and the hulls of all clusters from one ``cluster_hulls`` pass.
 
-    The sides of the dense pairs are ranked in batches (``rank_sides``),
-    on hull arrays built once per net within the int64 bound; a
-    batch ends at the next complete pair, since only a complete untangled
-    pair ends the scan, or at ``_BATCH_POINTS``. The scan counts each pair
-    from its rankings as it is reached (``poset_from_rankings``), with the
-    caps of a sequential scan of ``build_pair_poset`` calls, and keeps the
+    The sides of the dense pairs are ranked in batches (``rank_sides``) on
+    hull arrays built once per net within the int64 bound. Only the first
+    batch also ends at a complete pair, which ends the scan if untangled;
+    every batch ends at ``_BATCH_POINTS``. The scan counts each pair from
+    its rankings as it is reached (``poset_from_rankings``), with the caps
+    of a sequential scan of ``build_pair_poset`` calls, and keeps the
     ``PairPoset`` of the best pair. Returns ``(P, edges)``, that poset
     with the number of graph edges between its sides ``P.a`` and ``P.b``
     that the scan counted, or None.
@@ -259,7 +258,7 @@ def find_avoiding_dense_pair(G: GeometricGraph, m: int, eps, delta, seed: int):
                 bcnt = dense[end][2]
                 if not (best is not None and bcnt <= best[0] and best[1] == 0):
                     batch.append(end)
-                if bcnt == complete or len(batch) * 2 * m >= _BATCH_POINTS:
+                if (bcnt == complete and t == 0) or len(batch) * 2 * m >= _BATCH_POINTS:
                     break
             end += 1
             # Side i against hull j, then side j against hull i.

@@ -5,8 +5,8 @@ results are identical across runs and platforms for identical inputs. The
 family check ``first_unrelated_pair_int64`` computes the same determinants
 in int64, and only within ``INT64_COORD_LIMIT``, where none can overflow.
 The one use of floating point is a filter in ``general_position_check``
-that is exact by construction: it only chooses which anchors the integer
-scan visits.
+that is exact by construction: float32 and float64 slopes only choose
+which anchors the integer scan visits.
 """
 
 from __future__ import annotations
@@ -139,12 +139,12 @@ def general_position_check(points) -> tuple[int, ...] | None:
     dx >= 0, and dx = 0 only with dy > 0: each direction has one quotient,
     +inf when vertical. Within ``COORD_LIMIT`` every difference is below
     2**33, so exact in float64, and a correctly rounded division maps equal
-    directions to equal quotients. So a line through three or more points
-    ties in the row of its least point in (x, y) order, and all its points
-    are in that row's tied group. The anchors visited are the points of the
-    tied groups; they include every anchor that starts a collinear triple,
-    so the witness is the one a scan of every anchor finds. Coordinates
-    beyond the limit are scanned exactly at every anchor.
+    directions to equal quotients, equal in float32 too. So a line through
+    three or more points ties in the float32 row of its least point in
+    (x, y) order, and all its points are in that row's float64 tied group.
+    The anchors visited are the points of the tied groups; they include
+    every anchor that starts a collinear triple, so the witness is the one
+    a scan of every anchor finds. Beyond the limit every anchor is scanned.
     """
     if isinstance(points, PointSet):
         coords, xy = points.coords, points.xy
@@ -169,8 +169,8 @@ def general_position_check(points) -> tuple[int, ...] | None:
     return None
 
 
-# Float64 entries in one slab of ``_tied_anchors``' slope matrix, so that
-# each of its temporaries stays near 64 KB.
+# Entries in one slab of ``_tied_anchors``' slope matrix, so that each of
+# its temporaries stays near 64 KB as float64 (32 KB as float32).
 _SLOPE_SLAB = 1 << 13
 
 
@@ -178,32 +178,33 @@ def _tied_anchors(xy) -> list[int]:
     # The indices, in increasing order, of the points of the tied groups of
     # distinct points ``xy``. Row s of the slope matrix holds the slopes
     # from point s in (x, y) order towards the points after it; a row whose
-    # sorted slopes tie is flagged, and its tied group is s and the points
-    # after it whose slope ties. Rows go in slabs against the columns from
-    # the slab's first row on, so a row also holds its slopes towards the
-    # slab rows before it, and NaN (0/0, never equal) towards itself; a tie
-    # there flags a row whose tied group may be empty, never misses one.
+    # float32 slopes tie is flagged, and its tied group is s and the points
+    # after it whose float64 slope ties, read off the slopes whose float32
+    # value ties. Rows go in slabs against the columns from the slab's first
+    # row on, so a row also holds its slopes towards the slab rows before
+    # it, and NaN (0/0, never equal) towards itself; a tie there or in
+    # float32 alone may flag a row whose tied group is empty, never hides one.
     n = len(xy)
     order = np.lexsort((xy[:, 1], xy[:, 0]))
     xs, ys = xy[order, 0], xy[order, 1]
     tied: set[int] = set()
     with np.errstate(divide="ignore", invalid="ignore"):
-        flagged = []
         i0 = 0
         while i0 < n - 2:
             i1 = min(n - 2, i0 + max(1, _SLOPE_SLAB // (n - i0 - 1)))
             q = ys[None, i0 + 1 :] - ys[i0:i1, None]
             q /= xs[None, i0 + 1 :] - xs[i0:i1, None]
-            q.sort(axis=1)
-            flagged.extend((i0 + np.flatnonzero((q[:, 1:] == q[:, :-1]).any(axis=1))).tolist())
+            f = q.astype(np.float32)
+            sf = np.sort(f, axis=1)
+            for r in np.flatnonzero((sf[:, 1:] == sf[:, :-1]).any(axis=1)).tolist():
+                # Row i0 + r; its slopes towards the points after it start at
+                # column r, and only those whose float32 value ties can tie.
+                near = np.sort(q[r, r:][np.isin(f[r, r:], sf[r, 1:][sf[r, 1:] == sf[r, :-1]])])
+                group = np.isin(q[r, r:], near[1:][near[1:] == near[:-1]])
+                if group.any():
+                    tied.add(int(order[i0 + r]))
+                    tied.update(order[i0 + r + 1 :][group].tolist())
             i0 = i1
-        for s in flagged:
-            q = (ys[s + 1 :] - ys[s]) / (xs[s + 1 :] - xs[s])
-            sq = np.sort(q)
-            group = np.isin(q, sq[1:][sq[1:] == sq[:-1]])
-            if group.any():
-                tied.add(int(order[s]))
-                tied.update(order[s + 1 :][group].tolist())
     return sorted(tied)
 
 
@@ -250,9 +251,9 @@ def neighbour_masks(n: int, a: np.ndarray, b: np.ndarray) -> tuple[int, ...]:
 
     The indices must lie in ``[0, n)`` with ``a[k] != b[k]``; an edge given
     twice sets the same bits again. Rows go in slabs of about
-    ``_SLAB_BYTES`` booleans: each slab's bits are set by fancy indexing and
-    packed, little-endian, into a packed ``n x ceil(n/8)`` byte array, so
-    extra memory is O(E) plus one slab plus the n²/8 bytes the masks take;
+    ``_SLAB_BYTES`` booleans: each slab's bits are set at flat indices
+    row * n + column and packed, little-endian, into an ``n x ceil(n/8)``
+    byte array, so extra memory is O(E) plus one slab plus the n²/8 bytes;
     each row then becomes one Python int. The edge ends are sorted by row
     only when there is more than one slab.
     """
@@ -271,9 +272,9 @@ def neighbour_masks(n: int, a: np.ndarray, b: np.ndarray) -> tuple[int, ...]:
             su, sv = u[lo:hi] - r0, v[lo:hi]
         else:
             su, sv = u, v
-        bits = np.zeros((r1 - r0, n), dtype=bool)
-        bits[su, sv] = True
-        packed[r0:r1] = np.packbits(bits, axis=1, bitorder="little")
+        bits = np.zeros((r1 - r0) * n, dtype=bool)
+        bits[su * n + sv] = True
+        packed[r0:r1] = np.packbits(bits.reshape(r1 - r0, n), axis=1, bitorder="little")
     buf = packed.tobytes()
     return tuple(int.from_bytes(buf[i * width : (i + 1) * width], "little") for i in range(n))
 

@@ -3,6 +3,7 @@ import random
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -188,12 +189,12 @@ def test_build_clusters_matches_per_point_loop(case):
 
 
 @st.composite
-def hull_clusters(draw):
+def hull_clusters(draw, tops=(INT64_COORD_LIMIT, INT64_COORD_LIMIT + 1, COORD_LIMIT)):
     """Clusters of one size whose points lie in a cloud, in convex position,
     on the boundary of a square with collinear points along its sides, or
     on one line; scaled from a small grid so that the largest coordinate
-    of the set is ``top``."""
-    top = draw(st.sampled_from([INT64_COORD_LIMIT, INT64_COORD_LIMIT + 1, COORD_LIMIT]))
+    of the set is ``top``, one of ``tops``."""
+    top = draw(st.sampled_from(tops))
     k = draw(st.integers(1, 5))
     size = draw(st.integers(1, 12))
     grid = 12
@@ -232,11 +233,93 @@ def test_cluster_hulls_match_hull_coords(case):
     assert cluster_hulls(V, groups) == [hull_coords(V.coords[v] for v in grp) for grp in groups]
 
 
+def reference_octagon_survivors(x, y):
+    """The octagon filter as eight steps, one per edge: extremes by argmin
+    and argmax of x, x + y, y and x - y, then each edge tested in turn."""
+    r = np.arange(len(x))[:, None]
+    ends = [
+        f(key, axis=1)[:, None]
+        for f, key in ((np.argmin, x), (np.argmin, x + y), (np.argmin, y), (np.argmax, x - y),
+                       (np.argmax, x), (np.argmax, x + y), (np.argmax, y), (np.argmin, x - y))
+    ]
+    ox = [x[r, e] for e in ends]
+    oy = [y[r, e] for e in ends]
+    inside = (ox[0] < ox[4]) | (oy[2] < oy[6])
+    for t in range(8):
+        ex, ey = ox[t - 7] - ox[t], oy[t - 7] - oy[t]
+        inside = inside & ((ex * (y - oy[t]) - ey * (x - ox[t]) > 0) | ((ex == 0) & (ey == 0)))
+    return ~inside
+
+
+# The corners of the int64 box, with a point inside and one on an edge:
+# every cross product of the octagon filter reaches 2^61.
+L29 = INT64_COORD_LIMIT
+INT64_BOX = [(-L29, -L29), (L29, -L29), (0, 0), (L29, L29), (L29, 0), (-L29, L29)]
+
+
+@given(hull_clusters(tops=(12, INT64_COORD_LIMIT)))
+@settings(max_examples=300, deadline=None)
+@example((PointSet([(0, 0)] * 4 + [(INT64_COORD_LIMIT, 0)], check_general_position=False), [[0, 1, 2, 3]]))
+@example((PointSet(INT64_BOX, check_general_position=False), [[0, 1, 2, 3, 4, 5]]))
+@example((PointSet(INT64_BOX[::-1] + [(0, 0)], check_general_position=False), [[0, 1, 2], [3, 4, 5]]))
+def test_octagon_filter_matches_eight_step_reference(case):
+    # One argmin over stacked keys and one broadcast over the eight edges
+    # keep the survivors of the eight-step loop, ties and all.
+    V, groups = case
+    idx = np.array(groups, dtype=np.intp)
+    x, y = V.xy[idx, 0], V.xy[idx, 1]
+    keep = clusters._octagon_survivors(x, y)
+    assert keep.tolist() == reference_octagon_survivors(x, y).tolist()
+
+
 def _disk_graph(n, density):
     V = generate_points("random-disk", n, 3)
     edge_rng = random.Random(3)
     pairs = itertools.combinations(range(n), 2)
     return GeometricGraph.from_edges(V, [e for e in pairs if density is None or edge_rng.random() < density])
+
+
+def _ranked_batches(monkeypatch):
+    """The sides of each ``rank_sides`` call the pair scan makes."""
+    batches = []
+    rank = clusters.rank_sides
+
+    def spy(V, sides, hulls, edges=None):
+        batches.append([tuple(side) for side in sides])
+        return rank(V, sides, hulls, edges)
+
+    monkeypatch.setattr(clusters, "rank_sides", spy)
+    return batches
+
+
+def test_scan_ranks_the_rest_after_a_tangled_first_complete_pair(monkeypatch):
+    # The disk workload's nets: n = 256 in clusters of 64, at the eps of
+    # 1/2 the driver reaches after the m = 128 attempt. Each net cuts three
+    # clusters and every pair is complete and tangled: the first pair is
+    # ranked alone, the other two in one call.
+    batches = _ranked_batches(monkeypatch)
+    n, m = 256, 64
+    for seed in range(1000, 1004):
+        G = GeometricGraph.complete(generate_points("random-disk", n, seed))
+        lines = build_zone_lines(G.vertices, desk_net_size(n, m), seed + 1).lines
+        A, B, C = build_clusters(G.vertices, lines, m).clusters
+        batches.clear()
+        P, edges = find_avoiding_dense_pair(G, m, Fraction(1, 2), Fraction(1, 4), seed + 1)
+        assert edges == m * m and P.iota_sum > 0
+        assert batches == [[A, B], [A, C, B, C]]
+
+
+def test_scan_ranks_an_untangled_first_pair_alone(monkeypatch):
+    # In convex position the first pair is complete and untangled, so the
+    # scan ranks it alone and ends.
+    batches = _ranked_batches(monkeypatch)
+    n, m = 512, 128
+    G = GeometricGraph.complete(generate_points("convex", n, 0))
+    D = build_clusters(G.vertices, build_zone_lines(G.vertices, desk_net_size(n, m), 1).lines, m)
+    assert len(D.clusters) > 2
+    P, edges = find_avoiding_dense_pair(G, m, Fraction(1, 2), Fraction(1, 4), 1)
+    assert (edges, P.iota_sum) == (m * m, 0)
+    assert batches == [list(D.clusters[:2])]
 
 
 def _matching(n):

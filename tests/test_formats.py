@@ -360,6 +360,7 @@ def test_from_edges_matches_reference(n, edges):
 )
 @settings(max_examples=200, deadline=None)
 @example(65, [(0, 64), (64, 1), (7, 8), (8, 7)], 64)
+@example(9, [(0, 8), (6, 7), (7, 8), (8, 1), (5, 3)], 64)  # slabs of 7 and 2 rows
 def test_neighbour_masks_in_slabs_match_reference(n, edges, slab_bytes):
     # With slabs of a few rows, each slab takes its own run of the sorted
     # edge ends; the parser and from_edges must still build every mask.

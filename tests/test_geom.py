@@ -440,22 +440,77 @@ def test_general_position_check_float_tie_is_not_collinear():
         assert general_position_check(PointSet(pts, check_general_position=False)) is None
 
 
+def reference_tied_anchors(xy):
+    # ``geom._tied_anchors`` as it was before its float32 sort: each slab's
+    # float64 quotients are sorted and compared as they are.
+    n = len(xy)
+    order = np.lexsort((xy[:, 1], xy[:, 0]))
+    xs, ys = xy[order, 0], xy[order, 1]
+    tied = set()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        flagged = []
+        i0 = 0
+        while i0 < n - 2:
+            i1 = min(n - 2, i0 + max(1, geom._SLOPE_SLAB // (n - i0 - 1)))
+            q = ys[None, i0 + 1 :] - ys[i0:i1, None]
+            q /= xs[None, i0 + 1 :] - xs[i0:i1, None]
+            q.sort(axis=1)
+            flagged.extend((i0 + np.flatnonzero((q[:, 1:] == q[:, :-1]).any(axis=1))).tolist())
+            i0 = i1
+        for s in flagged:
+            q = (ys[s + 1 :] - ys[s]) / (xs[s + 1 :] - xs[s])
+            sq = np.sort(q)
+            group = np.isin(q, sq[1:][sq[1:] == sq[:-1]])
+            if group.any():
+                tied.add(int(order[s]))
+                tied.update(order[s + 1 :][group].tolist())
+    return sorted(tied)
+
+
+def test_tied_anchors_recheck_a_float32_tie(monkeypatch):
+    # From (0, 0) the slopes 2**-26 and 1/(2**26 + 1) differ in float64 but
+    # round to one float32. The float32 sort flags the row; its re-check
+    # picks both slopes by their float32 value and finds no float64 tie
+    # among them. The float64 sort flags nothing. The points are in general
+    # position.
+    coords = [(0, 0), (2**26, 1), (2**26 + 1, 1)]
+    slopes = np.array([1 / 2**26, 1 / (2**26 + 1)])
+    assert slopes[0] != slopes[1]
+    f = float(slopes.astype(np.float32)[0])
+    assert slopes.astype(np.float32).tolist() == [f, f]
+    calls = []
+    isin = np.isin
+    monkeypatch.setattr(np, "isin", lambda q, t: calls.append((q.dtype, q.tolist(), t.tolist())) or isin(q, t))
+    xy = np.array(coords, dtype=np.float64)
+    assert geom._tied_anchors(xy) == []
+    assert calls == [(np.float32, [f, f], [f]), (np.float64, slopes.tolist(), [])]
+    assert reference_tied_anchors(xy) == [] and len(calls) == 2
+    assert general_position_check(coords) is None
+    # With (2**27, 2) on the line through (0, 0) and (2**26, 1), all three
+    # slopes tie in float32 and the re-check keeps the two that tie in
+    # float64.
+    xy = np.array(coords + [(2**27, 2)], dtype=np.float64)
+    assert geom._tied_anchors(xy) == reference_tied_anchors(xy) == [0, 1, 3]
+
+
 @pytest.mark.parametrize("n", [3, 4, 90, 300])
 @pytest.mark.parametrize("slab", [1, 50, geom._SLOPE_SLAB])
 def test_tied_anchors_match_per_anchor_reference(n, slab, monkeypatch):
     # Grids of span 20 tie often (vertical, horizontal and slanted lines,
     # duplicates); span 10**6 rarely. Slabs of 1 and 50 entries split the
     # rows at every anchor and every few anchors. The filter's anchors,
-    # taken over the distinct points, hold every anchor at which the exact
-    # per-anchor scan finds a triple.
+    # taken over the distinct points, are those of its float64-only
+    # reference and hold every anchor at which the exact per-anchor scan
+    # finds a triple.
     monkeypatch.setattr(geom, "_SLOPE_SLAB", slab)
     rng = random.Random(n * 1000 + slab)
     for span, scale in ((20, 1), (10**6, 1), (20, 2 * L // 19)):
         coords = [(L - scale * rng.randrange(span), scale * rng.randrange(span) - L) for _ in range(n)]
         assert general_position_check(coords) == reference_general_position_check(coords)
         distinct = list(dict.fromkeys(coords))
-        tied = geom._tied_anchors(np.array(distinct, dtype=np.float64).reshape(-1, 2))
-        assert tied == sorted(set(tied))
+        xy = np.array(distinct, dtype=np.float64).reshape(-1, 2)
+        tied = geom._tied_anchors(xy)
+        assert tied == sorted(set(tied)) == reference_tied_anchors(xy)
         starts = {i for i in range(len(distinct) - 2) if _reference_anchor_triple(distinct, i) is not None}
         assert starts <= set(tied)
         if span == 20 and n >= 90:
