@@ -40,20 +40,21 @@ from .formats import (
     render_result_file,
     render_svg,
 )
-from .geom import GeometricGraph, PointSet, general_position_check, hull_coords
+from .geom import GeometricGraph, PointSet, hull_coords
 from .oracle import max_family_bruteforce, verify_family
 
 DEFAULT_RANGE = 1_000_000
 _MAX_FIXUPS = 20_000
 
 
-def _fix_general_position(coords, draw):
-    """Replace offending points until the set is in general position."""
+def _fix_general_position(coords, draw) -> PointSet:
+    """Replace offending points until the set is in general position;
+    returns the ``PointSet`` that certified it."""
     for _ in range(_MAX_FIXUPS):
-        witness = general_position_check(coords)
-        if witness is None:
-            return coords
-        coords[witness[-1]] = draw()
+        try:
+            return PointSet(coords)
+        except GeneralPositionError as e:
+            coords[e.witness[-1]] = draw()
     raise RangeTooSmallError(
         "could not reach general position; enlarge the coordinate range"
     )
@@ -76,8 +77,7 @@ def generate_points(kind: str, n: int, seed: int, coord_range: int = DEFAULT_RAN
                 if x * x + y * y <= r * r:
                     return (x, y)
 
-        coords = [draw() for _ in range(n)]
-        coords = _fix_general_position(coords, draw)
+        V = _fix_general_position([draw() for _ in range(n)], draw)
     elif kind == "convex":
         # Points on a large circular arc stay in convex position once the
         # rounded set passes a hull-size check.
@@ -88,7 +88,11 @@ def generate_points(kind: str, n: int, seed: int, coord_range: int = DEFAULT_RAN
             for i in range(n):
                 ang = 2 * math.pi * i / n + jitter[i] * 0.5
                 coords.append((round(r * math.cos(ang)), round(r * math.sin(ang))))
-            if general_position_check(coords) is None and len(hull_coords(coords)) == n:
+            try:
+                V = PointSet(coords)
+            except GeneralPositionError:
+                continue
+            if len(hull_coords(coords)) == n:
                 break
         else:
             raise RangeTooSmallError(
@@ -109,11 +113,10 @@ def generate_points(kind: str, n: int, seed: int, coord_range: int = DEFAULT_RAN
             return (cx + rng.randint(-pad, pad), cy + rng.randint(-pad, pad))
 
         coords = [place(i) for i in rng.sample(range(g * g), n)]
-        coords = _fix_general_position(coords, lambda: place(rng.randrange(g * g)))
+        V = _fix_general_position(coords, lambda: place(rng.randrange(g * g)))
     else:
         raise ValueError(f"unknown generator kind {kind!r}")
-    # Every branch above certified exactly these coordinates.
-    return PointSet(coords, check_general_position=False)
+    return V
 
 
 def _seed_default(args) -> int:

@@ -191,15 +191,18 @@ def find_avoiding_dense_pair(G: GeometricGraph, m: int, eps, delta, seed: int):
     audited. The edge counts of all pairs come from one ``block_edge_counts``
     pass and the hulls of all clusters from one ``cluster_hulls`` pass.
 
-    The sides of the dense pairs are ranked in batches (``rank_sides``) on
-    hull arrays built once per net within the int64 bound. Only the first
-    batch also ends at a complete pair, which ends the scan if untangled;
-    every batch ends at ``_BATCH_POINTS``. The scan counts each pair from
-    its rankings as it is reached (``poset_from_rankings``), with the caps
-    of a sequential scan of ``build_pair_poset`` calls, and keeps the
-    ``PairPoset`` of the best pair. Returns ``(P, edges)``, that poset
-    with the number of graph edges between its sides ``P.a`` and ``P.b``
-    that the scan counted, or None.
+    A dense pair with ``cnt`` edges is counted up to one cap: eps m², and
+    once a best pair exists ``min(eps m², best_iota - (cnt <= best_cnt))``.
+    A pair whose cap is negative is passed over, neither ranked nor
+    counted. The other pairs' sides are ranked in batches (``rank_sides``)
+    on hull arrays built once per net within the int64 bound; a batch
+    starts at the first pair reached without rankings and ends at
+    ``_BATCH_POINTS``, the first also at a complete pair. Each pair is
+    counted from its rankings as it is reached (``poset_from_rankings``),
+    as a sequential scan of ``build_pair_poset`` calls would count it, and
+    the scan keeps the ``PairPoset`` of the best pair. Returns ``(P,
+    edges)``, that poset with the number of graph edges between its sides
+    ``P.a`` and ``P.b`` that the scan counted, or None.
     """
     V = G.vertices
     n = len(V)
@@ -223,8 +226,8 @@ def find_avoiding_dense_pair(G: GeometricGraph, m: int, eps, delta, seed: int):
     # Scan the dense pairs in (i, j) order. The least tangled qualifying
     # pair wins, since downstream yield depends directly on the
     # incomparability count; ties go to more edges, as density need only
-    # clear delta. Each pair is ranked by its count, which gives up as soon
-    # as it exceeds the relevant budget.
+    # clear delta. Each pair is counted up to its cap (``cap_of``), and the
+    # count gives up as soon as it exceeds it.
     iota_cap = (eps.numerator * m * m) // eps.denominator
     dense_min = delta.numerator * m * m  # compare against count * delta_den
     delta_den = delta.denominator
@@ -239,28 +242,26 @@ def find_avoiding_dense_pair(G: GeometricGraph, m: int, eps, delta, seed: int):
     ]
     edges = hull_edges(hulls) if dense and V.within_int64_bound else None
     ranked: dict[int, list] = {}  # a batch's pairs' rankings by place in dense
-    end = 0  # the pairs before this place have been batched or passed over
     best: tuple[int, int, PairPoset] | None = None  # (count, iota, poset)
+
+    def cap_of(cnt: int) -> int:
+        # Only a pair with more edges may tie the best's count. A negative
+        # cap passes the pair over for good: the best's count, once 0,
+        # stays 0, and the best's edges only grow.
+        return iota_cap if best is None else min(iota_cap, best[1] - (cnt <= best[0]))
+
     for t, (i, j, cnt) in enumerate(dense):
-        if best is not None and best[:2] == (complete, 0):
-            break  # no pair can rank above a complete untangled one
-        cap = iota_cap
-        if best is not None:
-            if cnt <= best[0] and best[1] == 0:
-                continue
-            # Only a pair with more edges may tie the best's count.
-            cap = min(cap, best[1] - (cnt <= best[0]))
-        if t >= end:
-            # The pairs this test passes over now stay passed over until
-            # the scan ends.
+        cap = cap_of(cnt)
+        if cap < 0:
+            continue
+        if t not in ranked:
+            # A batch holds the pairs from here on that are not passed over.
             batch = []
-            for end in range(t, len(dense)):
-                bcnt = dense[end][2]
-                if not (best is not None and bcnt <= best[0] and best[1] == 0):
-                    batch.append(end)
-                if (bcnt == complete and t == 0) or len(batch) * 2 * m >= _BATCH_POINTS:
+            for u, (_, _, ucnt) in enumerate(dense[t:], t):
+                if cap_of(ucnt) >= 0:
+                    batch.append(u)
+                if (ucnt == complete and t == 0) or len(batch) * 2 * m >= _BATCH_POINTS:
                     break
-            end += 1
             # Side i against hull j, then side j against hull i.
             sides = [h for u in batch for h in dense[u][:2]]
             against = [g for u in batch for g in dense[u][1::-1]]

@@ -144,26 +144,17 @@ def general_position_check(points) -> tuple[int, ...] | None:
     (x, y) order, and all its points are in that row's float64 tied group.
     The anchors visited are the points of the tied groups; they include
     every anchor that starts a collinear triple, so the witness is the one
-    a scan of every anchor finds. Beyond the limit every anchor is scanned.
+    a scan of every anchor finds. Any other argument is read first as
+    ``PointSet(points, check_general_position=False)``.
     """
-    if isinstance(points, PointSet):
-        coords, xy = points.coords, points.xy
-    else:
-        coords = [(p.x, p.y) if isinstance(p, Point) else (int(p[0]), int(p[1])) for p in points]
-        xy = None
-        if all(abs(x) <= COORD_LIMIT and abs(y) <= COORD_LIMIT for x, y in coords):
-            xy = np.array(coords, dtype=np.int64).reshape(len(coords), 2)
+    V = points if isinstance(points, PointSet) else PointSet(points, check_general_position=False)
     seen: dict[tuple[int, int], int] = {}
-    for i, c in enumerate(coords):
+    for i, c in enumerate(V.coords):
         if c in seen:
             return (seen[c], i)
         seen[c] = i
-    n = len(coords)
-    anchors = range(n - 2)
-    if n >= 3 and xy is not None:
-        anchors = _tied_anchors(xy.astype(np.float64))
-    for i in anchors:
-        witness = _anchor_witness(coords, i)
+    for i in _tied_anchors(V.xy.astype(np.float64)):
+        witness = _anchor_witness(V.coords, i)
         if witness is not None:
             return witness
     return None

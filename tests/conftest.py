@@ -71,12 +71,14 @@ def separated_pair(rng: random.Random, na: int, nb: int, span: int = 100_000, of
 
     def draw(idx: int):
         if idx < na:
-            return (rng.randint(0, span), rng.randint(0, 4 * span))
-        return (rng.randint(gap, gap + span), rng.randint(0, 4 * span))
+            x, y = rng.randint(0, span), rng.randint(0, 4 * span)
+        else:
+            x, y = rng.randint(gap, gap + span), rng.randint(0, 4 * span)
+        return (x - offset, y - offset)
 
     coords = [draw(i) for i in range(na + nb)]
     fixup_general_position(coords, draw)
-    V = PointSet([Point(x - offset, y - offset) for x, y in coords])
+    V = PointSet(coords)
     return V, tuple(range(na)), tuple(range(na, na + nb))
 
 

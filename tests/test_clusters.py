@@ -322,6 +322,31 @@ def test_scan_ranks_an_untangled_first_pair_alone(monkeypatch):
     assert batches == [list(D.clusters[:2])]
 
 
+def test_scan_leaves_pairs_passed_over_out_of_later_batches(monkeypatch):
+    # Batches of two pairs (_BATCH_POINTS = 4m) on convex points, where
+    # every cluster pair is untangled, with the edge count of each pair set.
+    # The first pair, with fewer than m² edges, becomes an untangled best;
+    # from then on a pair with no more edges than the best is passed over,
+    # and a batch leaves it out: (0, 4) and (1, 4) are never ranked.
+    n, m, seed = 48, 8, 0
+    V = generate_points("convex", n, 0)
+    C = build_clusters(V, build_zone_lines(V, desk_net_size(n, m), seed).lines, m).clusters
+    assert len(C) == 5
+    counts = {(0, 1): 32, (0, 2): 32, (0, 3): 48, (0, 4): 32, (1, 2): 40,
+              (1, 3): 56, (1, 4): 48, (2, 4): 60, (3, 4): 20}
+    G = GeometricGraph.from_edges(V, [(C[a][k // m], C[b][k % m]) for (a, b), c in counts.items() for k in range(c)])
+    monkeypatch.setattr(clusters, "_BATCH_POINTS", 4 * m)
+    batches = _ranked_batches(monkeypatch)
+    args = (G, m, Fraction(1, 2), Fraction(1, 4), seed)
+    pick = find_avoiding_dense_pair(*args)
+    # (0, 2) is ranked with (0, 1), before a best exists; the batches that
+    # start at (0, 3) and (1, 3) hold the next pair with more edges.
+    assert batches == [[C[0], C[1], C[0], C[2]], [C[0], C[3], C[1], C[2]], [C[1], C[3], C[2], C[4]]]
+    assert pick == reference_scan(*args)
+    P, edges = pick
+    assert (P.a, P.b, edges, P.iota_sum) == (C[2], C[4], 60, 0)
+
+
 def _matching(n):
     return GeometricGraph.from_edges(generate_points("random-disk", n, 3), [(i, i + 1) for i in range(0, n, 2)])
 

@@ -397,9 +397,11 @@ def test_general_position_check_pinned_at_the_limit(coords):
 @given(grid_sets(), st.sampled_from([L + 1, 2**40, 2**53 + 1, 2**70]))
 @settings(max_examples=100, deadline=None)
 def test_general_position_check_beyond_the_limit(coords, big):
-    # Raw tuples outside COORD_LIMIT take the exact scan for every anchor.
+    # Raw tuples outside COORD_LIMIT are refused, as PointSet refuses them.
     coords = [(x * big + 1, y * big - 1) for x, y in coords] + [(big, big)]
-    assert general_position_check(coords) == reference_general_position_check(coords)
+    for check in (general_position_check, PointSet):
+        with pytest.raises(ValueError, match=f"coordinate magnitude exceeds {COORD_LIMIT}"):
+            check(coords)
 
 
 @pytest.mark.parametrize("coords, expect", [

@@ -184,17 +184,19 @@ def _side_and_hull(seed, na, nb, kind, top):
 
     def draw(idx):
         if idx < na:
-            return (rng.randint(0, top // 2), rng.randint(0, 2 * top))
-        if kind == "arc":
+            x, y = rng.randint(0, top // 2), rng.randint(0, 2 * top)
+        elif kind == "arc":
             j = rng.randint(-top, top)
-            return (2 * top - (top * top - j * j) // (2 * top), top + j)
-        return (rng.randint(3 * top // 2, 2 * top), rng.randint(0, 2 * top))
+            x, y = 2 * top - (top * top - j * j) // (2 * top), top + j
+        else:
+            x, y = rng.randint(3 * top // 2, 2 * top), rng.randint(0, 2 * top)
+        return (x - top, y - top)
 
     coords = [draw(i) for i in range(na + nb)]
     fixup_general_position(coords, draw)
     left = min(range(na), key=lambda i: coords[i])
-    coords[left] = (0, coords[left][1])
-    return [(x - top, y - top) for x, y in coords], tuple(range(na)), tuple(range(na, na + nb))
+    coords[left] = (-top, coords[left][1])
+    return coords, tuple(range(na)), tuple(range(na, na + nb))
 
 
 # Stands for "no cap" in the direct kernel calls: above any pair count.
