@@ -4,8 +4,8 @@ search for a separated pair of clusters that is both dense and untangled.
 The pair search samples a net (``zones.build_zone_lines``) and cuts V over
 the lines it determines. Points are grouped by their open cell (their sign
 vector over the lines, from ``zones.line_signs``); each cell is chunked
-into groups of exactly m along a splitter direction, so any two clusters
-are separated by a line. Points on the lines and partial chunks
+into groups of exactly m in its (x, y) order, so any two clusters are
+separated by a line. Points on the lines and partial chunks
 form the leftover set. The scan takes the hulls of all clusters from one
 pass and ranks the dense cluster pairs by their capped incomparable count.
 The sides of a run of pairs are ranked in one batch (``poset.rank_sides``)
@@ -39,67 +39,46 @@ class ClusterDecomposition:
     on_lines: tuple[int, ...]
 
 
-def _splitter_direction(coords: list[tuple[int, int]]) -> tuple[int, int]:
-    # Vertical splitters need distinct x; otherwise tilt deterministically to
-    # a direction along which all projections are distinct. Two points on
-    # one spot project alike in every direction.
-    if len({x for x, _ in coords}) == len(coords):
-        return (1, 0)
-    seen = set()
-    for c in coords:
-        if c in seen:
-            raise DegenerateInputError(f"point ({c[0]}, {c[1]}) is repeated")
-        seen.add(c)
-    k = 1
-    while True:
-        projs = {k * x + y for x, y in coords}
-        if len(projs) == len(coords):
-            return (k, 1)
-        k += 1
-
-
 def build_clusters(V: PointSet, lines: Sequence[Line], m: int) -> ClusterDecomposition:
     """Group points by open cell of the arrangement of ``lines`` and chunk
-    each cell into clusters of m.
+    each cell, in its (x, y) order, into clusters of m.
 
     Points on any of the lines join the leftover set, as does the final
     partial chunk of every cell. Cells go in the order of their sign
-    vectors over the lines, -1 before 1. A cell whose points have distinct
-    x is chunked in order of x; any other cell along the splitter
-    direction. A cell to be chunked that holds one point twice raises
-    DegenerateInputError.
+    vectors over the lines, -1 before 1. A line of the arrangement
+    separates chunks of two cells. Within a cell, the (x, y) order of
+    distinct points is their order along x + t·y for every small enough
+    t > 0, so a line x + t·y = c separates any two of its chunks. A cell to
+    be chunked that holds one point twice raises DegenerateInputError.
     """
     if m < 1:
         raise ValueError("m must be positive")
-    coords = V.coords
     signs = line_signs(V, lines)
     off = (signs != 0).all(axis=1)
     on_lines = np.flatnonzero(~off).tolist()
     # One stable lexsort groups the cells in sign order, each by (x, y).
     idx = np.flatnonzero(off)
-    S = signs[idx]
-    xs, ys = V.xy[idx, 0], V.xy[idx, 1]
-    order = np.lexsort((ys, xs, *S.T[::-1]))
-    S, xs = S[order], xs[order]
+    S, xy = signs[idx], V.xy[idx]
+    order = np.lexsort((xy[:, 1], xy[:, 0], *S.T[::-1]))
+    S, xy = S[order], xy[order]
     new_cell = np.ones(len(idx), dtype=bool)
     new_cell[1:] = (S[1:] != S[:-1]).any(axis=1)
-    starts = np.flatnonzero(new_cell).tolist()
-    shared_x = np.zeros(len(idx), dtype=bool)
-    shared_x[1:] = ~new_cell[1:] & (xs[1:] == xs[:-1])
-    # Cells with two points of one x are chunked along a tilted splitter.
-    tilted = set((np.searchsorted(starts, np.flatnonzero(shared_x), side="right") - 1).tolist())
+    bounds = np.flatnonzero(new_cell).tolist() + [len(idx)]
     members_all = idx[order].tolist()
+    # A repeated point sits next to its copy in (x, y) order; a cell to be
+    # chunked must hold distinct points for that order to separate chunks.
+    sizes = np.diff(bounds)
+    repeat = np.zeros(len(idx), dtype=bool)
+    repeat[1:] = ~new_cell[1:] & (xy[1:] == xy[:-1]).all(axis=1)
+    repeat &= np.repeat(sizes, sizes) >= m
+    if repeat.any():
+        x, y = V.coords[members_all[int(repeat.argmax())]]
+        raise DegenerateInputError(f"point ({x}, {y}) is repeated")
 
     clusters: list[tuple[int, ...]] = []
     leftover: list[int] = list(on_lines)
-    for c, (s0, s1) in enumerate(zip(starts, starts[1:] + [len(idx)])):
+    for s0, s1 in zip(bounds, bounds[1:]):
         members = members_all[s0:s1]
-        if len(members) < m:
-            leftover.extend(members)
-            continue
-        if c in tilted:
-            kx, ky = _splitter_direction([coords[i] for i in members])
-            members.sort(key=lambda i: kx * coords[i][0] + ky * coords[i][1])
         full = len(members) // m * m
         clusters.extend(tuple(members[start : start + m]) for start in range(0, full, m))
         leftover.extend(members[full:])

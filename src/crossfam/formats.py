@@ -14,10 +14,12 @@ off only the point lines and the ``edges`` header as strings, then finds
 the edge lines and decodes every ``<digits> <digits>`` line with numpy,
 with no Python object per line. Any other line (a tab, a sign, an
 underscore, a non-ASCII digit or a bad token) goes through the scalar
-``split``/``int`` rule, so the accepted grammar, and each error's line and
-message, are those of a line-by-line parse. The range, ``i < j`` and
-duplicate checks run on the index arrays, and ``geom.neighbour_masks`` sets
-the neighbour bits. Extra memory is O(E) plus one slab of about 4 MB plus
+``split``/``int`` rule. A block of m lines that all give indices, with
+0 <= i < j < n on the index arrays and m distinct edges, is accepted, and
+``geom.neighbour_masks`` sets the neighbour bits. Any other block is read
+again line by line (``_scalar_edges``), which raises at its first bad line,
+so the accepted grammar, and each error's line and message, are those of a
+line-by-line parse. Extra memory is O(E) plus one slab of about 4 MB plus
 the n²/8 bytes of the masks.
 """
 
@@ -180,12 +182,32 @@ def _decimal(c: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return val
 
 
+def _scalar_edges(V: PointSet, m: int, lines: _Lines) -> GeometricGraph:
+    """The graph on V whose m edge lines are the next lines of ``lines``,
+    read one line at a time: the first bad line in file order raises."""
+    n = len(V)
+    seen: set[tuple[int, int]] = set()
+    taken = lines.take(m)
+    for line_no, line in enumerate(taken, lines.line_no - len(taken) + 1):
+        i, j = _edge_tokens(line, line_no)
+        if not 0 <= i < j < n:
+            raise ParseError(line_no, f"edge ({i}, {j}) must satisfy 0 <= i < j < n")
+        if (i, j) in seen:
+            raise ParseError(line_no, f"duplicate edge ({i}, {j})")
+        seen.add((i, j))
+    if len(taken) < m:
+        raise ParseError(lines.line_no + 1, f"expected {m} edges, file ends after {len(taken)}")
+    return GeometricGraph.from_edges(V, seen)
+
+
 def _parse_edges(V: PointSet, m: int, lines: _Lines) -> tuple[GeometricGraph, _Lines]:
     """The graph on V whose m edge lines follow the last line taken from
     ``lines``, and the lines after them.
 
-    The first bad line in file order raises, with the message the scalar
-    rule and the checks of a line-by-line parse give it.
+    The bulk decoder accepts a block only when its lines each give two
+    indices with 0 <= i < j < n, and they give m distinct edges, so all m
+    lines are there. Any other block is read again by ``_scalar_edges``,
+    which raises at its first bad line.
     """
     n = len(V)
     line_no = lines.line_no + 1  # of the first edge line
@@ -217,42 +239,20 @@ def _parse_edges(V: PointSet, m: int, lines: _Lines) -> tuple[GeometricGraph, _L
     a = _decimal(c, starts, np.where(bulk, space, starts))
     b = _decimal(c, np.where(bulk, space + 1, ends), ends)
     del space
-
-    def line_at(i: int) -> str:
-        return data[starts[i] : ends[i]].decode("utf-8", "surrogatepass")
-
-    # Lines before ``parsed`` have indices; the line at ``parsed`` (if < k)
-    # fails the scalar rule with ``token_error``.
-    parsed, token_error = k, None
     for i in np.flatnonzero(~bulk).tolist():
         try:
-            pair = _edge_tokens(line_at(i), line_no + i)
-        except ParseError as e:
-            parsed, token_error = i, e
-            break
+            pair = _edge_tokens(data[starts[i] : ends[i]].decode("utf-8", "surrogatepass"), line_no + i)
+        except ParseError:
+            break  # the line keeps (0, 0), which fails the range check
         # An index outside [0, n) fails the range check whatever its value;
         # -1 keeps it within int32.
         a[i], b[i] = (v if 0 <= v < n else -1 for v in pair)
-    a, b = a[:parsed], b[:parsed]
-    out_of_range = np.flatnonzero((a < 0) | (a >= b) | (b >= n))
-    good = int(out_of_range[0]) if len(out_of_range) else parsed
-    a, b = a[:good], b[:good]
-    G = GeometricGraph(V, neighbour_masks(n, a, b))
-    if G.edge_count != good:
-        # Fewer distinct edges than lines: report the first repeat.
-        key = a.astype(np.int64) * n + b
-        order = np.argsort(key, kind="stable")
-        first = int(order[1:][key[order[1:]] == key[order[:-1]]].min())
-        raise ParseError(line_no + first, f"duplicate edge ({a[first]}, {b[first]})")
-    if good < parsed:
-        i, j = _edge_tokens(line_at(good), line_no + good)
-        raise ParseError(line_no + good, f"edge ({i}, {j}) must satisfy 0 <= i < j < n")
-    if token_error is not None:
-        raise token_error
-    if k < m:
-        raise ParseError(line_no + k, f"expected {m} edges, file ends after {k}")
-    tail = data[ends[-1] + 1 if k else 0 :].decode("utf-8", "surrogatepass")
-    return G, _Lines(tail, lines.line_no + m)
+    if ((0 <= a) & (a < b) & (b < n)).all():
+        G = GeometricGraph(V, neighbour_masks(n, a, b))
+        if G.edge_count == m:
+            tail = data[ends[-1] + 1 if k else 0 :].decode("utf-8", "surrogatepass")
+            return G, _Lines(tail, lines.line_no + m)
+    return _scalar_edges(V, m, lines), lines
 
 
 @dataclass(frozen=True)

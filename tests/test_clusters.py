@@ -13,7 +13,6 @@ from crossfam.audit import hulls_disjoint
 from crossfam.cli import generate_points
 from crossfam.clusters import (
     ClusterDecomposition,
-    _splitter_direction,
     build_clusters,
     cluster_hulls,
     desk_net_size,
@@ -21,7 +20,15 @@ from crossfam.clusters import (
 )
 from crossfam.crossing import RunConfig, find_crossing_family
 from crossfam.errors import DegenerateInputError, NotSeparatedError
-from crossfam.geom import COORD_LIMIT, INT64_COORD_LIMIT, GeometricGraph, Point, PointSet, hull_coords
+from crossfam.geom import (
+    COORD_LIMIT,
+    INT64_COORD_LIMIT,
+    GeometricGraph,
+    Point,
+    PointSet,
+    hull_coords,
+    hull_coords_disjoint,
+)
 from crossfam.poset import build_pair_poset, iota_sum_capped
 from crossfam.zones import Line, build_zone_lines
 
@@ -94,18 +101,9 @@ def test_leftover_bound(rng):
         assert len(D.on_lines) <= 2 * r
 
 
-def test_build_clusters_shared_x_perturbs_direction():
-    pts = [Point(0, 0), Point(0, 5), Point(1, 2), Point(1, 9), Point(3, 1), Point(2, 7)]
-    V = PointSet(pts)
-    D = build_clusters(V, (), 2)
-    assert len(D.clusters) == 3
-    assert _splitter_direction(V.coords) != (1, 0)
-    for c1, c2 in itertools.combinations(D.clusters, 2):
-        assert hulls_disjoint([V[i] for i in c1], [V[i] for i in c2])
-
-
 def test_build_clusters_rejects_repeated_point():
-    # The splitter search once looped forever on two points at one spot.
+    # A cell to be chunked must hold distinct points for its (x, y) order
+    # to separate its chunks.
     V = PointSet([(0, 0), (0, 0), (1, 5), (2, 3)], check_general_position=False)
     with pytest.raises(DegenerateInputError, match=r"point \(0, 0\) is repeated"):
         build_clusters(V, [], 2)
@@ -116,7 +114,7 @@ def test_build_clusters_rejects_repeated_point():
 def reference_build_clusters(V, lines, m):
     """The per-point loop ``build_clusters`` replaced: each point's signs
     over the lines in Python ints, cells by sign tuple, each cell sorted
-    along its splitter direction."""
+    by (x, y)."""
     coords = V.coords
     cells = {}
     on_lines = []
@@ -140,8 +138,7 @@ def reference_build_clusters(V, lines, m):
         if len(members) < m:
             leftover.extend(members)
             continue
-        kx, ky = _splitter_direction([coords[i] for i in members])
-        members.sort(key=lambda i: (kx * coords[i][0] + ky * coords[i][1], coords[i]))
+        members.sort(key=lambda i: coords[i])
         full = len(members) // m * m
         found.extend(tuple(members[start : start + m]) for start in range(0, full, m))
         leftover.extend(members[full:])
@@ -186,6 +183,20 @@ def arrangements(draw):
 def test_build_clusters_matches_per_point_loop(case):
     V, lines, m = case
     assert build_clusters(V, lines, m) == reference_build_clusters(V, lines, m)
+
+
+@given(arrangements())
+@settings(max_examples=300, deadline=None)
+@example((PointSet([Point(0, 0), Point(0, 5), Point(1, 2), Point(1, 9), Point(3, 1), Point(2, 7)]), [], 2))
+# Three points of one x whose middle one comes last: ties of x must go by y.
+@example((PointSet([Point(0, 0), Point(0, 5), Point(0, 2), Point(1, 1), Point(2, 9)], check_general_position=False), [], 2))
+def test_build_clusters_separates_every_pair(case):
+    # The grids put many points of a cell on one x; the (x, y) order still
+    # separates the cell's chunks.
+    V, lines, m = case
+    hulls = [hull_coords(V.coords[i] for i in c) for c in build_clusters(V, lines, m).clusters]
+    for ha, hb in itertools.combinations(hulls, 2):
+        assert hull_coords_disjoint(ha, hb)
 
 
 @st.composite
@@ -681,7 +692,7 @@ def test_find_avoiding_dense_pair_ties_keep_the_first_pair():
              (4, 9), (4, 11), (5, 6), (5, 8), (5, 10), (5, 11), (6, 8), (6, 9), (6, 11), (7, 8), (7, 9),
              (7, 10), (7, 11), (8, 10), (9, 10)]
     for G, seed in (
-        (GeometricGraph.complete(PointSet([Point(*c) for c in complete])), 0),
+        (GeometricGraph.complete(PointSet([Point(*c) for c in complete])), 29),
         (GeometricGraph.from_edges(PointSet([Point(*c) for c in sparse]), edges), 1),
     ):
         P, _ = find_avoiding_dense_pair(G, 3, Fraction(1), Fraction(1, 4), seed)

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from crossfam import geom
+from crossfam import formats, geom
 from crossfam.errors import GeneralPositionError, ParseError
 from crossfam.formats import (
     ResultData,
@@ -319,8 +319,32 @@ def graph_texts(draw):
 @example("pointset v1 n=3\n0 0\n1 1\n2 5\nedges m=1\n0\x1f2\n")
 @example("pointset v1 n=3\n0 0\n1 1\n2 5\nedges m=2\n1 2\r\r\n0 1\n")
 @example("pointset v1 n=3\n0 0\n1 1\n2 5\nedges m=0\n\n 　\n")
+# Blocks the bulk decoder rejects only at its last checks.
+@example("pointset v1 n=3\n0 0\n1 1\n2 5\nedges m=3\n0 1\n1 2\n0 1\n")
+@example("pointset v1 n=3\n0 0\n1 1\n2 5\nedges m=3\n0 1\n1 2\n")
+@example("pointset v1 n=3\n0 0\n1 1\n2 5\nedges m=2\n0 3\n1\t2\n")
 def test_parser_matches_reference(text):
     _assert_same(text)
+
+
+def test_valid_edge_blocks_stay_on_the_bulk_path(monkeypatch):
+    # The line-by-line rule reads only blocks the bulk decoder rejects; a
+    # tab line in a valid block is patched in place.
+    def refuse(*args):
+        raise AssertionError("_scalar_edges called")
+
+    monkeypatch.setattr(formats, "_scalar_edges", refuse)
+    rng = random.Random(768)
+    V = _parabola(768)
+    G = GeometricGraph.from_edges(V, [(a, b) for a in range(768) for b in range(a + 1, 768) if rng.random() < 0.5])
+    text = render_graph_file(G)
+    header = f"edges m={G.edge_count}\n"
+    a, b = next(G.edges_iter())
+    tabbed = text.replace(f"{header}{a} {b}\n", f"{header}{a}\t{b}\n")
+    assert tabbed != text
+    for t in (text, tabbed):
+        assert parse_graph_file(t)._adj == G._adj
+    assert parse_graph_file(render_point_file(V) + "edges m=0\n").edge_count == 0
 
 
 @pytest.mark.parametrize("header", ("n=-3", "n=x", "n=", "n=+2", "n=2", "n=3", "n=" + "9" * 25))
